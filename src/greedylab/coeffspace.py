@@ -519,8 +519,7 @@ class GapSequence:
         return m in self.members_up_to(m)
 
     def first(self) -> int:
-        members = self.members_up_to(10 ** 9) if self.values else (int(self.rule(1)),)
-        return members[0]
+        return self.values[0] if self.values else int(self.rule(1))
 
 
 # ---------------------------------------------------------------------------

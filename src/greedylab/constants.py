@@ -7,7 +7,8 @@ supremum.  For polyhedral norms an exact cell search is available: once a
 sign pattern is fixed, the t-greedy condition is a system of linear
 inequalities, so each (index set, sign cell, dual functional) triple is a
 small linear program and the truncated-space constant is the maximum over
-finitely many of them.
+finitely many of them.  The cell programs of one constant share no variable,
+so they are stacked into block-diagonal programs and solved together.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, projection,
                          random_vectors)
@@ -204,6 +204,88 @@ def _certified_witness(x: CoeffVector, A: frozenset, t: float) -> CoeffVector:
     return CoeffVector.from_pairs((i, v) for i, v in vals.items() if v != 0.0)
 
 
+# cell LPs per block-diagonal solve: one solve per constant up to dimension 4,
+# bounded memory beyond
+_LP_BATCH = 4096
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use so that importing
+    greedylab does not load scipy.optimize."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+def _cell_lps(F: np.ndarray, sizes: Iterable[int], dim: int, t: float, kind: str
+              ) -> Iterator[tuple[frozenset, tuple, np.ndarray]]:
+    """Every cell LP in search order, as (A, constraints, objective).
+
+    The constraints of one (index set, sign cell) pair are shared by its
+    2 * |F| objectives, as a sparse triple (rows, cols, values) plus the
+    right-hand side of ``A_ub x <= b_ub``.
+    """
+    ball = np.vstack([F, -F])
+    for size in sizes:
+        for A_tuple in itertools.combinations(range(1, dim + 1), size):
+            A = frozenset(A_tuple)
+            mask = np.zeros(dim)
+            for i in A_tuple:
+                mask[i - 1] = 1.0
+            obj_mask = mask if kind == "C_q_t" else 1.0 - mask
+            outside = [j for j in range(1, dim + 1) if j not in A]
+            for signs_rest in itertools.product((1.0, -1.0), repeat=dim - 1):
+                sigma = np.array((1.0,) + signs_rest)
+                rows = [-np.diag(sigma)]  # sigma_i x_i >= 0
+                if outside:
+                    greedy = np.zeros((len(A_tuple) * len(outside), dim))
+                    r = 0
+                    for i in A_tuple:
+                        for j in outside:
+                            greedy[r, j - 1] = t * sigma[j - 1]
+                            greedy[r, i - 1] -= sigma[i - 1]
+                            r += 1
+                    rows.append(greedy)
+                A_ub = np.vstack([ball] + rows)
+                b_ub = np.concatenate([np.ones(ball.shape[0]),
+                                       np.zeros(A_ub.shape[0] - ball.shape[0])])
+                nz_rows, nz_cols = np.nonzero(A_ub)
+                cell = (nz_rows, nz_cols, A_ub[nz_rows, nz_cols], b_ub)
+                for f in F:
+                    cvec = f * obj_mask
+                    if not np.any(cvec):
+                        continue
+                    for sgn in (1.0, -1.0):
+                        yield A, cell, -sgn * cvec
+
+
+def _solve_block_diagonal(lps: list, dim: int, bound: float) -> np.ndarray:
+    """Optimal vertices of the given cell LPs, one row each, from one HiGHS solve.
+
+    The LPs are the diagonal blocks of one program with a separable
+    objective, so the joint optimum restricted to a block is an optimum of
+    that block's LP.
+    """
+    from scipy.sparse import coo_array
+
+    rows, cols, vals, b_ub = [], [], [], []
+    n_rows = 0
+    for k, (_, (nz_rows, nz_cols, nz_vals, b), _) in enumerate(lps):
+        rows.append(nz_rows + n_rows)
+        cols.append(nz_cols + k * dim)
+        vals.append(nz_vals)
+        b_ub.append(b)
+        n_rows += b.size
+    A_ub = coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(n_rows, len(lps) * dim))
+    res = linprog(np.concatenate([c for _, _, c in lps]), A_ub=A_ub,
+                  b_ub=np.concatenate(b_ub), bounds=(-bound, bound), method="highs")
+    if not res.success:
+        raise RuntimeError(f"HiGHS failed on {len(lps)} cell LPs: "
+                           f"status {res.status}: {res.message}")
+    return res.x.reshape(len(lps), dim)
+
+
 def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float,
                               dim: int, kind: str = "C_q_t",
                               lp_cap: int = 2_000_000) -> ConstantEstimate:
@@ -213,6 +295,8 @@ def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float
     many rows f).  For each admissible index set A and sign cell, the
     constraint set {|x| <= 1, A t-greedy for x} is a polytope, and each dual
     functional gives a linear objective; the constant is the maximum LP value.
+    The cell LPs are solved ``_LP_BATCH`` at a time as one block-diagonal
+    program; a solve that does not reach optimality raises RuntimeError.
     """
     if space.dual_functionals is None:
         raise ValueError(f"space {space.name!r} has no dual-functional oracle")
@@ -230,52 +314,21 @@ def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float
     if n_lp > lp_cap:
         raise ValueError(f"cell search needs {n_lp} linear programs, over the cap {lp_cap}")
 
-    ball = np.vstack([F, -F])
-    b_ball = np.ones(ball.shape[0])
-    var_bounds = [(-space.alpha2, space.alpha2)] * dim
-
     best = 0.0
     best_x: Optional[CoeffVector] = None
     best_A: Optional[frozenset] = None
 
-    for size in sizes:
-        for A_tuple in itertools.combinations(range(1, dim + 1), size):
-            A = frozenset(A_tuple)
-            mask = np.zeros(dim)
-            for i in A_tuple:
-                mask[i - 1] = 1.0
-            obj_mask = mask if kind == "C_q_t" else 1.0 - mask
-            outside = [j for j in range(1, dim + 1) if j not in A]
-            for signs_rest in itertools.product((1.0, -1.0), repeat=dim - 1):
-                sigma = np.array((1.0,) + signs_rest)
-                rows = [ -np.diag(sigma) ]  # sigma_i x_i >= 0
-                if outside:
-                    greedy = np.zeros((len(A_tuple) * len(outside), dim))
-                    r = 0
-                    for i in A_tuple:
-                        for j in outside:
-                            greedy[r, j - 1] = t * sigma[j - 1]
-                            greedy[r, i - 1] -= sigma[i - 1]
-                            r += 1
-                    rows.append(greedy)
-                A_ub = np.vstack([ball] + rows)
-                b_ub = np.concatenate([b_ball, np.zeros(A_ub.shape[0] - ball.shape[0])])
-                for f in F:
-                    cvec = f * obj_mask
-                    if not np.any(cvec):
-                        continue
-                    for sgn in (1.0, -1.0):
-                        res = linprog(-sgn * cvec, A_ub=A_ub, b_ub=b_ub,
-                                      bounds=var_bounds, method="highs")
-                        if not res.success or res.x is None:
-                            continue
-                        x = _certified_witness(CoeffVector.from_dense(res.x), A, t)
-                        nx = space.norm(x)
-                        if nx <= 0.0:
-                            continue
-                        ratio = _ratio(space, x, A, kind, nx)
-                        if ratio > best:
-                            best, best_x, best_A = ratio, x, A
+    lps = _cell_lps(F, sizes, dim, t, kind)
+    while batch := list(itertools.islice(lps, _LP_BATCH)):
+        vertices = _solve_block_diagonal(batch, dim, space.alpha2)
+        for (A, _, _), vertex in zip(batch, vertices):
+            x = _certified_witness(CoeffVector.from_dense(vertex), A, t)
+            nx = space.norm(x)
+            if nx <= 0.0:
+                continue
+            ratio = _ratio(space, x, A, kind, nx)
+            if ratio > best:
+                best, best_x, best_A = ratio, x, A
 
     return ConstantEstimate(kind=kind, value=float(best), witness_x=best_x,
                             witness_A=best_A, exact=True, t=t, upper_bound=float(best),

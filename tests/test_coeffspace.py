@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -254,3 +255,11 @@ class TestGapSequence:
         with pytest.raises(ValueError):
             GapSequence.explicit([1, 5], bound_l=2)
         assert GapSequence.explicit([2, 4, 8], bound_l=2).values == (2, 4, 8)
+
+    def test_first_with_prefix_and_rule_is_immediate(self):
+        # with a prefix, first() must not walk the members of the rule
+        gap = GapSequence((1, 2), rule=lambda k: k + 2)
+        start = time.perf_counter()
+        assert gap.first() == 1
+        assert GapSequence((), rule=lambda k: 3 * k).first() == 3
+        assert time.perf_counter() - start < 1.0

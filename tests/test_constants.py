@@ -1,14 +1,70 @@
 """Constant estimation, the exact cell search, and the theorem-level bounds."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import greedylab as gl
+import greedylab.constants as constants_module
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence
+from greedylab.constants import _certified_witness, _ratio
 from greedylab.experiments import bounded_gap_trials
 
 NAT = GapSequence.naturals()
+
+
+def reference_cell_search(space, t, dim, kind="C_q_t"):
+    """The value of the exact search made with one ``linprog`` call per
+    (index set, sign cell, functional, sign), as before batching."""
+    F = np.asarray(space.dual_functionals(dim), dtype=np.float64)
+    ball = np.vstack([F, -F])
+    b_ball = np.ones(ball.shape[0])
+    var_bounds = [(-space.alpha2, space.alpha2)] * dim
+    best = 0.0
+    for size in NAT.members_up_to(dim):
+        for A_tuple in itertools.combinations(range(1, dim + 1), size):
+            A = frozenset(A_tuple)
+            mask = np.zeros(dim)
+            for i in A_tuple:
+                mask[i - 1] = 1.0
+            obj_mask = mask if kind == "C_q_t" else 1.0 - mask
+            outside = [j for j in range(1, dim + 1) if j not in A]
+            for signs_rest in itertools.product((1.0, -1.0), repeat=dim - 1):
+                sigma = np.array((1.0,) + signs_rest)
+                rows = [-np.diag(sigma)]
+                if outside:
+                    greedy = np.zeros((len(A_tuple) * len(outside), dim))
+                    r = 0
+                    for i in A_tuple:
+                        for j in outside:
+                            greedy[r, j - 1] = t * sigma[j - 1]
+                            greedy[r, i - 1] -= sigma[i - 1]
+                            r += 1
+                    rows.append(greedy)
+                A_ub = np.vstack([ball] + rows)
+                b_ub = np.concatenate([b_ball, np.zeros(A_ub.shape[0] - ball.shape[0])])
+                for f in F:
+                    cvec = f * obj_mask
+                    if not np.any(cvec):
+                        continue
+                    for sgn in (1.0, -1.0):
+                        res = linprog(-sgn * cvec, A_ub=A_ub, b_ub=b_ub,
+                                      bounds=var_bounds, method="highs")
+                        assert res.success
+                        x = _certified_witness(CV.from_dense(res.x), A, t)
+                        nx = space.norm(x)
+                        if nx <= 0.0:
+                            continue
+                        best = max(best, _ratio(space, x, A, kind, nx))
+    return best
 
 
 class TestTransferBound:
@@ -132,6 +188,46 @@ class TestExactCellSearch:
         with pytest.raises(ValueError, match="cap"):
             gl.exact_constant_polyhedral(gl.summing_space(8), NAT, 1.0, 8,
                                          lp_cap=10)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        failed = SimpleNamespace(success=False, status=4, x=None,
+                                 message="numerical difficulties")
+        monkeypatch.setattr(constants_module, "linprog", lambda *a, **k: failed)
+        with pytest.raises(RuntimeError, match="status 4: numerical difficulties"):
+            gl.exact_constant_polyhedral(gl.summing_space(3), NAT, 1.0, 3)
+
+
+def _assert_matches_reference(space, t, dim, kind):
+    est = gl.exact_constant_polyhedral(space, NAT, t, dim, kind)
+    assert est.value == reference_cell_search(space, t, dim, kind)
+    # another optimal vertex may give another witness for the same value
+    assert est.revalidate(space)
+    assert gl.is_t_greedy(est.witness_x, est.witness_A, t)
+
+
+class TestBatchedSearchMatchesReference:
+    @pytest.mark.parametrize("t", [0.05, 0.35, 0.55, 0.6, 1.0])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_summing(self, dim, t):
+        _assert_matches_reference(gl.summing_space(dim), t, dim, "C_q_t")
+
+    @pytest.mark.parametrize("kind", ["C_q_t", "C_sq_t"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("key", ["lp:1", "sup"])
+    def test_contractive_spaces(self, key, dim, kind):
+        for t in (0.35, 1.0):
+            _assert_matches_reference(gl.space_from_key(key, dim), t, dim, kind)
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(gl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, greedylab; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestUnconditionalSanity:
