@@ -65,6 +65,19 @@ class CoeffVector:
         self._idx.setflags(write=False)
         self._val.setflags(write=False)
 
+    @classmethod
+    def _canonical(cls, idx: np.ndarray, val: np.ndarray) -> "CoeffVector":
+        """Wrap arrays that are already canonical: int64 indices strictly
+        increasing and positive, float64 values nonzero, both 1-d, contiguous
+        and of equal length.  Nothing is checked; the arrays become read-only.
+        """
+        v = object.__new__(cls)
+        idx.setflags(write=False)
+        val.setflags(write=False)
+        v._idx = idx
+        v._val = val
+        return v
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -139,20 +152,25 @@ class CoeffVector:
 
     # -- algebra ------------------------------------------------------
 
+    def _select(self, A: Iterable[int], keep: bool) -> "CoeffVector":
+        """The entries whose index is in A (keep=True) or not in A (keep=False).
+
+        Vectors here are short (tens of entries), so a Python set lookup per
+        entry beats a sorted-array membership test.
+        """
+        A_set = A if isinstance(A, (set, frozenset)) else set(A)
+        mask = np.array([(i in A_set) == keep for i in self._idx.tolist()], dtype=bool)
+        if mask.all():
+            return self
+        return CoeffVector._canonical(self._idx[mask], self._val[mask])
+
     def restrict(self, A: Iterable[int]) -> "CoeffVector":
         """Projection onto the index set A (empty set gives the zero vector)."""
-        A_arr = np.asarray(sorted(set(int(i) for i in A)), dtype=np.int64)
-        if A_arr.size == 0 or self._idx.size == 0:
-            return CoeffVector()
-        mask = np.isin(self._idx, A_arr, assume_unique=True)
-        return CoeffVector(self._idx[mask], self._val[mask])
+        return self._select(A, True)
 
     def drop(self, A: Iterable[int]) -> "CoeffVector":
-        A_arr = np.asarray(sorted(set(int(i) for i in A)), dtype=np.int64)
-        if A_arr.size == 0 or self._idx.size == 0:
-            return self
-        mask = ~np.isin(self._idx, A_arr, assume_unique=True)
-        return CoeffVector(self._idx[mask], self._val[mask])
+        """The entries outside the index set A: x - P_A(x)."""
+        return self._select(A, False)
 
     def __add__(self, other: "CoeffVector") -> "CoeffVector":
         return CoeffVector(np.concatenate([self._idx, other._idx]),
@@ -165,7 +183,10 @@ class CoeffVector:
         return self.scale(-1.0)
 
     def scale(self, c: float) -> "CoeffVector":
-        return CoeffVector(self._idx, self._val * float(c))
+        val = self._val * float(c)
+        if not val.all():  # c == 0, or an underflow, left zeros to drop
+            return CoeffVector(self._idx, val)
+        return CoeffVector._canonical(self._idx, val)
 
     def __mul__(self, c: float) -> "CoeffVector":
         return self.scale(c)
@@ -240,7 +261,9 @@ def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> floa
     if not x:
         return 0.0
     w = np.asarray(weights, dtype=np.float64)
-    wi = np.where(x.indices <= w.size, w[np.minimum(x.indices, w.size) - 1], 1.0)
+    inside = x.indices <= w.size
+    wi = np.ones(x.indices.size)
+    wi[inside] = w[x.indices[inside] - 1]
     return float(np.sum(wi * np.abs(x.values) ** p)) ** (1.0 / p)
 
 
@@ -514,9 +537,6 @@ class GapSequence:
                 if k > 10 * n + 64:  # guard against a non-increasing rule
                     break
         return tuple(out)
-
-    def __contains__(self, m: int) -> bool:
-        return m in self.members_up_to(m)
 
     def first(self) -> int:
         return self.values[0] if self.values else int(self.rule(1))

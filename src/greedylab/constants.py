@@ -100,10 +100,9 @@ def _greedy_sets_for(x: CoeffVector, m: int, t: float, cap: int) -> list[frozens
 
 def _ratio(space: SpaceDescriptor, x: CoeffVector, A: frozenset, kind: str,
            norm_x: float) -> float:
-    part = projection(x, A)
     if kind == "C_sq_t":
-        return space.norm(x - part) / norm_x
-    return space.norm(part) / norm_x
+        return space.norm(x.drop(A)) / norm_x
+    return space.norm(projection(x, A)) / norm_x
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +140,7 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
     best = 0.0
     best_x: Optional[CoeffVector] = None
     best_A: Optional[frozenset] = None
+    best_key: Optional[tuple] = None  # incumbent's tie-break key, built on its first tie
 
     for x in pool:
         if not x:
@@ -158,12 +158,14 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
             for A in candidates:
                 r = _ratio(space, x, A, kind, norm_x)
                 if r > best:
-                    best, best_x, best_A = r, x, A
+                    best, best_x, best_A, best_key = r, x, A, None
                 elif r == best and best_x is not None:
                     # deterministic reduction: lexicographically smallest witness
+                    if best_key is None:
+                        best_key = (best_x.to_json(), tuple(sorted(best_A)))
                     key = (x.to_json(), tuple(sorted(A)))
-                    if key < (best_x.to_json(), tuple(sorted(best_A))):
-                        best_x, best_A = x, A
+                    if key < best_key:
+                        best_x, best_A, best_key = x, A, key
 
     upper = 1.0 if space.contractive_projections else None
     exact = bool(upper is not None and abs(best - upper) <= 1e-12)
@@ -367,7 +369,8 @@ def check_suppression_one_implies_qg(space: SpaceDescriptor, gap: GapSequence,
     with constant one at the gap cardinalities, so that pre-condition is
     checked first; its failure is reported, not raised.
     """
-    n1 = gap.members_up_to(dim)[0] if gap.members_up_to(dim) else gap.first()
+    members = gap.members_up_to(dim)
+    n1 = members[0] if members else gap.first()
     M = n1 * space.alpha1 * space.alpha2
     bound = M + 1.0
     rng = np.random.default_rng(seed)
@@ -400,7 +403,7 @@ def check_suppression_one_implies_qg(space: SpaceDescriptor, gap: GapSequence,
             continue
         m = int(rng.integers(1, min(dim, len(x)) + 1))
         sel = random_greedy_set(x, m, 1.0, rng)
-        ratio = space.norm(x - projection(x, sel.indices)) / nx
+        ratio = space.norm(x.drop(sel.indices)) / nx
         worst = max(worst, ratio)
         if ratio > bound + 1e-9:
             violations += 1

@@ -123,7 +123,9 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
     Pass one draws the trials and harvests every realized greedy-set ratio at
     the partition cardinality; the measured constant for a (t, n_k) pair is
     the maximum of those ratios and the alternating-witness ratio n_k.  Pass
-    two replays the trials with the measured constants plugged in.
+    two replays the trials with the measured constants plugged in.  The
+    partition term n_k and the branch depend only on |A| and the gap
+    sequence, not on the constant, so pass two reuses pass one's n_k.
     """
     rng = np.random.default_rng(seed)
     drawn = []
@@ -146,24 +148,25 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
             spaces[dim] = summing_space(dim)
         return spaces[dim]
 
+    n_ks: list[Optional[int]] = []
     for dim, x, t, l, A in drawn:
         rep = bounded_gap_projection_bound(space_at(dim), 1.0, 1.0, l, x, A, t,
                                            GapSequence.powers(l))
-        if "n_k" in rep:
-            key = (t, rep["n_k"])
+        n_k = rep.get("n_k")
+        n_ks.append(n_k)
+        if n_k is not None:
+            key = (t, n_k)
             seen = max(rep["realized_ratios"], default=0.0)
-            measured[key] = max(measured.get(key, float(rep["n_k"])), seen)
+            measured[key] = max(measured.get(key, float(n_k)), seen)
 
     header = ["trial", "dim", "t", "l", "n_k", "A_size", "branch", "C_measured",
               "lhs", "rhs", "margin", "ok"]
     rows = []
     violations = 0
-    for idx, (dim, x, t, l, A) in enumerate(drawn):
-        gap = GapSequence.powers(l)
-        probe = bounded_gap_projection_bound(space_at(dim), 1.0, 1.0, l, x, A, t, gap)
-        n_k = probe.get("n_k")
+    for idx, ((dim, x, t, l, A), n_k) in enumerate(zip(drawn, n_ks)):
         C = measured.get((t, n_k), 1.0) if n_k is not None else 1.0
-        rep = bounded_gap_projection_bound(space_at(dim), C, 1.0, l, x, A, t, gap)
+        rep = bounded_gap_projection_bound(space_at(dim), C, 1.0, l, x, A, t,
+                                           GapSequence.powers(l))
         final = next(c for c in rep["bound_checks"] if c["name"] == "global_bound")
         part = next((c for c in rep["bound_checks"] if c["name"] == "partition_bound"), final)
         ok = rep["ok"]

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import greedylab as gl
@@ -332,6 +334,18 @@ class TestBoundedGapPartition:
             gl.bounded_gap_projection_bound(space, 50.0, 1.0, 2, x,
                                             {x.support()[np.argmin(np.abs(x.values))]},
                                             1.0, GapSequence.powers(2, 4))
+
+    @given(st.integers(1, 24), st.sampled_from([2, 3, 4]), st.sampled_from([1.0, 0.8, 0.5]),
+           st.floats(1.0, 1e3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_n_k_and_branch_do_not_depend_on_the_constant(self, m, l, t, C, seed):
+        # bounded_gap_trials finds n_k at C_qt = 1 and reuses it with the measured constant
+        space, x, _ = self._setup(seed=seed)
+        A = gl.one_greedy_set(x, m, t).indices
+        gap = GapSequence.powers(l)
+        at_one = gl.bounded_gap_projection_bound(space, 1.0, 1.0, l, x, A, t, gap)
+        at_C = gl.bounded_gap_projection_bound(space, C, 1.0, l, x, A, t, gap)
+        assert (at_one.get("n_k"), at_one["branch"]) == (at_C.get("n_k"), at_C["branch"])
 
     def test_randomized_trials_never_violate(self):
         rep = bounded_gap_trials(800, seed=21)
