@@ -7,20 +7,18 @@ summing-norm divergence example and the quasi-Banach perturbation toolkit at
 desk scale.
 """
 
-from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor,
-                         estimate_operator_norm, lp_norm, lp_space, projection,
-                         space_from_key, summing_norm, summing_space, sup_norm,
-                         sup_space, weighted_lp_norm, weighted_lp_space)
+from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, lp_norm,
+                         lp_space, projection, space_from_key, summing_norm,
+                         summing_space, sup_norm, sup_space, weighted_lp_norm,
+                         weighted_lp_space)
 from .constants import (alternating_witness, alternating_witness_estimate,
                         bounded_gap_projection_bound,
                         check_suppression_one_implies_qg,
-                        estimate_basis_constant, estimate_quasi_greedy_constant,
-                        estimate_suppression_unconditional_constant,
-                        exact_constant_polyhedral, transfer_bound_t_from_s)
+                        estimate_quasi_greedy_constant, exact_constant_polyhedral,
+                        transfer_bound_t_from_s)
 from .counterexample import (ExampleSequence, SpikeBlockSelection, build_example,
                              divergence_experiment, greedy_sum_norm,
-                             min_greedy_sum_norm, phi_lower_bound,
-                             truncation_norm)
+                             phi_lower_bound, truncation_norm)
 from .estimates import BoundCheck, ConstantEstimate
 from .greedy import (EnumerationResult, GreedySelection, StaleSelectionError,
                      enumerate_t_greedy_sets, greedy_sum, is_t_greedy,

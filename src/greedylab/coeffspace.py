@@ -29,7 +29,6 @@ __all__ = [
     "sup_space",
     "weighted_lp_space",
     "space_from_key",
-    "estimate_operator_norm",
 ]
 
 
@@ -543,7 +542,7 @@ class GapSequence:
 
 
 # ---------------------------------------------------------------------------
-# Operator-norm estimation
+# Random samples
 # ---------------------------------------------------------------------------
 
 
@@ -566,56 +565,3 @@ def random_vectors(dim: int, count: int, rng: np.random.Generator,
         if not np.any(vals):
             vals[int(rng.integers(dim))] = 1.0
         yield CoeffVector.from_dense(vals)
-
-
-def estimate_operator_norm(space: SpaceDescriptor, A: Iterable[int], dim: int,
-                           budget: int, rng: Optional[np.random.Generator] = None):
-    """Lower bound (exact for polyhedral norms with an extreme-point oracle)
-    on the operator norm of the projection P_A on vectors supported in [1, dim].
-
-    Returns a ConstantEstimate of kind "P_A_norm"; its mode field records
-    whether extreme-point enumeration or sampling produced the value.
-    """
-    from .estimates import ConstantEstimate
-
-    A_set = frozenset(int(i) for i in A)
-    if A_set and dim < max(A_set):
-        raise ValueError("dim must cover the index set A")
-    if not A_set:
-        return ConstantEstimate(kind="P_A_norm", value=0.0, witness_x=CoeffVector.zero(),
-                                witness_A=A_set, exact=True, mode="degenerate",
-                                note="empty index set projects to zero")
-
-    best = 0.0
-    best_x: Optional[CoeffVector] = None
-    support = tuple(range(1, dim + 1))
-
-    def consider(x: CoeffVector):
-        nonlocal best, best_x
-        nx = space.norm(x)
-        if nx <= 0.0:
-            return
-        ratio = space.norm(projection(x, A_set)) / nx
-        if ratio > best or (ratio == best and best_x is not None
-                            and x.to_json() < best_x.to_json()):
-            best, best_x = ratio, x
-
-    if space.extreme_points is not None and dim <= 20:
-        for x in space.extreme_points(support):
-            consider(x)
-        mode = "extreme"
-        exact = space.is_polyhedral
-    else:
-        if budget <= 0:
-            raise ValueError("no search strategy: zero budget and no extreme-point oracle")
-        mode = "sampled"
-        exact = False
-        rng = rng if rng is not None else np.random.default_rng(0)
-        for i in sorted(A_set):
-            consider(CoeffVector.basis_vector(i))
-        for x in random_vectors(dim, budget, rng):
-            consider(x)
-
-    return ConstantEstimate(kind="P_A_norm", value=float(best), witness_x=best_x,
-                            witness_A=A_set, exact=exact, mode=mode,
-                            note="" if exact else "LOWER_BOUND")

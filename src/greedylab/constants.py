@@ -31,8 +31,6 @@ __all__ = [
     "transfer_bound_t_from_s",
     "check_suppression_one_implies_qg",
     "bounded_gap_projection_bound",
-    "estimate_basis_constant",
-    "estimate_suppression_unconditional_constant",
     "alternating_witness",
     "alternating_witness_estimate",
 ]
@@ -149,6 +147,7 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
         if norm_x <= 0.0:
             continue
         nnz = len(x)
+        x_json: Optional[str] = None  # x's tie-break encoding, built on its first tie
         for m in sizes:
             if m <= nnz:
                 candidates = _greedy_sets_for(x, m, t, enumeration_cap)
@@ -161,9 +160,12 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
                     best, best_x, best_A, best_key = r, x, A, None
                 elif r == best and best_x is not None:
                     # deterministic reduction: lexicographically smallest witness
+                    if x_json is None:
+                        x_json = x.to_json()
                     if best_key is None:
-                        best_key = (best_x.to_json(), tuple(sorted(best_A)))
-                    key = (x.to_json(), tuple(sorted(A)))
+                        best_json = x_json if best_x is x else best_x.to_json()
+                        best_key = (best_json, tuple(sorted(best_A)))
+                    key = (x_json, tuple(sorted(A)))
                     if key < best_key:
                         best_x, best_A, best_key = x, A, key
 
@@ -526,57 +528,3 @@ def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
             "blocks_t_greedy_in_intervals": bool(greedy_within),
             "bound_checks": [c.to_json() for c in checks],
             "ok": bool(greedy_within) and all(c.ok for c in checks)}
-
-
-# ---------------------------------------------------------------------------
-# Basis constants
-# ---------------------------------------------------------------------------
-
-
-def estimate_basis_constant(space: SpaceDescriptor, dim: int, budget: int,
-                            seed: int = 0) -> ConstantEstimate:
-    """Lower bound on the prefix partial-sum constant sup_m |S_m|."""
-    from .coeffspace import estimate_operator_norm
-
-    rng = np.random.default_rng(seed)
-    best: Optional[ConstantEstimate] = None
-    per = max(1, budget // max(dim, 1))
-    for m in range(1, dim + 1):
-        est = estimate_operator_norm(space, range(1, m + 1), dim, per, rng)
-        if best is None or est.value > best.value:
-            best = est
-    assert best is not None
-    return ConstantEstimate(kind="K", value=best.value, witness_x=best.witness_x,
-                            witness_A=best.witness_A, exact=best.exact,
-                            note=best.note, mode=best.mode)
-
-
-def estimate_suppression_unconditional_constant(space: SpaceDescriptor, dim: int,
-                                                budget: int, seed: int = 0
-                                                ) -> ConstantEstimate:
-    """Lower bound on sup over finite A of |P_A| (sampled index sets)."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    best_x: Optional[CoeffVector] = None
-    best_A: Optional[frozenset] = None
-    pool = list(structured_witnesses(space, dim))
-    pool.extend(random_vectors(dim, budget, rng))
-    for x in pool:
-        nx = space.norm(x)
-        if nx <= 0.0:
-            continue
-        subsets = [frozenset({i}) for i in x.support()[:4]]
-        subsets.append(frozenset(range(1, dim + 1, 2)))
-        for _ in range(3):
-            size = int(rng.integers(1, dim + 1))
-            subsets.append(frozenset(rng.choice(np.arange(1, dim + 1), size=size,
-                                                replace=False).tolist()))
-        for A in subsets:
-            r = space.norm(projection(x, A)) / nx
-            if r > best:
-                best, best_x, best_A = r, x, A
-    exact = space.contractive_projections and abs(best - 1.0) <= 1e-12
-    return ConstantEstimate(kind="K_s", value=float(best), witness_x=best_x,
-                            witness_A=best_A, exact=exact,
-                            upper_bound=1.0 if space.contractive_projections else None,
-                            note="" if exact else "LOWER_BOUND", mode="sampled")

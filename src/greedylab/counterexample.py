@@ -16,11 +16,13 @@ enumeration at small depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .coeffspace import CoeffVector
+from .greedy import greedy_class_counts
 
 __all__ = [
     "ExampleSequence",
@@ -37,7 +39,6 @@ __all__ = [
     "selection_phi",
     "selection_is_t_greedy",
     "materialize_selection",
-    "min_greedy_sum_norm",
     "greedy_sum_norm",
     "phi_lower_bound",
     "divergence_experiment",
@@ -238,70 +239,31 @@ def canonical_selection(ex: ExampleSequence, m: int, t: float = 1.0) -> SpikeBlo
 def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
                                 cap: int = 200_000) -> tuple[list[SpikeBlockSelection], bool]:
     """Every t-greedy class of cardinality m; (classes, exact) with exact False
-    only when the cap interrupts the walk.
+    only when the walk has more than ``cap`` classes, of which the first ``cap``
+    are returned.
 
     Valid classes take every modulus class above the largest unsaturated one,
-    and spread the remainder over classes whose modulus stays >= t times it.
+    and spread the remainder over classes whose modulus stays >= t times it;
+    ``greedy.greedy_class_counts`` walks them.
     """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
     if not 0 <= m <= ex.support_size:
         raise ValueError(f"cardinality must lie in [0, {ex.support_size}], got {m}")
     classes = _value_classes(ex)
-    n = len(classes)
-    out: list[SpikeBlockSelection] = []
-    exact = True
-
-    def emit(counts: dict[int, int]):
-        spike_ks = set()
-        block_counts = [0] * ex.depth
-        for pos, a in counts.items():
-            if a == 0:
-                continue
-            _, _, kind, k = classes[pos]
-            if kind == "spike":
-                spike_ks.add(k)
-            else:
-                block_counts[k - 1] = a
-        out.append(SpikeBlockSelection(frozenset(spike_ks), tuple(block_counts)))
-
-    if m == ex.support_size:
-        emit({i: classes[i][1] for i in range(n)})
-        return out, exact
-
-    if m == 0:
-        emit({})
-        return out, exact
-
-    for i_max in range(n):
-        fixed = sum(classes[j][1] for j in range(i_max))
-        if fixed > m:
-            break
-        window = [i for i in range(i_max, n) if classes[i][0] >= t * classes[i_max][0]]
-        rest = m - fixed
-        caps = [classes[i][1] - 1 if i == i_max else classes[i][1] for i in window]
-        if rest > sum(caps):
-            continue
-
-        def distribute(pos: int, left: int, acc: list[int]):
-            nonlocal exact
-            if len(out) >= cap:
-                exact = False
-                return
-            if pos == len(window):
-                if left == 0:
-                    counts = {j: classes[j][1] for j in range(i_max)}
-                    counts.update({w: a for w, a in zip(window, acc)})
-                    emit(counts)
-                return
-            tail = sum(caps[pos + 1:])
-            for a in range(max(0, left - tail), min(caps[pos], left) + 1):
-                distribute(pos + 1, left - a, acc + [a])
-
-        distribute(0, rest, [])
-        if not exact:
-            break
-    return out, exact
+    pos_of = {(kind, k): pos for pos, (_, _, kind, k) in enumerate(classes)}
+    spike_at = [(pos_of["spike", k], k) for k in range(1, ex.depth + 1)]
+    block_at = [pos_of["block", k] for k in range(1, ex.depth + 1)]
+    walk = greedy_class_counts([mult for _, mult, _, _ in classes],
+                               [mod for mod, _, _, _ in classes], m, t)
+    # spikes go through a set: a frozenset copied from a set is sized to fit,
+    # one filled from a list can take over half again as much memory
+    out = [SpikeBlockSelection(frozenset({k for pos, k in spike_at if counts[pos]}),
+                               tuple([counts[pos] for pos in block_at]))
+           for counts in itertools.islice(walk, cap + 1)]
+    if len(out) > cap:
+        return out[:cap], False
+    return out, True
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +299,6 @@ def phi_lower_bound(phi: int, t: float) -> float:
         return math.fsum(1.0 / math.sqrt(k) for k in range(1, n + 1)) if n > 0 else 0.0
 
     return sqrt_sum(phi - 1) - sqrt_sum(cutoff)
-
-
-def min_greedy_sum_norm(ex: ExampleSequence, m: int, t: float,
-                        cap: int = 200_000) -> tuple[float, SpikeBlockSelection, bool]:
-    """Minimum greedy-sum norm over every t-greedy class of cardinality m.
-
-    Returns (norm, minimizing class, exact); when the class walk overflows the
-    cap the result is the minimum over the walked family only.
-    """
-    classes, exact = enumerate_selection_classes(ex, m, t, cap)
-    if not classes:
-        raise ValueError(f"no t-greedy class of cardinality {m}")
-    best = None
-    best_sel = None
-    for sel in classes:
-        val = selection_norm(ex, sel)
-        if best is None or val < best:
-            best, best_sel = val, sel
-    return float(best), best_sel, exact
 
 
 def default_m_grid(ex: ExampleSequence) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from .coeffspace import CoeffVector, SpaceDescriptor, projection
 __all__ = ["ConstantEstimate", "BoundCheck"]
 
 # recognized estimate kinds
-KINDS = ("C_q_t", "C_sq_t", "K_s", "K", "P_A_norm")
+KINDS = ("C_q_t", "C_sq_t")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "is_t_greedy",
     "one_greedy_set",
     "enumerate_t_greedy_sets",
+    "greedy_class_counts",
     "greedy_sum",
     "random_greedy_set",
 ]
@@ -143,6 +144,67 @@ def one_greedy_set(x: CoeffVector, m: int, t: float, policy: TiePolicy = "lowest
     return GreedySelection(frozenset(chosen), t, m, tuple(trace))
 
 
+def _compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
+    """Vectors c with 0 <= c[i] <= caps[i] summing to total, lexicographically."""
+    k = len(caps)
+    room = [0] * (k + 1)  # room[i]: the most positions i.. can take together
+    for i in range(k - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if total > room[0]:
+        return
+    c = [0] * k
+    left = total
+    start = 0
+    while True:
+        # positions start.. take the smallest counts that still reach the total
+        for j in range(start, k):
+            c[j] = max(0, left - room[j + 1])
+            left -= c[j]
+        yield tuple(c)
+        # raise the rightmost position that can take one from those after it
+        left = c[-1]
+        for i in range(k - 2, -1, -1):
+            if left and c[i] < caps[i]:
+                c[i] += 1
+                left -= 1
+                start = i + 1
+                break
+            left += c[i]
+        else:
+            return
+
+
+def greedy_class_counts(sizes: Sequence[int], moduli: Sequence[float], m: int,
+                        t: float) -> Iterator[tuple[int, ...]]:
+    """Per-class take counts of every t-greedy set of cardinality m.
+
+    Class i holds ``sizes[i]`` tied coefficients of modulus ``moduli[i]``,
+    moduli strictly descending.  A count vector is t-greedy when its smallest
+    selected modulus is at least t times the largest modulus of a class it
+    does not take whole.  So every class above the first unsaturated one,
+    i_max, is taken whole, and the rest of m is spread over the window of
+    classes whose modulus stays >= t * moduli[i_max].  Vectors come with
+    i_max ascending, then window counts in lexicographic order; the vector
+    taking every class, when it sums to m, comes last.
+    """
+    n = len(sizes)
+    fixed = 0
+    for i_max in range(n):
+        if fixed > m:
+            return
+        end = i_max + 1
+        while end < n and moduli[end] >= t * moduli[i_max]:
+            end += 1
+        head = tuple(sizes[:i_max])
+        tail = (0,) * (n - end)
+        caps = [sizes[i_max] - 1, *sizes[i_max + 1:end]]
+        for window in _compositions(m - fixed, caps):
+            yield head + window + tail
+        fixed += sizes[i_max]
+    if fixed == m:
+        yield tuple(sizes)
+
+
 class EnumerationResult(NamedTuple):
     selections: tuple[GreedySelection, ...]
     overflow: bool
@@ -163,60 +225,24 @@ def enumerate_t_greedy_sets(x: CoeffVector, m: int, t: float,
     if m > len(x):
         raise ValueError(f"cardinality {m} exceeds support size {len(x)}")
     classes = _modulus_classes(x, tie_tol)
-    mods = [mod for mod, _ in classes]
     groups = [idxs for _, idxs in classes]
-    n_classes = len(classes)
 
     # generation guard: past this many sets the overflow flag is raised and the
     # returned prefix is only a sorted sample of the full family
     hard_cap = max(cap * 8, 1 << 16)
     index_sets: list[tuple[int, ...]] = []
     truncated = False
-
-    def expand(counts: list[int]):
-        nonlocal truncated
-        pools = []
-        for a, idxs in zip(counts, groups):
-            if a == 0:
-                continue
-            pools.append(list(itertools.combinations(idxs, a)))
+    for counts in greedy_class_counts([len(g) for g in groups],
+                                      [mod for mod, _ in classes], m, t):
+        pools = [list(itertools.combinations(idxs, a))
+                 for a, idxs in zip(counts, groups) if a]
         for combo in itertools.product(*pools):
             if len(index_sets) >= hard_cap:
                 truncated = True
-                return
-            index_sets.append(tuple(sorted(itertools.chain.from_iterable(combo))))
-
-    total = sum(len(g) for g in groups)
-    if m == total:
-        expand([len(g) for g in groups])
-    else:
-        for i_max in range(n_classes):
-            fixed = sum(len(groups[j]) for j in range(i_max))
-            if fixed > m:
                 break
-            window = [i for i in range(i_max, n_classes) if mods[i] >= t * mods[i_max]]
-            rest = m - fixed
-            caps = []
-            for i in window:
-                hi = len(groups[i]) - 1 if i == i_max else len(groups[i])
-                caps.append(hi)
-            # distribute `rest` over the window respecting per-class caps
-            def distribute(pos: int, left: int, counts: list[int]):
-                if pos == len(window):
-                    if left == 0:
-                        full = [0] * n_classes
-                        for j in range(i_max):
-                            full[j] = len(groups[j])
-                        for w, a in zip(window, counts):
-                            full[w] = a
-                        expand(full)
-                    return
-                tail = sum(caps[pos + 1:])
-                lo = max(0, left - tail)
-                for a in range(lo, min(caps[pos], left) + 1):
-                    distribute(pos + 1, left - a, counts + [a])
-
-            distribute(0, rest, [])
+            index_sets.append(tuple(sorted(itertools.chain.from_iterable(combo))))
+        if truncated:
+            break
 
     index_sets.sort()
     overflow = truncated or len(index_sets) > cap

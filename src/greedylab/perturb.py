@@ -200,8 +200,8 @@ def lemma_perturbation_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
                              dim: int = 16) -> dict:
     """Randomized perturbation trials with a tail-truncating picker.
 
-    Trials run under the thread cap; each derives its own generator from the
-    master seed, so the outcome is independent of the worker count.
+    Each trial derives its own generator from the master seed and its index,
+    so the outcome does not depend on the order trials run in.
     """
 
     def trial(idx: int):

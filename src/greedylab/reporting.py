@@ -1,4 +1,4 @@
-"""Deterministic report emission: CSV/JSON writers and the thread cap.
+"""Deterministic report emission: CSV/JSON writers and the item map.
 
 CSV uses '.' decimals, '\n' line endings and a mandatory header row; floats
 are rendered with repr (shortest round-trip), so identical inputs produce
@@ -8,12 +8,10 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-__all__ = ["format_cell", "write_csv", "write_json", "thread_cap", "parallel_map"]
+__all__ = ["format_cell", "write_csv", "write_json", "parallel_map"]
 
 
 def format_cell(value) -> str:
@@ -42,21 +40,7 @@ def write_json(path: Path | str, payload) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def thread_cap() -> int:
-    """Parallelism cap from GREEDYLAB_THREADS (default 1)."""
-    raw = os.environ.get("GREEDYLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def parallel_map(fn: Callable, items: Iterable) -> list:
-    """Order-preserving map honoring the thread cap; results are independent
-    of the worker count because every item carries its own derived seed."""
-    items = list(items)
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
+    """Order-preserving map over independent items, each carrying its own
+    derived seed."""
+    return [fn(it) for it in items]

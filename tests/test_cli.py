@@ -120,14 +120,10 @@ class TestEntryPoint:
 
 
 class TestReporting:
-    def test_parallel_map_preserves_order_under_thread_cap(self, monkeypatch):
-        from greedylab.reporting import parallel_map, thread_cap
+    def test_parallel_map_preserves_order(self):
+        from greedylab.reporting import parallel_map
 
-        monkeypatch.setenv("GREEDYLAB_THREADS", "4")
-        assert thread_cap() == 4
         assert parallel_map(lambda v: v * v, range(40)) == [v * v for v in range(40)]
-        monkeypatch.setenv("GREEDYLAB_THREADS", "not-a-number")
-        assert thread_cap() == 1
 
     def test_csv_cells(self):
         from greedylab.reporting import format_cell

@@ -256,44 +256,6 @@ class TestExtremePoints:
             assert np.all(np.isin(prefixes, (-1.0, 1.0)))
 
 
-class TestOperatorNorm:
-    def test_summing_first_coordinate(self):
-        est = gl.estimate_operator_norm(gl.summing_space(2), {1}, 2, 0)
-        assert est.value == 1.0 and est.exact
-
-    def test_summing_middle_coordinate(self):
-        # exhaustive oracle over the integer grid {-2..2}^3
-        best = 0.0
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                for c in range(-2, 3):
-                    x = CV.from_dense([a, b, c])
-                    nx = gl.summing_norm(x)
-                    if nx > 0:
-                        best = max(best, abs(b) / nx)
-        assert best == pytest.approx(2.0)
-        est = gl.estimate_operator_norm(gl.summing_space(3), {2}, 3, 0)
-        assert est.value == pytest.approx(best) and est.exact
-
-    def test_l2_projection_contracts(self):
-        est = gl.estimate_operator_norm(gl.lp_space(2.0), {1, 3}, 5, 80,
-                                        np.random.default_rng(2))
-        assert est.value == 1.0 and not est.exact
-        assert est.note == "LOWER_BOUND"
-
-    def test_no_strategy_error(self):
-        with pytest.raises(ValueError, match="no search strategy"):
-            gl.estimate_operator_norm(gl.lp_space(2.0), {1}, 4, 0)
-
-    def test_empty_set(self):
-        est = gl.estimate_operator_norm(gl.summing_space(4), set(), 4, 0)
-        assert est.value == 0.0
-
-    def test_dim_must_cover_A(self):
-        with pytest.raises(ValueError):
-            gl.estimate_operator_norm(gl.summing_space(2), {5}, 2, 0)
-
-
 class TestGapSequence:
     def test_naturals(self):
         nat = GapSequence.naturals()

@@ -351,19 +351,3 @@ class TestBoundedGapPartition:
         rep = bounded_gap_trials(800, seed=21)
         assert rep["violations"] == 0
         assert rep["json"]["trials"] > 0
-
-
-class TestBasisConstants:
-    def test_summing_prefix_constant(self):
-        est = gl.estimate_basis_constant(gl.summing_space(5), 5, 10)
-        assert est.value == pytest.approx(1.0)  # monotone basis
-
-    def test_suppression_unconditional_contractive(self):
-        est = gl.estimate_suppression_unconditional_constant(gl.lp_space(2.0, 6),
-                                                             6, 60, seed=8)
-        assert est.value == 1.0 and est.exact and est.upper_bound == 1.0
-
-    def test_summing_projections_exceed_one(self):
-        est = gl.estimate_suppression_unconditional_constant(gl.summing_space(8),
-                                                             8, 120, seed=8)
-        assert est.value > 1.0 and not est.exact

@@ -95,6 +95,15 @@ class TestGreedyClasses:
             assert sel.spike_ks == frozenset(range(1, m + 1))
             assert all(c == 0 for c in sel.block_counts)
 
+    def test_cap_keeps_a_prefix_of_the_walk(self):
+        ex = cx.build_example(3)
+        full, exact = cx.enumerate_selection_classes(ex, 8, 0.1)
+        assert exact and len(full) == 8
+        for cap in (1, 2, 7):
+            classes, exact = cx.enumerate_selection_classes(ex, 8, 0.1, cap=cap)
+            assert classes == full[:cap] and not exact
+        assert cx.enumerate_selection_classes(ex, 8, 0.1, cap=8) == (full, True)
+
     def test_spike_prefix_norms(self):
         ex = cx.build_example(7)
         for m in range(1, 8):
@@ -218,8 +227,8 @@ class TestDivergenceExperiment:
                 best = math.inf
                 for sel in gl.enumerate_t_greedy_sets(dense, m, t, cap=4096).selections:
                     best = min(best, gl.summing_norm(gl.projection(dense, sel.indices)))
-                got, _, exact = cx.min_greedy_sum_norm(ex, m, t)
-                assert exact and got == pytest.approx(best, abs=1e-12)
+                row, = cx.divergence_experiment(1, t, True, m_grid=[m])["rows"]
+                assert row["exact"] and row["min_norm"] == pytest.approx(best, abs=1e-12)
 
     def test_spike_prefix_rows_increase(self):
         rep = cx.divergence_experiment(6, 1.0, adversary=True,

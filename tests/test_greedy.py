@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
-from greedylab.greedy import StaleSelectionError, random_greedy_set
+from greedylab.greedy import (StaleSelectionError, greedy_class_counts,
+                              random_greedy_set)
 
 
 def brute_force_greedy_sets(x: CV, m: int, t: float) -> list[tuple]:
@@ -152,6 +153,45 @@ class TestEnumeration:
         for sel in gl.enumerate_t_greedy_sets(x, m, t).selections:
             # t here is the larger parameter: every t-greedy set is s-greedy
             assert gl.is_t_greedy(x, sel.indices, s)
+
+
+def brute_force_class_counts(sizes, moduli, m, t) -> list[tuple]:
+    """Count vectors of sum m whose smallest selected modulus is at least t
+    times the largest modulus of a class not taken whole."""
+    out = []
+    for counts in itertools.product(*(range(size + 1) for size in sizes)):
+        if sum(counts) != m:
+            continue
+        selected = [mod for mod, a in zip(moduli, counts) if a]
+        unsaturated = [mod for mod, a, size in zip(moduli, counts, sizes) if a < size]
+        if not selected or not unsaturated or min(selected) >= t * max(unsaturated):
+            out.append(counts)
+    return out
+
+
+class TestClassWalk:
+    # moduli on a grid of eighths so that mod >= t * mod' often holds with equality
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 16)), max_size=6,
+                    unique_by=lambda c: c[1]),
+           st.one_of(st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.125]),
+                     st.floats(0.01, 1.0)),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_count_vector_filter(self, classes, t, data):
+        classes.sort(key=lambda c: -c[1])
+        sizes = [size for size, _ in classes]
+        moduli = [eighths / 8 for _, eighths in classes]
+        m = data.draw(st.integers(0, sum(sizes)))
+        walk = list(greedy_class_counts(sizes, moduli, m, t))
+        assert len(walk) == len(set(walk))
+        assert set(walk) == set(brute_force_class_counts(sizes, moduli, m, t))
+
+        # documented order: first unsaturated class ascending, then lexicographic
+        def first_unsaturated(counts):
+            return next((i for i, (a, size) in enumerate(zip(counts, sizes))
+                         if a < size), len(sizes))
+
+        assert walk == sorted(walk, key=lambda c: (first_unsaturated(c), c))
 
 
 class TestNesting:
