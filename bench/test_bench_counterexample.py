@@ -1,7 +1,8 @@
-"""Microbenchmarks of one divergence-class evaluation: the class walk and the
-run-length summing norm on the depth-6, t = 0.05 default-grid row with the
-most classes.  That is m = 111,116 with 100,001 classes, the first of the two
-rows of that size (m = 611,116 is the other).
+"""Microbenchmarks of one divergence-class evaluation on the depth-6,
+t = 0.05 default-grid row with the most classes.  That is m = 111,116 with
+100,001 classes, the first of the two rows of that size (m = 611,116 is the
+other).  The sweep's row evaluates the class walk in count-matrix blocks;
+the class list and ``selection_norm`` over it are its per-class oracles.
 
     PYTHONPATH=src python -m pytest bench/test_bench_counterexample.py
 
@@ -14,6 +15,12 @@ EX = cx.build_example(6)
 T = 0.05
 M = 111_116
 CLASSES = 100_001
+
+
+def test_sweep_row(benchmark):
+    rep = benchmark(cx.divergence_experiment, EX.depth, T, True, m_grid=[M])
+    row, = rep["rows"]
+    assert row["exact"] and row["min_norm"] > 0.0 and not rep["violations"]
 
 
 def test_enumerate_selection_classes(benchmark):

@@ -11,15 +11,20 @@ sum is monotone, so summing norms of projections only need the run
 endpoints.  Greedy sets are therefore handled as equivalence classes
 (selected spikes, per-block selection counts): positions inside a block
 never change the norm, a fact the test suite checks by exhaustive
-enumeration at small depth.
+enumeration at small depth.  The adversarial sweep evaluates the classes as
+blocks of count vectors with numpy; ``selection_norm`` and
+``enumerate_selection_classes`` stay as its per-class oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .coeffspace import CoeffVector
 from .greedy import greedy_class_counts
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 MAX_DEPTH = 8  # n_9 - 1 is about 1.1e8; deeper truncations have no desk-scale use
+SWEEP_CHUNK = 8192  # count vectors per numpy block in the adversarial sweep
 
 
 def spike_value(k: int) -> float:
@@ -217,10 +223,17 @@ def materialize_selection(ex: ExampleSequence, sel: SpikeBlockSelection,
     return frozenset(indices)
 
 
-def canonical_selection(ex: ExampleSequence, m: int, t: float = 1.0) -> SpikeBlockSelection:
-    """Fill classes in descending modulus order: spikes, then blocks in order."""
+def _check_cardinality(ex: ExampleSequence, m: int) -> None:
+    # bool is an int subclass, but True is no cardinality
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"cardinality must be an integer, got {m!r}")
     if not 0 <= m <= ex.support_size:
         raise ValueError(f"cardinality must lie in [0, {ex.support_size}], got {m}")
+
+
+def canonical_selection(ex: ExampleSequence, m: int, t: float = 1.0) -> SpikeBlockSelection:
+    """Fill classes in descending modulus order: spikes, then blocks in order."""
+    _check_cardinality(ex, m)
     spike_ks = set()
     counts = [0] * ex.depth
     left = m
@@ -236,6 +249,35 @@ def canonical_selection(ex: ExampleSequence, m: int, t: float = 1.0) -> SpikeBlo
     return SpikeBlockSelection(frozenset(spike_ks), tuple(counts))
 
 
+def _class_walk(ex: ExampleSequence, m: int, t: float, cap: int
+                ) -> tuple[Iterator[tuple[int, ...]], list[int], list[int]]:
+    """Checked arguments of a class sweep, and its walk: the count vectors of
+    every t-greedy class of cardinality m, over the modulus classes in
+    descending order, with the columns of spike k and of block k at index
+    k - 1 of the two lists."""
+    if not (0.0 < t <= 1.0):
+        raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
+    _check_cardinality(ex, m)
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    classes = _value_classes(ex)
+    pos_of = {(kind, k): pos for pos, (_, _, kind, k) in enumerate(classes)}
+    spike_at = [pos_of["spike", k] for k in range(1, ex.depth + 1)]
+    block_at = [pos_of["block", k] for k in range(1, ex.depth + 1)]
+    walk = greedy_class_counts([mult for _, mult, _, _ in classes],
+                               [mod for mod, _, _, _ in classes], m, t)
+    return walk, spike_at, block_at
+
+
+def _selection_of(counts: Sequence[int], spike_at: list[int],
+                  block_at: list[int]) -> SpikeBlockSelection:
+    # spikes go through a set: a frozenset copied from a set is sized to fit,
+    # one filled from a list can take over half again as much memory
+    return SpikeBlockSelection(
+        frozenset({k for k, pos in enumerate(spike_at, start=1) if counts[pos]}),
+        tuple([counts[pos] for pos in block_at]))
+
+
 def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
                                 cap: int = 200_000) -> tuple[list[SpikeBlockSelection], bool]:
     """Every t-greedy class of cardinality m; (classes, exact) with exact False
@@ -244,26 +286,60 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
 
     Valid classes take every modulus class above the largest unsaturated one,
     and spread the remainder over classes whose modulus stays >= t times it;
-    ``greedy.greedy_class_counts`` walks them.
+    ``greedy.greedy_class_counts`` walks them.  The divergence sweep evaluates
+    the same walk in count-matrix blocks instead; this list is its oracle.
     """
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
-    if not 0 <= m <= ex.support_size:
-        raise ValueError(f"cardinality must lie in [0, {ex.support_size}], got {m}")
-    classes = _value_classes(ex)
-    pos_of = {(kind, k): pos for pos, (_, _, kind, k) in enumerate(classes)}
-    spike_at = [(pos_of["spike", k], k) for k in range(1, ex.depth + 1)]
-    block_at = [pos_of["block", k] for k in range(1, ex.depth + 1)]
-    walk = greedy_class_counts([mult for _, mult, _, _ in classes],
-                               [mod for mod, _, _, _ in classes], m, t)
-    # spikes go through a set: a frozenset copied from a set is sized to fit,
-    # one filled from a list can take over half again as much memory
-    out = [SpikeBlockSelection(frozenset({k for pos, k in spike_at if counts[pos]}),
-                               tuple([counts[pos] for pos in block_at]))
+    walk, spike_at, block_at = _class_walk(ex, m, t, cap)
+    out = [_selection_of(counts, spike_at, block_at)
            for counts in itertools.islice(walk, cap + 1)]
     if len(out) > cap:
         return out[:cap], False
     return out, True
+
+
+def _adversarial_minimum(ex: ExampleSequence, m: int, t: float, cap: int
+                         ) -> tuple[SpikeBlockSelection, float, bool, list[dict]]:
+    """(first minimiser, its norm, exact, floor violations) over the first
+    ``cap`` t-greedy classes of cardinality m, in walk order.
+
+    The walk is read SWEEP_CHUNK count vectors at a time.  With the columns
+    in run-endpoint order (spike 1, block 1, spike 2, ...) and scaled by the
+    step values, a row's cumsum is ``selection_norm``'s running sum to the
+    bit: both add left to right, an unselected run adds a zero, and count
+    times value is exact at these counts.
+    """
+    walk, spike_at, block_at = _class_walk(ex, m, t, cap)
+    runs = [pos for pair in zip(spike_at, block_at) for pos in pair]
+    steps = np.array([v for k in range(1, ex.depth + 1)
+                      for v in (spike_value(k), block_value(k))])
+    # floors[phi]; phi = depth + 1 omits no spike and has no floor to break
+    floors = np.array([-math.inf,
+                       *(phi_lower_bound(phi, t) for phi in range(1, ex.depth + 1)),
+                       -math.inf])
+    best_norm = math.inf
+    best_counts: list[int] = []
+    violations: list[dict] = []
+    left = cap
+    while left:
+        counts = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(walk, min(SWEEP_CHUNK, left))),
+            dtype=np.int64).reshape(-1, len(runs))
+        if not len(counts):
+            break
+        norms = np.abs(np.cumsum(counts[:, runs] * steps, axis=1)).max(axis=1)
+        omitted = counts[:, spike_at] == 0
+        phis = np.where(omitted.any(axis=1), omitted.argmax(axis=1) + 1, ex.depth + 1)
+        for i in np.flatnonzero(norms < floors[phis] - 1e-9):
+            family = _selection_of(counts[i].tolist(), spike_at, block_at).family_label()
+            violations.append({"m": m, "family": family, "norm": float(norms[i]),
+                               "phi": int(phis[i]), "lower_bound": float(floors[phis[i]])})
+        i = int(np.argmin(norms))  # first minimiser in the block; strict < across
+        if norms[i] < best_norm:
+            best_norm, best_counts = float(norms[i]), counts[i].tolist()
+        left -= len(counts)
+    # the walk ran dry before cap, or has nothing past the first cap classes
+    exact = left > 0 or next(walk, None) is None
+    return _selection_of(best_counts, spike_at, block_at), best_norm, exact, violations
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +351,7 @@ def greedy_sum_norm(ex: ExampleSequence, m: int, t: float,
                     chooser: Optional[Callable[[ExampleSequence, int, float],
                                                SpikeBlockSelection]] = None) -> float:
     """Summing norm of the greedy sum for the chosen t-greedy class of size m."""
-    if not 0 <= m <= ex.support_size:
-        raise ValueError(f"cardinality must lie in [0, {ex.support_size}], got {m}")
+    _check_cardinality(ex, m)
     sel = canonical_selection(ex, m, t) if chooser is None else chooser(ex, m, t)
     if sel.cardinality != m:
         raise ValueError(f"chooser produced cardinality {sel.cardinality}, wanted {m}")
@@ -329,26 +404,13 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
     grid = tuple(m_grid) if m_grid is not None else default_m_grid(ex)
 
     def sweep_row(m: int) -> tuple[dict, list[dict]]:
-        row_violations: list[dict] = []
         if adversary:
-            classes, exact = enumerate_selection_classes(ex, m, t, cap)
-            norm = None
-            sel = None
-            for cand in classes:
-                val = selection_norm(ex, cand)
-                phi_c = selection_phi(ex, cand)
-                if phi_c <= ex.depth:
-                    floor_c = phi_lower_bound(phi_c, t)
-                    if val < floor_c - 1e-9:
-                        row_violations.append({"m": m, "family": cand.family_label(),
-                                               "norm": val, "phi": phi_c,
-                                               "lower_bound": floor_c})
-                if norm is None or val < norm:
-                    norm, sel = val, cand
+            sel, norm, exact, row_violations = _adversarial_minimum(ex, m, t, cap)
         else:
             sel = canonical_selection(ex, m, t)
             norm = selection_norm(ex, sel)
             exact = False
+            row_violations = []
         phi = selection_phi(ex, sel)
         floor = phi_lower_bound(phi, t) if phi <= ex.depth else None
         row = {

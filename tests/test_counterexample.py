@@ -1,10 +1,13 @@
 """Divergence engine: run-length evaluation, greedy-set classes, the floor."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greedylab as gl
 from greedylab import counterexample as cx
@@ -12,6 +15,41 @@ from greedylab import counterexample as cx
 
 def sqrt_partial_sum(n: int) -> float:
     return math.fsum(1.0 / math.sqrt(k) for k in range(1, n + 1))
+
+
+def reference_sweep(depth: int, t: float, m_grid=None, cap: int = 200_000) -> dict:
+    """The adversarial sweep as a per-class loop over the class list: the
+    oracle for ``divergence_experiment``'s count-matrix blocks."""
+    ex = cx.build_example(depth)
+    rows, violations = [], []
+    for m in (m_grid if m_grid is not None else cx.default_m_grid(ex)):
+        classes, exact = cx.enumerate_selection_classes(ex, m, t, cap)
+        norm = sel = None
+        for cand in classes:
+            val = cx.selection_norm(ex, cand)
+            phi_c = cx.selection_phi(ex, cand)
+            if phi_c <= ex.depth:
+                floor_c = cx.phi_lower_bound(phi_c, t)
+                if val < floor_c - 1e-9:
+                    violations.append({"m": m, "family": cand.family_label(),
+                                       "norm": val, "phi": phi_c, "lower_bound": floor_c})
+            if norm is None or val < norm:
+                norm, sel = val, cand
+        phi = cx.selection_phi(ex, sel)
+        rows.append({"m": m, "t": t, "depth": depth, "min_norm": norm, "phi": phi,
+                     "lower_bound": cx.phi_lower_bound(phi, t) if phi <= depth else None,
+                     "greedy_set_family": sel.family_label(), "exact": exact})
+    return {"depth": depth, "t": t, "adversary": True, "rows": rows,
+            "violations": violations}
+
+
+def assert_sweep_matches_reference(depth, t, m_grid=None, cap=200_000):
+    got = cx.divergence_experiment(depth, t, True, m_grid=m_grid, cap=cap)
+    want = reference_sweep(depth, t, m_grid, cap)
+    assert got == want
+    # the same bytes in a report: no numpy scalar stands in for a float or int
+    assert json.dumps(got) == json.dumps(want)
+    return got
 
 
 class TestConstruction:
@@ -103,6 +141,28 @@ class TestGreedyClasses:
             classes, exact = cx.enumerate_selection_classes(ex, 8, 0.1, cap=cap)
             assert classes == full[:cap] and not exact
         assert cx.enumerate_selection_classes(ex, 8, 0.1, cap=8) == (full, True)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_rejected(self, cap):
+        ex = cx.build_example(3)
+        with pytest.raises(ValueError, match="cap"):
+            cx.enumerate_selection_classes(ex, 3, 1.0, cap=cap)
+        with pytest.raises(ValueError, match="cap"):
+            cx.divergence_experiment(2, 1.0, True, cap=cap)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
+    def test_non_integral_cardinality_is_rejected(self, m):
+        ex = cx.build_example(2)
+        for call in (lambda: cx.enumerate_selection_classes(ex, m, 1.0),
+                     lambda: cx.canonical_selection(ex, m),
+                     lambda: cx.divergence_experiment(2, 1.0, True, m_grid=[m]),
+                     lambda: cx.divergence_experiment(2, 1.0, False, m_grid=[m])):
+            with pytest.raises(ValueError, match="cardinality"):
+                call()
+
+    def test_numpy_integer_cardinality(self):
+        rows = cx.divergence_experiment(2, 1.0, True, m_grid=[np.int64(3)])["rows"]
+        assert rows == cx.divergence_experiment(2, 1.0, True, m_grid=[3])["rows"]
 
     def test_spike_prefix_norms(self):
         ex = cx.build_example(7)
@@ -248,3 +308,74 @@ class TestDivergenceExperiment:
                 assert row["min_norm"] >= row["lower_bound"] - 1e-9
             else:
                 assert row["lower_bound"] is None
+
+
+class TestBatchedSweepMatchesReference:
+    """``divergence_experiment`` evaluates the class walk SWEEP_CHUNK count
+    vectors at a time; every field must equal the per-class loop's."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05, 0.01])
+    def test_default_grid(self, depth, t):
+        assert_sweep_matches_reference(depth, t)
+
+    @given(st.integers(1, 5), st.floats(0.01, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_any_t(self, depth, t):
+        assert_sweep_matches_reference(depth, t)
+
+    @pytest.mark.parametrize("depth, t", [(3, 1.0), (3, 0.05), (4, 0.1), (4, 0.05),
+                                          (5, 0.01)])
+    def test_forced_violations_in_walk_order(self, monkeypatch, depth, t):
+        floor = cx.phi_lower_bound
+        monkeypatch.setattr(cx, "phi_lower_bound", lambda phi, t: floor(phi, t) + 1.2)
+        got = assert_sweep_matches_reference(depth, t)
+        assert got["violations"]
+        assert len(got["violations"]) < sum(
+            len(cx.enumerate_selection_classes(cx.build_example(depth), r["m"], t)[0])
+            for r in got["rows"])
+
+    def test_norm_within_the_margin_of_its_floor_is_no_violation(self, monkeypatch):
+        # depth-3 classes at t = 0.01 that omit a spike and have norm exactly
+        # 1.0 sit 5e-10 under this floor, inside the 1e-9 margin
+        monkeypatch.setattr(cx, "phi_lower_bound", lambda phi, t: 1.0 + 5e-10)
+        ex = cx.build_example(3)
+        on_floor = {c.family_label() for m in cx.default_m_grid(ex)
+                    for c in cx.enumerate_selection_classes(ex, m, 0.01)[0]
+                    if cx.selection_norm(ex, c) == 1.0 and cx.selection_phi(ex, c) <= 3}
+        got = assert_sweep_matches_reference(3, 0.01)
+        assert on_floor and got["violations"]
+        assert not on_floor & {v["family"] for v in got["violations"]}
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_small_chunks_with_violations(self, monkeypatch, chunk):
+        # blocks far smaller than the rows: every minimum, tie and violation
+        # crosses block boundaries
+        monkeypatch.setattr(cx, "SWEEP_CHUNK", chunk)
+        floor = cx.phi_lower_bound
+        monkeypatch.setattr(cx, "phi_lower_bound", lambda phi, t: floor(phi, t) + 1.2)
+        for depth, t in ((3, 0.05), (4, 0.05)):
+            assert_sweep_matches_reference(depth, t)
+            for cap in (chunk - 1, chunk, chunk + 1, 3 * chunk):
+                if cap >= 1:
+                    assert_sweep_matches_reference(depth, t, cap=cap)
+
+    # depth 5, t = 0.05, m = 11,115: 10,001 classes, every one of norm 1.0
+    BIG = (5, 0.05, [11_115])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_caps_at_the_chunk_boundary(self, offset):
+        depth, t, grid = self.BIG
+        row, = assert_sweep_matches_reference(
+            depth, t, grid, cap=cx.SWEEP_CHUNK + offset)["rows"]
+        assert not row["exact"]
+
+    def test_minimum_tied_across_chunks_keeps_the_first(self):
+        depth, t, grid = self.BIG
+        ex = cx.build_example(depth)
+        classes, exact = cx.enumerate_selection_classes(ex, grid[0], t)
+        assert exact and len(classes) > cx.SWEEP_CHUNK
+        assert cx.selection_norm(ex, classes[cx.SWEEP_CHUNK]) == cx.selection_norm(
+            ex, classes[0])
+        row, = assert_sweep_matches_reference(depth, t, grid)["rows"]
+        assert row["exact"] and row["greedy_set_family"] == classes[0].family_label()
