@@ -1,6 +1,6 @@
 """Microbenchmarks of the vector layer on one fixed 64-entry vector:
-construction, projection (restrict, drop), the four norms, and t-greedy
-selection and enumeration.
+construction, projection (restrict, drop), entry lookup, a full pairs() walk,
+addition, the four norms, and the t-greedy check, selection and enumeration.
 
     PYTHONPATH=src python -m pytest bench/test_bench_coeffspace.py
 
@@ -18,6 +18,7 @@ DIM = 64
 VALUES = np.round(np.random.default_rng(2020).standard_normal(DIM) * 4.0) / 4.0
 VALUES[VALUES == 0.0] = 0.25
 X = CV.from_dense(VALUES)
+Y = CV.from_dense(VALUES[::-1])  # the same support, so every index is shared
 A = gl.one_greedy_set(X, DIM // 4, 1.0).indices  # a greedy set, as the searches use
 
 
@@ -33,6 +34,19 @@ def test_projection(benchmark, op):
     assert len(part) == (len(A) if op == "restrict" else DIM - len(A))
 
 
+def test_getitem(benchmark):
+    # one lookup on the support and one off it, as is_t_greedy-style callers do
+    assert benchmark(lambda: X[DIM // 2] + X[DIM + 1]) == X[DIM // 2]
+
+
+def test_pairs_walk(benchmark):
+    assert len(benchmark(lambda: list(X.pairs()))) == DIM
+
+
+def test_add(benchmark):
+    assert len(benchmark(X.__add__, Y)) <= DIM
+
+
 @pytest.mark.parametrize("norm", [
     gl.summing_norm,
     gl.sup_norm,
@@ -41,6 +55,10 @@ def test_projection(benchmark, op):
 ], ids=["summing", "sup", "lp", "weighted_lp"])
 def test_norm(benchmark, norm):
     assert benchmark(norm, X) > 0.0
+
+
+def test_is_t_greedy(benchmark):
+    assert benchmark(gl.is_t_greedy, X, A, 1.0)
 
 
 def test_one_greedy_set(benchmark):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -32,12 +34,29 @@ __all__ = [
 ]
 
 
+def _summed(pairs: Iterable[tuple[int, float]]) -> tuple[tuple, tuple]:
+    """Canonical (indices, values) tuples of the pairs: indices sorted, repeated
+    ones summed in the order given as np.add.at does, zero sums dropped."""
+    acc: dict[int, float] = {}
+    for i, v in pairs:
+        acc[i] = acc[i] + v if i in acc else v
+    keep = sorted([i for i, v in acc.items() if v != 0.0])
+    return tuple(keep), tuple([acc[i] for i in keep])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class CoeffVector:
     """Finitely supported coefficient sequence, canonical form.
 
     Canonical means: indices are strictly increasing positive integers and no
-    stored coefficient is zero.  Instances are immutable; every operation
-    returns a new vector.
+    stored coefficient is zero.  Both are stored as tuples of builtin ``int``
+    and ``float``: vectors here hold tens of entries, where numpy's per-call
+    overhead costs more than the arithmetic.  Instances are immutable; every
+    operation returns a new vector.
     """
 
     __slots__ = ("_idx", "_val")
@@ -49,30 +68,18 @@ class CoeffVector:
                          dtype=np.float64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be 1-d and of equal length")
-        if idx.size and int(idx.min()) < 1:
+        idx = idx.tolist()
+        if idx and min(idx) < 1:
             raise ValueError("indices must be positive integers")
-        order = np.argsort(idx, kind="stable")
-        idx, val = idx[order], val[order]
-        if idx.size and np.any(np.diff(idx) == 0):
-            uniq, inverse = np.unique(idx, return_inverse=True)
-            acc = np.zeros(uniq.size, dtype=np.float64)
-            np.add.at(acc, inverse, val)
-            idx, val = uniq, acc
-        keep = val != 0.0
-        self._idx = np.ascontiguousarray(idx[keep])
-        self._val = np.ascontiguousarray(val[keep])
-        self._idx.setflags(write=False)
-        self._val.setflags(write=False)
+        self._idx, self._val = _summed(zip(idx, val.tolist()))
 
     @classmethod
-    def _canonical(cls, idx: np.ndarray, val: np.ndarray) -> "CoeffVector":
-        """Wrap arrays that are already canonical: int64 indices strictly
-        increasing and positive, float64 values nonzero, both 1-d, contiguous
-        and of equal length.  Nothing is checked; the arrays become read-only.
+    def _canonical(cls, idx: tuple, val: tuple) -> "CoeffVector":
+        """Wrap tuples that are already canonical: builtin int indices strictly
+        increasing and positive, builtin float values nonzero, of equal length.
+        Nothing is checked.
         """
         v = object.__new__(cls)
-        idx.setflags(write=False)
-        val.setflags(write=False)
         v._idx = idx
         v._val = val
         return v
@@ -86,8 +93,11 @@ class CoeffVector:
 
     @classmethod
     def from_dense(cls, values: Sequence[float], start: int = 1) -> "CoeffVector":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(np.arange(start, start + values.size), values)
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 1 or (start < 1 and vals.size):
+            raise ValueError("dense values must be 1-d and start at a positive index")
+        pairs = [(i, v) for i, v in enumerate(vals.tolist(), int(start)) if v != 0.0]
+        return cls._canonical(tuple([i for i, _ in pairs]), tuple([v for _, v in pairs]))
 
     @classmethod
     def zero(cls) -> "CoeffVector":
@@ -106,43 +116,40 @@ class CoeffVector:
 
     @property
     def indices(self) -> np.ndarray:
-        return self._idx
+        """The indices as a read-only int64 array, built on each read."""
+        return _read_only(np.array(self._idx, dtype=np.int64))
 
     @property
     def values(self) -> np.ndarray:
-        return self._val
+        """The values as a read-only float64 array, built on each read."""
+        return _read_only(np.array(self._val, dtype=np.float64))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in self._idx)
+        return self._idx
 
     def __len__(self) -> int:
-        return int(self._idx.size)
+        return len(self._idx)
 
     def __bool__(self) -> bool:
-        return self._idx.size > 0
+        return bool(self._idx)
 
     def max_index(self) -> int:
-        return int(self._idx[-1]) if self._idx.size else 0
+        return self._idx[-1] if self._idx else 0
 
     def __getitem__(self, i: int) -> float:
-        pos = np.searchsorted(self._idx, i)
-        if pos < self._idx.size and self._idx[pos] == i:
-            return float(self._val[pos])
-        return 0.0
+        pos = bisect_left(self._idx, i)
+        return self._val[pos] if pos < len(self._idx) and self._idx[pos] == i else 0.0
 
     def pairs(self) -> Iterator[tuple[int, float]]:
-        for i, v in zip(self._idx, self._val):
-            yield int(i), float(v)
+        return zip(self._idx, self._val)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffVector):
             return NotImplemented
-        return (self._idx.shape == other._idx.shape
-                and bool(np.all(self._idx == other._idx))
-                and bool(np.all(self._val == other._val)))
+        return self._idx == other._idx and self._val == other._val
 
     def __hash__(self):
-        return hash((self._idx.tobytes(), self._val.tobytes()))
+        return hash((self._idx, self._val))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}: {v:g}" for i, v in itertools.islice(self.pairs(), 8))
@@ -152,16 +159,13 @@ class CoeffVector:
     # -- algebra ------------------------------------------------------
 
     def _select(self, A: Iterable[int], keep: bool) -> "CoeffVector":
-        """The entries whose index is in A (keep=True) or not in A (keep=False).
-
-        Vectors here are short (tens of entries), so a Python set lookup per
-        entry beats a sorted-array membership test.
-        """
+        """The entries whose index is in A (keep=True) or not in A (keep=False)."""
         A_set = A if isinstance(A, (set, frozenset)) else set(A)
-        mask = np.array([(i in A_set) == keep for i in self._idx.tolist()], dtype=bool)
-        if mask.all():
+        pos = [k for k, i in enumerate(self._idx) if (i in A_set) == keep]
+        if len(pos) == len(self._idx):
             return self
-        return CoeffVector._canonical(self._idx[mask], self._val[mask])
+        return CoeffVector._canonical(tuple([self._idx[k] for k in pos]),
+                                      tuple([self._val[k] for k in pos]))
 
     def restrict(self, A: Iterable[int]) -> "CoeffVector":
         """Projection onto the index set A (empty set gives the zero vector)."""
@@ -172,8 +176,7 @@ class CoeffVector:
         return self._select(A, False)
 
     def __add__(self, other: "CoeffVector") -> "CoeffVector":
-        return CoeffVector(np.concatenate([self._idx, other._idx]),
-                           np.concatenate([self._val, other._val]))
+        return CoeffVector._canonical(*_summed(itertools.chain(self.pairs(), other.pairs())))
 
     def __sub__(self, other: "CoeffVector") -> "CoeffVector":
         return self + other.scale(-1.0)
@@ -182,10 +185,11 @@ class CoeffVector:
         return self.scale(-1.0)
 
     def scale(self, c: float) -> "CoeffVector":
-        val = self._val * float(c)
-        if not val.all():  # c == 0, or an underflow, left zeros to drop
+        c = float(c)
+        val = [v * c for v in self._val]
+        if not all(val):  # c == 0, or an underflow, left zeros to drop
             return CoeffVector(self._idx, val)
-        return CoeffVector._canonical(self._idx, val)
+        return CoeffVector._canonical(self._idx, tuple(val))
 
     def __mul__(self, c: float) -> "CoeffVector":
         return self.scale(c)
@@ -195,15 +199,15 @@ class CoeffVector:
     def to_dense(self, dim: Optional[int] = None) -> np.ndarray:
         n = self.max_index() if dim is None else int(dim)
         out = np.zeros(n, dtype=np.float64)
-        if self._idx.size:
-            inside = self._idx <= n
-            out[self._idx[inside] - 1] = self._val[inside]
+        for i, v in self.pairs():
+            if i <= n:
+                out[i - 1] = v
         return out
 
     # -- serialization ------------------------------------------------
 
     def to_json_pairs(self) -> list[list[float]]:
-        return [[int(i), float(v)] for i, v in self.pairs()]
+        return [[i, v] for i, v in self.pairs()]
 
     @classmethod
     def from_json_pairs(cls, data: Iterable[Sequence[float]]) -> "CoeffVector":
@@ -222,19 +226,23 @@ class CoeffVector:
 # ---------------------------------------------------------------------------
 
 
+def _abs_max(values: Sequence[float]) -> float:
+    """np.max(np.abs(values)) in plain Python: 0.0 when empty, NaN if any value is."""
+    peak = max(map(abs, values), default=0.0)
+    return math.nan if any(map(math.isnan, values)) else peak
+
+
 def summing_norm(x: CoeffVector) -> float:
     """sup over n of |partial sum of the first n coefficients|.
 
-    The partial sum only changes at support points, so a single cumulative
-    pass over the stored values is exact.
+    The partial sum only changes at support points, so one running sum over
+    the stored values is exact, and equal to ``np.cumsum`` bit for bit.
     """
-    if not x:
-        return 0.0
-    return float(np.max(np.abs(np.cumsum(x.values))))
+    return _abs_max(list(itertools.accumulate(x._val)))
 
 
 def lp_norm(x: CoeffVector, p: float) -> float:
-    """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1."""
+    """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1, summed pairwise by np.sum."""
     if p <= 0:
         raise ValueError(f"lp_norm requires p > 0, got {p}")
     if not x:
@@ -248,9 +256,7 @@ def lp_norm(x: CoeffVector, p: float) -> float:
 
 
 def sup_norm(x: CoeffVector) -> float:
-    if not x:
-        return 0.0
-    return float(np.max(np.abs(x.values)))
+    return _abs_max(x._val)
 
 
 def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> float:
@@ -260,9 +266,10 @@ def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> floa
     if not x:
         return 0.0
     w = np.asarray(weights, dtype=np.float64)
-    inside = x.indices <= w.size
-    wi = np.ones(x.indices.size)
-    wi[inside] = w[x.indices[inside] - 1]
+    idx = x.indices
+    inside = idx <= w.size
+    wi = np.ones(idx.size)
+    wi[inside] = w[idx[inside] - 1]
     return float(np.sum(wi * np.abs(x.values) ** p)) ** (1.0 / p)
 
 
@@ -315,10 +322,6 @@ class SpaceDescriptor:
             raise ValueError("quasi-triangle constant must satisfy alpha >= 1")
         if not self.c_param > 2.0:
             raise ValueError("c parameter must exceed 2")
-
-    @property
-    def is_polyhedral(self) -> bool:
-        return self.dual_functionals is not None
 
 
 def _summing_extreme_points(support: tuple[int, ...]) -> Iterator[CoeffVector]:
@@ -522,19 +525,15 @@ class GapSequence:
     def members_up_to(self, n: int) -> tuple[int, ...]:
         out = [v for v in self.values if v <= n]
         if self.rule is not None:
-            k = 1
-            prev = out[-1] if out else 0
-            while True:
-                v = int(self.rule(k))
-                k += 1
-                if v <= prev:
-                    continue
-                if v > n:
-                    break
-                out.append(v)
-                prev = v
-                if k > 10 * n + 64:  # guard against a non-increasing rule
-                    break
+            # rule terms at or below the explicit prefix are skipped
+            prev, k, v = (out[-1] if out else 0), 1, int(self.rule(1))
+            while v <= n:
+                if v > prev:
+                    out.append(v)
+                k, last, v = k + 1, v, int(self.rule(k + 1))
+                if v <= last:
+                    raise ValueError(f"gap rule must increase: rule({k}) = {v} "
+                                     f"after rule({k - 1}) = {last}")
         return tuple(out)
 
     def first(self) -> int:

@@ -59,9 +59,6 @@ class GreedySelection:
     def revalidate(self, x: CoeffVector) -> bool:
         return is_t_greedy(x, self.indices, self.t)
 
-    def sorted_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
     def to_json(self) -> dict:
         return {"indices": sorted(self.indices), "t": float(self.t),
                 "cardinality": self.cardinality}
@@ -74,13 +71,15 @@ def is_t_greedy(x: CoeffVector, A: Iterable[int], t: float) -> bool:
     set covering the whole support is greedy because the outside max is 0.
     """
     t = _check_t(t)
-    A_set = frozenset(int(i) for i in A)
+    A_set = frozenset([int(i) for i in A])
     if not A_set:
         return True
     outside = [abs(v) for i, v in x.pairs() if i not in A_set]
     if not outside:
         return True
-    inside_min = min(abs(x[i]) for i in A_set)
+    inside = [abs(v) for i, v in x.pairs() if i in A_set]
+    # a member of A off the support has coefficient 0
+    inside_min = min(inside) if len(inside) == len(A_set) else 0.0
     return inside_min >= t * max(outside)
 
 
@@ -90,13 +89,12 @@ def _modulus_classes(x: CoeffVector, tie_tol: float = 0.0):
     Returns a list of (modulus, sorted index tuple).  Exact float comparison
     by default; a positive tie_tol merges moduli within that distance.
     """
-    items = sorted(((abs(v), i) for i, v in x.pairs()), key=lambda p: (-p[0], p[1]))
     classes: list[tuple[float, list[int]]] = []
-    for mod, idx in items:
-        if classes and abs(classes[-1][0] - mod) <= tie_tol:
+    for neg, idx in sorted([(-abs(v), i) for i, v in x.pairs()]):
+        if classes and abs(classes[-1][0] + neg) <= tie_tol:
             classes[-1][1].append(idx)
         else:
-            classes.append((mod, [idx]))
+            classes.append((-neg, [idx]))
     return [(mod, tuple(sorted(idxs))) for mod, idxs in classes]
 
 
@@ -112,7 +110,7 @@ def one_greedy_set(x: CoeffVector, m: int, t: float, policy: TiePolicy = "lowest
     if m < 0:
         raise ValueError(f"cardinality must be nonnegative, got {m}")
     classes = _modulus_classes(x, tie_tol)
-    total = sum(len(idxs) for _, idxs in classes)
+    total = len(x)
     if m >= total:
         trace = tuple(idxs for _, idxs in classes if len(idxs) > 1)
         return GreedySelection(frozenset(x.support()), t, total, trace, short=m > total)

@@ -118,6 +118,12 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "divergence: ok" in proc.stdout
 
+    def test_package_runs_as_module(self):
+        proc = subprocess.run([sys.executable, "-m", "greedylab", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "verify" in proc.stdout and "run" in proc.stdout
+
 
 class TestReporting:
     def test_parallel_map_preserves_order(self):

@@ -1,7 +1,9 @@
 """Vectors, norms, projections, operator-norm estimation."""
 
+import itertools
 import json
 import math
+import struct
 import time
 
 import numpy as np
@@ -35,6 +37,15 @@ class TestCoeffVector:
     def test_rejects_nonpositive_indices(self):
         with pytest.raises(ValueError):
             CV([0], [1.0])
+
+    def test_rejects_malformed_input(self):
+        for bad in (lambda: CV([1, 2], [1.0]), lambda: CV([[1, 2]], [[1.0, 2.0]]),
+                    lambda: CV.from_dense([1.0], start=0),
+                    lambda: CV.from_dense([[1.0, 2.0]])):
+            with pytest.raises(ValueError):
+                bad()
+        assert CV.from_dense([], start=0) == CV.zero()
+        assert CV.from_dense([0.0, 2.0], start=5) == CV([6], [2.0])
 
     def test_iteration_strictly_increasing(self):
         v = CV([5, 2, 9], [1.0, 1.0, 1.0])
@@ -131,6 +142,104 @@ class TestFastPathsMatchCheckedConstructor:
             assert _bits(x.scale(c)) == _bits(CV.zero())
         # underflow drops the entry instead of storing a zero
         assert CV([1, 2], [1e-300, 1.0]).scale(1e-300) == CV([2], [1e-300])
+
+
+def _same_float(a, b) -> bool:
+    """Bit-for-bit equality of two floats, NaN counted as equal to NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _same_vector(a: CV, b: CV) -> bool:
+    return (a.support() == b.support()
+            and all(_same_float(u, v) for (_, u), (_, v) in zip(a.pairs(), b.pairs())))
+
+
+# through the checked constructor, from values that include NaN, +-inf, -0.0
+# and tiny magnitudes, with repeated indices
+edge_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300,
+                               -1e-300, 1.0, -1.0, 2.5]) | st.floats()
+edge_pairs = st.lists(st.tuples(st.integers(1, 12), edge_floats), max_size=16)
+edge_vectors = edge_pairs.map(lambda pairs: CV([i for i, _ in pairs], [v for _, v in pairs]))
+
+
+def _numpy_canonical(idx: np.ndarray, val: np.ndarray) -> CV:
+    """Canonical form the numpy way: stable sort, repeated indices summed by
+    np.add.at on zeros, zeros dropped."""
+    order = np.argsort(idx, kind="stable")
+    idx, val = idx[order], val[order]
+    if idx.size and np.any(np.diff(idx) == 0):
+        uniq, inverse = np.unique(idx, return_inverse=True)
+        acc = np.zeros(uniq.size)
+        np.add.at(acc, inverse, val)
+        idx, val = uniq, acc
+    keep = val != 0.0
+    return CV._canonical(tuple(idx[keep].tolist()), tuple(val[keep].tolist()))
+
+
+class TestTupleKernelsMatchNumpy:
+    """The plain-Python kernels against the numpy expressions they replace,
+    read off the ``indices`` / ``values`` arrays."""
+
+    @given(edge_vectors)
+    @settings(max_examples=300)
+    def test_summing_and_sup_norm(self, x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want_summing = float(np.max(np.abs(np.cumsum(x.values)))) if x else 0.0
+            want_sup = float(np.max(np.abs(x.values))) if x else 0.0
+        got_summing, got_sup = gl.summing_norm(x), gl.sup_norm(x)
+        assert type(got_summing) is float and type(got_sup) is float
+        assert _same_float(got_summing, want_summing)
+        assert _same_float(got_sup, want_sup)
+
+    def test_nan_propagates(self):
+        assert math.isnan(gl.summing_norm(CV([1, 2], [math.nan, 1.0])))
+        assert math.isnan(gl.sup_norm(CV([1, 2], [1.0, math.nan])))
+        assert math.isnan(gl.summing_norm(CV([1, 2], [math.inf, -math.inf])))
+
+    @given(edge_pairs)
+    @settings(max_examples=300)
+    def test_checked_constructor(self, pairs):
+        idx = np.array([i for i, _ in pairs], dtype=np.int64)
+        val = np.array([v for _, v in pairs], dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _numpy_canonical(idx, val)
+        assert _same_vector(CV(idx, val), want)
+        assert _same_vector(CV.from_pairs(pairs), want)
+
+    @given(edge_vectors, edge_vectors)
+    @settings(max_examples=300)
+    def test_add_and_sub(self, x, y):
+        idx = np.concatenate([x.indices, y.indices])
+        with np.errstate(invalid="ignore", over="ignore"):
+            plus = np.concatenate([x.values, y.values])
+            minus = np.concatenate([x.values, -y.values])
+            plus_ref, minus_ref = _numpy_canonical(idx, plus), _numpy_canonical(idx, minus)
+        assert _same_vector(x + y, CV(idx, plus)) and _same_vector(x + y, plus_ref)
+        assert _same_vector(x - y, CV(idx, minus)) and _same_vector(x - y, minus_ref)
+
+    @given(edge_vectors)
+    @settings(max_examples=200)
+    def test_getitem_on_and_off_the_support(self, x):
+        table = dict(zip(x.indices.tolist(), x.values.tolist()))
+        for i in range(0, 15):
+            for key in (i, np.int64(i), np.int32(i)):
+                got = x[key]
+                assert type(got) is float
+                assert _same_float(got, table.get(i, 0.0))
+
+    @given(edge_vectors, index_sets, st.floats(-4, 4))
+    @settings(max_examples=200)
+    def test_only_builtin_numbers_reach_json(self, x, A, c):
+        made = [x, x.restrict(A), x.drop(A), x.scale(c), x + x, x - x.restrict(A),
+                CV.from_dense(x.to_dense()), CV(x.indices, x.values),
+                CV.from_pairs([(np.int64(i), np.float64(v)) for i, v in x.pairs()])]
+        for v in made:
+            assert all(type(i) is int for i in v.support())
+            assert all(type(i) is int and type(a) is float for i, a in v.pairs())
+            want = [[int(i), float(a)] for i, a in zip(v.indices.tolist(), v.values.tolist())]
+            assert v.to_json() == json.dumps(want)
 
 
 class TestSummingNorm:
@@ -275,6 +384,24 @@ class TestGapSequence:
         with pytest.raises(ValueError):
             GapSequence.explicit([1, 5], bound_l=2)
         assert GapSequence.explicit([2, 4, 8], bound_l=2).values == (2, 4, 8)
+
+    @pytest.mark.parametrize("rule", [lambda k: 5, lambda k: k % 3 + 1],
+                             ids=["constant", "periodic"])
+    def test_rule_that_does_not_increase_fails_fast(self, rule):
+        calls = itertools.count()
+
+        def counted(k):  # fails the test, instead of hanging it, if the loop never ends
+            if next(calls) > 10_000:
+                raise RuntimeError("members_up_to kept calling the rule")
+            return rule(k)
+
+        with pytest.raises(ValueError, match="must increase"):
+            GapSequence(rule=counted).members_up_to(100)
+
+    def test_rule_terms_below_the_prefix_are_skipped(self):
+        assert GapSequence((1, 2), rule=lambda k: k + 2).members_up_to(6) == (1, 2, 3, 4, 5, 6)
+        assert GapSequence((1, 2, 3), rule=lambda k: k).members_up_to(5) == (1, 2, 3, 4, 5)
+        assert GapSequence((1, 4), rule=lambda k: 2 * k).members_up_to(9) == (1, 4, 6, 8)
 
     def test_first_with_prefix_and_rule_is_immediate(self):
         # with a prefix, first() must not walk the members of the rule
