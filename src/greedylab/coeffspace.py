@@ -292,8 +292,6 @@ class SpaceDescriptor:
         alpha: quasi-triangle constant (1 for genuine norms).
         alpha1: sup over i of the norm of the i-th basis vector.
         alpha2: sup over i of the norm of the i-th coordinate functional.
-        schauder_constant: uniform bound for prefix partial-sum projections,
-            when known.
         c_param: sup over i of (1 + |e_i|)(1 + |e_i*|); always > 2.
         extreme_points: optional generator of unit-ball extreme points for a
             given finite support tuple (exact search is only available where
@@ -312,7 +310,6 @@ class SpaceDescriptor:
     alpha1: float
     alpha2: float
     c_param: float
-    schauder_constant: Optional[float] = None
     extreme_points: Optional[Callable[[tuple[int, ...]], Iterator[CoeffVector]]] = None
     dual_functionals: Optional[Callable[[int], np.ndarray]] = None
     contractive_projections: bool = False
@@ -382,7 +379,6 @@ def summing_space(dim: int = 64) -> SpaceDescriptor:
         alpha1=1.0,
         alpha2=alpha2,
         c_param=(1.0 + 1.0) * (1.0 + alpha2),
-        schauder_constant=1.0,
         extreme_points=_summing_extreme_points,
         dual_functionals=_summing_dual_functionals,
         contractive_projections=False,
@@ -403,7 +399,6 @@ def lp_space(p: float, dim: int = 64) -> SpaceDescriptor:
         alpha1=1.0,
         alpha2=1.0,
         c_param=4.0,
-        schauder_constant=1.0,
         extreme_points=extreme,
         dual_functionals=duals,
         contractive_projections=True,
@@ -418,7 +413,6 @@ def sup_space(dim: int = 64) -> SpaceDescriptor:
         alpha1=1.0,
         alpha2=1.0,
         c_param=4.0,
-        schauder_constant=1.0,
         extreme_points=_sup_extreme_points,
         dual_functionals=_sup_dual_functionals,
         contractive_projections=True,
@@ -444,7 +438,6 @@ def weighted_lp_space(p: float, weights: Sequence[float], dim: int = 64) -> Spac
         alpha1=alpha1,
         alpha2=alpha2,
         c_param=c,
-        schauder_constant=1.0,
         contractive_projections=True,
     )
 

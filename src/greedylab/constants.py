@@ -21,8 +21,8 @@ import numpy as np
 
 from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, projection,
                          random_vectors)
-from .estimates import BoundCheck, ConstantEstimate
-from .greedy import (enumerate_t_greedy_sets, is_t_greedy, one_greedy_set,
+from .estimates import KINDS, BoundCheck, ConstantEstimate, _ratio
+from .greedy import (_check_t, enumerate_t_greedy_sets, is_t_greedy, one_greedy_set,
                      random_greedy_set)
 
 __all__ = [
@@ -96,13 +96,6 @@ def _greedy_sets_for(x: CoeffVector, m: int, t: float, cap: int) -> list[frozens
     return []
 
 
-def _ratio(space: SpaceDescriptor, x: CoeffVector, A: frozenset, kind: str,
-           norm_x: float) -> float:
-    if kind == "C_sq_t":
-        return space.norm(x.drop(A)) / norm_x
-    return space.norm(projection(x, A)) / norm_x
-
-
 # ---------------------------------------------------------------------------
 # Sampling estimator
 # ---------------------------------------------------------------------------
@@ -120,12 +113,11 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
     extreme points where an oracle exists, then random samples.  The value is
     a lower bound unless a contractivity certificate pins it.
     """
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
+    _check_t(t)
     sizes = gap.members_up_to(dim)
     if not sizes:
         raise ValueError("no admissible cardinality: gap sequence has no member <= dim")
-    if kind not in ("C_q_t", "C_sq_t"):
+    if kind not in KINDS:
         raise ValueError(f"kind must be C_q_t or C_sq_t, got {kind!r}")
 
     rng = np.random.default_rng(seed)
@@ -304,9 +296,8 @@ def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float
     """
     if space.dual_functionals is None:
         raise ValueError(f"space {space.name!r} has no dual-functional oracle")
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
-    if kind not in ("C_q_t", "C_sq_t"):
+    _check_t(t)
+    if kind not in KINDS:
         raise ValueError(f"kind must be C_q_t or C_sq_t, got {kind!r}")
     sizes = [s for s in gap.members_up_to(dim)]
     if not sizes:

@@ -22,12 +22,12 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .coeffspace import CoeffVector
-from .greedy import greedy_class_counts
+from .greedy import _check_t, greedy_class_counts
 
 __all__ = [
     "ExampleSequence",
@@ -42,7 +42,6 @@ __all__ = [
     "enumerate_selection_classes",
     "selection_norm",
     "selection_phi",
-    "selection_is_t_greedy",
     "materialize_selection",
     "greedy_sum_norm",
     "phi_lower_bound",
@@ -184,27 +183,6 @@ def selection_phi(ex: ExampleSequence, sel: SpikeBlockSelection) -> int:
     return ex.depth + 1
 
 
-def selection_is_t_greedy(ex: ExampleSequence, sel: SpikeBlockSelection, t: float) -> bool:
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
-    selected_min = math.inf
-    excluded_max = 0.0
-    for k in range(1, ex.depth + 1):
-        sv, bv = spike_value(k), -block_value(k)
-        if k in sel.spike_ks:
-            selected_min = min(selected_min, sv)
-        else:
-            excluded_max = max(excluded_max, sv)
-        c = sel.block_counts[k - 1]
-        if c > 0:
-            selected_min = min(selected_min, bv)
-        if c < ex.block_size(k):
-            excluded_max = max(excluded_max, bv)
-    if selected_min is math.inf:
-        return True  # empty selection is vacuously greedy
-    return selected_min >= t * excluded_max
-
-
 def materialize_selection(ex: ExampleSequence, sel: SpikeBlockSelection,
                           placement: str = "first") -> frozenset:
     """A concrete index set in the class; block positions per ``placement``."""
@@ -231,32 +209,13 @@ def _check_cardinality(ex: ExampleSequence, m: int) -> None:
         raise ValueError(f"cardinality must lie in [0, {ex.support_size}], got {m}")
 
 
-def canonical_selection(ex: ExampleSequence, m: int, t: float = 1.0) -> SpikeBlockSelection:
-    """Fill classes in descending modulus order: spikes, then blocks in order."""
-    _check_cardinality(ex, m)
-    spike_ks = set()
-    counts = [0] * ex.depth
-    left = m
-    for _, mult, kind, k in _value_classes(ex):
-        if left <= 0:
-            break
-        take = min(mult, left)
-        if kind == "spike":
-            spike_ks.add(k)
-        else:
-            counts[k - 1] = take
-        left -= take
-    return SpikeBlockSelection(frozenset(spike_ks), tuple(counts))
-
-
 def _class_walk(ex: ExampleSequence, m: int, t: float, cap: int
                 ) -> tuple[Iterator[tuple[int, ...]], list[int], list[int]]:
     """Checked arguments of a class sweep, and its walk: the count vectors of
     every t-greedy class of cardinality m, over the modulus classes in
     descending order, with the columns of spike k and of block k at index
     k - 1 of the two lists."""
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
+    _check_t(t)
     _check_cardinality(ex, m)
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -276,6 +235,13 @@ def _selection_of(counts: Sequence[int], spike_at: list[int],
     return SpikeBlockSelection(
         frozenset({k for k, pos in enumerate(spike_at, start=1) if counts[pos]}),
         tuple([counts[pos] for pos in block_at]))
+
+
+def canonical_selection(ex: ExampleSequence, m: int) -> SpikeBlockSelection:
+    """The class filling modulus classes in descending order: the one 1-greedy
+    class of cardinality m, hence t-greedy for every t in (0, 1]."""
+    walk, spike_at, block_at = _class_walk(ex, m, 1.0, 1)
+    return _selection_of(next(walk), spike_at, block_at)
 
 
 def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
@@ -347,17 +313,10 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float, cap: int
 # ---------------------------------------------------------------------------
 
 
-def greedy_sum_norm(ex: ExampleSequence, m: int, t: float,
-                    chooser: Optional[Callable[[ExampleSequence, int, float],
-                                               SpikeBlockSelection]] = None) -> float:
-    """Summing norm of the greedy sum for the chosen t-greedy class of size m."""
-    _check_cardinality(ex, m)
-    sel = canonical_selection(ex, m, t) if chooser is None else chooser(ex, m, t)
-    if sel.cardinality != m:
-        raise ValueError(f"chooser produced cardinality {sel.cardinality}, wanted {m}")
-    if not selection_is_t_greedy(ex, sel, t):
-        raise ValueError("chooser output rejected: class is not t-greedy")
-    return selection_norm(ex, sel)
+def greedy_sum_norm(ex: ExampleSequence, m: int, t: float) -> float:
+    """Summing norm of the greedy sum for the canonical class of size m."""
+    _check_t(t)
+    return selection_norm(ex, canonical_selection(ex, m))
 
 
 def phi_lower_bound(phi: int, t: float) -> float:
@@ -366,8 +325,7 @@ def phi_lower_bound(phi: int, t: float) -> float:
     """
     if phi < 1:
         raise ValueError(f"phi must be a positive integer, got {phi}")
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"weakness parameter t must lie in (0, 1], got {t}")
+    _check_t(t)
     cutoff = math.floor(math.log10(math.sqrt(phi) / t))
 
     def sqrt_sum(n: int) -> float:
@@ -400,6 +358,7 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
     """
     from .reporting import parallel_map
 
+    _check_t(t)
     ex = build_example(depth)
     grid = tuple(m_grid) if m_grid is not None else default_m_grid(ex)
 
@@ -407,7 +366,7 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
         if adversary:
             sel, norm, exact, row_violations = _adversarial_minimum(ex, m, t, cap)
         else:
-            sel = canonical_selection(ex, m, t)
+            sel = canonical_selection(ex, m)
             norm = selection_norm(ex, sel)
             exact = False
             row_violations = []

@@ -13,6 +13,14 @@ __all__ = ["ConstantEstimate", "BoundCheck"]
 KINDS = ("C_q_t", "C_sq_t")
 
 
+def _ratio(space: SpaceDescriptor, x: CoeffVector, A: frozenset, kind: str,
+           norm_x: float) -> float:
+    """|P_A x| / |x| for C_q_t, |x - P_A x| / |x| for C_sq_t; norm_x is |x|."""
+    if kind == "C_sq_t":
+        return space.norm(x.drop(A)) / norm_x
+    return space.norm(projection(x, A)) / norm_x
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One verified inequality: lhs <= rhs with the achieved margin rhs - lhs."""
@@ -66,10 +74,7 @@ class ConstantEstimate:
         nx = space.norm(self.witness_x)
         if nx == 0.0:
             return 0.0
-        part = projection(self.witness_x, self.witness_A)
-        if self.kind == "C_sq_t":
-            return space.norm(self.witness_x - part) / nx
-        return space.norm(part) / nx
+        return _ratio(space, self.witness_x, self.witness_A, self.kind, nx)
 
     def revalidate(self, space: SpaceDescriptor, tol: float = 1e-9) -> bool:
         """True when the stored value matches the recomputed witness ratio."""

@@ -83,23 +83,23 @@ def is_t_greedy(x: CoeffVector, A: Iterable[int], t: float) -> bool:
     return inside_min >= t * max(outside)
 
 
-def _modulus_classes(x: CoeffVector, tie_tol: float = 0.0):
-    """Support indices grouped by coefficient modulus, descending.
+def _modulus_classes(x: CoeffVector):
+    """Support indices grouped by exactly equal coefficient modulus, descending.
 
-    Returns a list of (modulus, sorted index tuple).  Exact float comparison
-    by default; a positive tie_tol merges moduli within that distance.
+    Returns a list of (modulus, index tuple).  One sort of (-modulus, index)
+    pairs leaves every group in ascending index order.
     """
     classes: list[tuple[float, list[int]]] = []
     for neg, idx in sorted([(-abs(v), i) for i, v in x.pairs()]):
-        if classes and abs(classes[-1][0] + neg) <= tie_tol:
+        if classes and classes[-1][0] == neg:
             classes[-1][1].append(idx)
         else:
-            classes.append((-neg, [idx]))
-    return [(mod, tuple(sorted(idxs))) for mod, idxs in classes]
+            classes.append((neg, [idx]))
+    return [(-neg, tuple(idxs)) for neg, idxs in classes]
 
 
-def one_greedy_set(x: CoeffVector, m: int, t: float, policy: TiePolicy = "lowest",
-                   tie_tol: float = 0.0) -> GreedySelection:
+def one_greedy_set(x: CoeffVector, m: int, t: float,
+                   policy: TiePolicy = "lowest") -> GreedySelection:
     """A t-greedy set of cardinality m.
 
     For t = 1 this is the m largest-modulus coefficients, ties broken by the
@@ -109,7 +109,7 @@ def one_greedy_set(x: CoeffVector, m: int, t: float, policy: TiePolicy = "lowest
     t = _check_t(t)
     if m < 0:
         raise ValueError(f"cardinality must be nonnegative, got {m}")
-    classes = _modulus_classes(x, tie_tol)
+    classes = _modulus_classes(x)
     total = len(x)
     if m >= total:
         trace = tuple(idxs for _, idxs in classes if len(idxs) > 1)
@@ -209,7 +209,7 @@ class EnumerationResult(NamedTuple):
 
 
 def enumerate_t_greedy_sets(x: CoeffVector, m: int, t: float,
-                            cap: int = 10_000, tie_tol: float = 0.0) -> EnumerationResult:
+                            cap: int = 10_000) -> EnumerationResult:
     """All index sets A with |A| = m that are t-greedy for x, in lexicographic
     order over sorted index tuples, truncated at ``cap`` with an overflow flag.
 
@@ -222,7 +222,7 @@ def enumerate_t_greedy_sets(x: CoeffVector, m: int, t: float,
         raise ValueError(f"cardinality must be nonnegative, got {m}")
     if m > len(x):
         raise ValueError(f"cardinality {m} exceeds support size {len(x)}")
-    classes = _modulus_classes(x, tie_tol)
+    classes = _modulus_classes(x)
     groups = [idxs for _, idxs in classes]
 
     # generation guard: past this many sets the overflow flag is raised and the

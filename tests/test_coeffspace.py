@@ -343,7 +343,6 @@ class TestSpaceCatalogue:
     def test_summing_parameters(self):
         space = gl.summing_space(8)
         assert space.alpha1 == 1.0 and space.alpha2 == 2.0
-        assert space.schauder_constant == 1.0
         assert space.c_param == 6.0
 
     def test_fraction_exponent(self):

@@ -17,7 +17,8 @@ import greedylab as gl
 import greedylab.constants as constants_module
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence
-from greedylab.constants import _certified_witness, _ratio
+from greedylab.constants import _certified_witness
+from greedylab.estimates import _ratio
 from greedylab.experiments import bounded_gap_trials
 
 NAT = GapSequence.naturals()

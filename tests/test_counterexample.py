@@ -52,6 +52,24 @@ def assert_sweep_matches_reference(depth, t, m_grid=None, cap=200_000):
     return got
 
 
+def fill_selection(ex, m: int) -> cx.SpikeBlockSelection:
+    """The class made by filling the modulus classes in descending order, one
+    after another: ``canonical_selection``'s own loop before it read the walk."""
+    spike_ks = set()
+    counts = [0] * ex.depth
+    left = m
+    for _, mult, kind, k in cx._value_classes(ex):
+        if left <= 0:
+            break
+        take = min(mult, left)
+        if kind == "spike":
+            spike_ks.add(k)
+        else:
+            counts[k - 1] = take
+        left -= take
+    return cx.SpikeBlockSelection(frozenset(spike_ks), tuple(counts))
+
+
 class TestConstruction:
     def test_spike_positions(self):
         ex = cx.build_example(3)
@@ -185,20 +203,20 @@ class TestGreedyClasses:
     def test_zero_cardinality(self):
         assert cx.greedy_sum_norm(cx.build_example(3), 0, 1.0) == 0.0
 
-    def test_chooser_validation(self):
-        ex = cx.build_example(3)
-        bad = lambda e, m, t: cx.SpikeBlockSelection(frozenset({2}), (0, 0, 0))
-        with pytest.raises(ValueError, match="not t-greedy"):
-            cx.greedy_sum_norm(ex, 1, 1.0, bad)
-        wrong_size = lambda e, m, t: cx.canonical_selection(e, m + 1, t)
-        with pytest.raises(ValueError, match="cardinality"):
-            cx.greedy_sum_norm(ex, 1, 1.0, wrong_size)
+    @pytest.mark.parametrize("depth", range(1, cx.MAX_DEPTH + 1))
+    def test_canonical_selection_matches_fill(self, depth):
+        ex = cx.build_example(depth)
+        rng = np.random.default_rng(depth)
+        for m in (*cx.default_m_grid(ex), ex.support_size,
+                  *rng.integers(0, ex.support_size + 1, 20).tolist()):
+            sel = cx.canonical_selection(ex, m)
+            assert sel == fill_selection(ex, m) and sel.cardinality == m
 
     def test_selection_phi(self):
         ex = cx.build_example(4)
         sel = cx.SpikeBlockSelection(frozenset({1, 2, 4}), (0, 0, 0, 0))
         assert cx.selection_phi(ex, sel) == 3
-        full = cx.canonical_selection(ex, 4, 1.0)
+        full = cx.canonical_selection(ex, 4)
         assert cx.selection_phi(ex, full) == 5
 
 

@@ -1,6 +1,7 @@
 """Selection, enumeration and greedy sums."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
-from greedylab.greedy import (StaleSelectionError, greedy_class_counts,
-                              random_greedy_set)
+from greedylab.greedy import (StaleSelectionError, _modulus_classes,
+                              greedy_class_counts, random_greedy_set)
 
 
 def brute_force_greedy_sets(x: CV, m: int, t: float) -> list[tuple]:
@@ -65,16 +66,12 @@ class TestOneGreedySet:
         sel = gl.one_greedy_set(CV.from_dense([1.0, 1.0, 0.5]), 1, 1.0)
         assert (1, 2) in sel.tie_trace
 
-    def test_tie_tolerance_merges_near_moduli(self):
+    def test_near_moduli_stay_distinct(self):
+        # ties are exact: moduli 1e-12 apart form two classes
         x = CV.from_dense([1.0, 1.0 + 1e-12])
-        # exact comparison keeps the moduli distinct
         assert gl.one_greedy_set(x, 1, 1.0, "lowest").indices == {2}
         res = gl.enumerate_t_greedy_sets(x, 1, 1.0)
         assert [sorted(s.indices) for s in res.selections] == [[2]]
-        # a positive tolerance makes them a tie class
-        assert gl.one_greedy_set(x, 1, 1.0, "lowest", tie_tol=1e-9).indices == {1}
-        res = gl.enumerate_t_greedy_sets(x, 1, 1.0, tie_tol=1e-9)
-        assert [sorted(s.indices) for s in res.selections] == [[1], [2]]
 
     def test_negative_cardinality(self):
         with pytest.raises(ValueError):
@@ -101,6 +98,45 @@ class TestOneGreedySet:
             sel = gl.one_greedy_set(x, m, 1.0)
             for t in (1.0, 0.6, 0.2):
                 assert gl.is_t_greedy(x, sel.indices, t)
+
+
+def zero_tolerance_modulus_classes(x: CV):
+    """``_modulus_classes`` as it was with a tie tolerance, at tolerance 0: a
+    modulus joins a class when its distance to the class's first is <= 0, and
+    each class is sorted."""
+    classes = []
+    for neg, idx in sorted([(-abs(v), i) for i, v in x.pairs()]):
+        if classes and abs(classes[-1][0] + neg) <= 0.0:
+            classes[-1][1].append(idx)
+        else:
+            classes.append((-neg, [idx]))
+    return [(mod, tuple(sorted(idxs))) for mod, idxs in classes]
+
+
+def _bits(classes):
+    # repr tells NaN, -0.0 and every float apart; NaN != NaN defeats ==
+    return [(repr(mod), idxs) for mod, idxs in classes]
+
+
+class TestModulusClasses:
+    # a few moduli in both signs, so that classes repeat, plus NaN and any finite float
+    @given(st.dictionaries(
+        st.integers(1, 64),
+        st.one_of(st.sampled_from([0.25, -0.25, 1.0, -1.0, 3.0, -3.0, 5e-324, -5e-324,
+                                   math.nan, -math.nan]),
+                  st.floats(allow_infinity=False)),
+        max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_zero_tolerance_grouping(self, entries):
+        x = CV(list(entries), list(entries.values())) if entries else CV.zero()
+        assert _bits(_modulus_classes(x)) == _bits(zero_tolerance_modulus_classes(x))
+
+    def test_infinite_moduli_tie(self):
+        # at tolerance 0 the old grouping split them, as inf - inf is NaN
+        x = CV.from_dense([math.inf, 1.0, -math.inf])
+        assert _modulus_classes(x) == [(math.inf, (1, 3)), (1.0, (2,))]
+        assert zero_tolerance_modulus_classes(x) == [(math.inf, (1,)), (math.inf, (3,)),
+                                                     (1.0, (2,))]
 
 
 class TestEnumeration:
@@ -242,3 +278,48 @@ class TestGreedySum:
     def test_selection_serialization(self):
         sel = gl.one_greedy_set(CV.from_dense([3.0, 1.0]), 1, 0.5)
         assert sel.to_json() == {"indices": [1], "t": 0.5, "cardinality": 1}
+
+
+def _t_checked_calls():
+    """Every public entry point that takes a weakness parameter t, as t -> call.
+
+    Left out: ``transfer_bound_t_from_s``, whose t is checked together with s
+    (0 < t < s <= 1), and ``greedy_class_counts``, the unchecked walk behind
+    the checked enumerations."""
+    from greedylab import counterexample as cx
+    from greedylab import experiments
+    from greedylab.perturb import equivalence_audit
+
+    x = CV.from_dense([2.0, 1.0])
+    nat = gl.GapSequence.naturals()
+    ex = cx.build_example(2)
+    return {
+        "is_t_greedy": lambda t: gl.is_t_greedy(x, {1}, t),
+        "one_greedy_set": lambda t: gl.one_greedy_set(x, 1, t),
+        "enumerate_t_greedy_sets": lambda t: gl.enumerate_t_greedy_sets(x, 1, t),
+        "random_greedy_set": lambda t: random_greedy_set(x, 1, t, np.random.default_rng(0)),
+        "estimate_quasi_greedy_constant": lambda t: gl.estimate_quasi_greedy_constant(
+            gl.summing_space(2), nat, t, 2, 1),
+        "exact_constant_polyhedral": lambda t: gl.exact_constant_polyhedral(
+            gl.summing_space(2), nat, t, 2),
+        "bounded_gap_projection_bound": lambda t: gl.bounded_gap_projection_bound(
+            gl.summing_space(2), 1.0, 1.0, 2, x, {1}, t, nat),
+        "equivalence_audit": lambda t: equivalence_audit(gl.summing_space(2), nat, t, 2, 1),
+        "enumerate_selection_classes": lambda t: cx.enumerate_selection_classes(ex, 1, t),
+        "greedy_sum_norm": lambda t: cx.greedy_sum_norm(ex, 1, t),
+        "phi_lower_bound": lambda t: cx.phi_lower_bound(1, t),
+        "divergence_experiment": lambda t: cx.divergence_experiment(2, t),
+        # every spike selected: no row reaches phi_lower_bound
+        "divergence_experiment_canonical": lambda t: cx.divergence_experiment(
+            2, t, False, m_grid=[2]),
+        "divergence_rows": lambda t: experiments.divergence_rows(2, t),
+        "constants_table": lambda t: experiments.constants_table(
+            "summing", "C_q_t", t, [2], 1, 0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_t_checked_calls()))
+@pytest.mark.parametrize("t", [0.0, -0.1, 1.5, math.nan])
+def test_weakness_parameter_rejected_everywhere(name, t):
+    with pytest.raises(ValueError, match="weakness parameter"):
+        _t_checked_calls()[name](t)
