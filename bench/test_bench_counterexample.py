@@ -1,8 +1,11 @@
 """Microbenchmarks of one divergence-class evaluation on the depth-6,
 t = 0.05 default-grid row with the most classes.  That is m = 111,116 with
 100,001 classes, the first of the two rows of that size (m = 611,116 is the
-other).  The sweep's row evaluates the class walk in count-matrix blocks;
-the class list and ``selection_norm`` over it are its per-class oracles.
+other).  The sweep's row no longer walks those classes: almost all of them
+lie in one window of block 5 and block 6, which the sweep solves in closed
+form.  The class list and ``selection_norm`` over it are its per-class
+oracles.  ``test_sweep_depth8`` times the whole depth-8, t = 0.05 sweep,
+whose largest row has 10,000,001 classes, with a cap above every row.
 
     PYTHONPATH=src python -m pytest bench/test_bench_counterexample.py
 
@@ -21,6 +24,11 @@ def test_sweep_row(benchmark):
     rep = benchmark(cx.divergence_experiment, EX.depth, T, True, m_grid=[M])
     row, = rep["rows"]
     assert row["exact"] and row["min_norm"] > 0.0 and not rep["violations"]
+
+
+def test_sweep_depth8(benchmark):
+    rep = benchmark(cx.divergence_experiment, 8, T, True, cap=10**8)
+    assert all(row["exact"] for row in rep["rows"]) and not rep["violations"]
 
 
 def test_enumerate_selection_classes(benchmark):

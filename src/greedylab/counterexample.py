@@ -11,7 +11,11 @@ sum is monotone, so summing norms of projections only need the run
 endpoints.  Greedy sets are therefore handled as equivalence classes
 (selected spikes, per-block selection counts): positions inside a block
 never change the norm, a fact the test suite checks by exhaustive
-enumeration at small depth.  The adversarial sweep evaluates the classes as
+enumeration at small depth.  The adversarial sweep reads the class walk
+window by window.  A window in the blocks that holds two classes, block k and
+block k + 1, is a one-parameter family whose norm is piecewise affine in the
+count taken from block k, so only the counts next to its breakpoints and
+ends are evaluated; the other windows are walked.  Both are evaluated as
 blocks of count vectors with numpy; ``selection_norm`` and
 ``enumerate_selection_classes`` stay as its per-class oracles.
 """
@@ -27,7 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .coeffspace import CoeffVector
-from .greedy import _check_t, greedy_class_counts
+from .greedy import _check_t, _class_windows, _compositions, greedy_class_counts
 
 __all__ = [
     "ExampleSequence",
@@ -209,23 +213,24 @@ def _check_cardinality(ex: ExampleSequence, m: int) -> None:
         raise ValueError(f"cardinality must lie in [0, {ex.support_size}], got {m}")
 
 
-def _class_walk(ex: ExampleSequence, m: int, t: float, cap: int
-                ) -> tuple[Iterator[tuple[int, ...]], list[int], list[int]]:
-    """Checked arguments of a class sweep, and its walk: the count vectors of
-    every t-greedy class of cardinality m, over the modulus classes in
-    descending order, with the columns of spike k and of block k at index
-    k - 1 of the two lists."""
-    _check_t(t)
-    _check_cardinality(ex, m)
+def _check_cap(cap: int) -> None:
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+
+
+def _class_table(ex: ExampleSequence, m: int, t: float
+                 ) -> tuple[list[int], list[float], list[int], list[int]]:
+    """Checked arguments of a class sweep, and the modulus classes it walks:
+    their sizes and moduli in descending order, with the columns of spike k
+    and of block k at index k - 1 of the last two lists."""
+    _check_t(t)
+    _check_cardinality(ex, m)
     classes = _value_classes(ex)
     pos_of = {(kind, k): pos for pos, (_, _, kind, k) in enumerate(classes)}
     spike_at = [pos_of["spike", k] for k in range(1, ex.depth + 1)]
     block_at = [pos_of["block", k] for k in range(1, ex.depth + 1)]
-    walk = greedy_class_counts([mult for _, mult, _, _ in classes],
-                               [mod for mod, _, _, _ in classes], m, t)
-    return walk, spike_at, block_at
+    return ([mult for _, mult, _, _ in classes], [mod for mod, _, _, _ in classes],
+            spike_at, block_at)
 
 
 def _selection_of(counts: Sequence[int], spike_at: list[int],
@@ -240,8 +245,9 @@ def _selection_of(counts: Sequence[int], spike_at: list[int],
 def canonical_selection(ex: ExampleSequence, m: int) -> SpikeBlockSelection:
     """The class filling modulus classes in descending order: the one 1-greedy
     class of cardinality m, hence t-greedy for every t in (0, 1]."""
-    walk, spike_at, block_at = _class_walk(ex, m, 1.0, 1)
-    return _selection_of(next(walk), spike_at, block_at)
+    sizes, moduli, spike_at, block_at = _class_table(ex, m, 1.0)
+    return _selection_of(next(greedy_class_counts(sizes, moduli, m, 1.0)),
+                         spike_at, block_at)
 
 
 def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
@@ -255,7 +261,9 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
     ``greedy.greedy_class_counts`` walks them.  The divergence sweep evaluates
     the same walk in count-matrix blocks instead; this list is its oracle.
     """
-    walk, spike_at, block_at = _class_walk(ex, m, t, cap)
+    sizes, moduli, spike_at, block_at = _class_table(ex, m, t)
+    _check_cap(cap)
+    walk = greedy_class_counts(sizes, moduli, m, t)
     out = [_selection_of(counts, spike_at, block_at)
            for counts in itertools.islice(walk, cap + 1)]
     if len(out) > cap:
@@ -263,18 +271,58 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
     return out, True
 
 
+def _two_block_candidates(head: tuple[int, ...], rest: int, tail: tuple[int, ...],
+                          lo: int, hi: int, runs: list[int], steps: np.ndarray
+                          ) -> list[int]:
+    """Counts c in [lo, hi], ascending, among which the window taking c from
+    block k and rest - c from block k + 1 has its first minimiser in walk
+    order, under the sweep's own float evaluation.
+
+    Every run-endpoint prefix is affine in c: constant before block k, slope
+    b_k up to spike k + 1 and b_k - b_{k+1} after it.  In exact arithmetic the
+    norm is the largest of the pieces +prefix and -prefix, so between two
+    crossings of pieces it follows one piece: strictly monotone, or constant.
+    Non-zero slopes are at least |b_k - b_{k+1}|, about 3.4e-8 per unit of c at
+    depth <= 8, and two pieces of different slope part by at least |b_{k+1}|,
+    about 3.5e-9, per unit of distance from their crossing.  Rounding moves a
+    prefix by a few ulps of values below 5, under 1e-13, so it can reorder
+    pieces or neighbouring integers only within 1 of a crossing, and a
+    constant piece is the same float at every c.  Hence an integer more than
+    2 from every crossing, other than lo and hi, has a neighbour with a lower
+    norm or the same norm one step earlier, and is never the first
+    minimiser: the candidates are lo, hi and the integers floor(x) - 2 ..
+    floor(x) + 3 around every crossing x, clipped to [lo, hi].
+    """
+    at_zero = np.cumsum(np.array([*head, 0, rest, *tail])[runs] * steps)
+    slope = np.cumsum(np.array([*(0,) * len(head), 1, -1, *tail])[runs] * steps)
+    a = np.concatenate([at_zero, -at_zero])
+    s = np.concatenate([slope, -slope])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = (a[None, :] - a[:, None]) / (s[:, None] - s[None, :])
+    # pieces of equal slope never cross
+    near = np.floor(crossings[np.isfinite(crossings)])[:, None] + np.arange(-2, 4)
+    near = near[(near >= lo) & (near <= hi)]
+    return np.unique(np.concatenate([near, [lo, hi]])).astype(np.int64).tolist()
+
+
 def _adversarial_minimum(ex: ExampleSequence, m: int, t: float, cap: int
                          ) -> tuple[SpikeBlockSelection, float, bool, list[dict]]:
     """(first minimiser, its norm, exact, floor violations) over the first
     ``cap`` t-greedy classes of cardinality m, in walk order.
 
-    The walk is read SWEEP_CHUNK count vectors at a time.  With the columns
-    in run-endpoint order (spike 1, block 1, spike 2, ...) and scaled by the
-    step values, a row's cumsum is ``selection_norm``'s running sum to the
-    bit: both add left to right, an unselected run adds a zero, and count
+    The walk is read window by window (``greedy._class_windows``).  A window
+    wholly in the blocks that holds two classes, block k and block k + 1, is
+    solved in closed form: its classes take c from block k for c from lo to
+    hi, and only ``_two_block_candidates`` of them are evaluated, though all
+    count against ``cap``.  Every spike sits in such a window's head, so phi
+    is depth + 1 there and no floor can be broken.  Every other window is
+    walked.  The count vectors are evaluated SWEEP_CHUNK at a time.  With the
+    columns in run-endpoint order (spike 1, block 1, spike 2, ...) and scaled
+    by the step values, a row's cumsum is ``selection_norm``'s running sum to
+    the bit: both add left to right, an unselected run adds a zero, and count
     times value is exact at these counts.
     """
-    walk, spike_at, block_at = _class_walk(ex, m, t, cap)
+    sizes, moduli, spike_at, block_at = _class_table(ex, m, t)
     runs = [pos for pair in zip(spike_at, block_at) for pos in pair]
     steps = np.array([v for k in range(1, ex.depth + 1)
                       for v in (spike_value(k), block_value(k))])
@@ -282,13 +330,42 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float, cap: int
     floors = np.array([-math.inf,
                        *(phi_lower_bound(phi, t) for phi in range(1, ex.depth + 1)),
                        -math.inf])
+    left = cap
+    exact = True
+
+    def rows() -> Iterator[tuple[int, ...]]:
+        # the count vectors to evaluate, in walk order, until cap is used up
+        nonlocal left, exact
+        for i_max, end, rest, caps in _class_windows(sizes, moduli, m, t):
+            if rest > sum(caps):
+                continue  # the window holds no class
+            if not left:
+                exact = False
+                return
+            head, tail = tuple(sizes[:i_max]), (0,) * (len(sizes) - end)
+            # spikes 1/sqrt(k) >= 1/sqrt(8) all come before block 1's 0.1
+            if i_max >= ex.depth and end == i_max + 2:
+                lo, hi = max(0, rest - caps[1]), min(caps[0], rest)
+                exact = hi - lo < left  # else cap ends inside the window
+                hi = min(hi, lo + left - 1)
+                left -= hi - lo + 1
+                for c in _two_block_candidates(head, rest, tail, lo, hi, runs, steps):
+                    yield head + (c, rest - c) + tail
+            else:
+                for window in _compositions(rest, caps):
+                    if not left:
+                        exact = False
+                        return
+                    left -= 1
+                    yield head + window + tail
+
+    stream = rows()
     best_norm = math.inf
     best_counts: list[int] = []
     violations: list[dict] = []
-    left = cap
-    while left:
+    while True:
         counts = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(walk, min(SWEEP_CHUNK, left))),
+            itertools.chain.from_iterable(itertools.islice(stream, SWEEP_CHUNK)),
             dtype=np.int64).reshape(-1, len(runs))
         if not len(counts):
             break
@@ -302,9 +379,6 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float, cap: int
         i = int(np.argmin(norms))  # first minimiser in the block; strict < across
         if norms[i] < best_norm:
             best_norm, best_counts = float(norms[i]), counts[i].tolist()
-        left -= len(counts)
-    # the walk ran dry before cap, or has nothing past the first cap classes
-    exact = left > 0 or next(walk, None) is None
     return _selection_of(best_counts, spike_at, block_at), best_norm, exact, violations
 
 
@@ -359,6 +433,7 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
     from .reporting import parallel_map
 
     _check_t(t)
+    _check_cap(cap)
     ex = build_example(depth)
     grid = tuple(m_grid) if m_grid is not None else default_m_grid(ex)
 

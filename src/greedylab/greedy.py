@@ -160,8 +160,8 @@ def _compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
             left -= c[j]
         yield tuple(c)
         # raise the rightmost position that can take one from those after it
-        left = c[-1]
-        for i in range(k - 2, -1, -1):
+        left = 0
+        for i in range(k - 1, -1, -1):
             if left and c[i] < caps[i]:
                 c[i] += 1
                 left -= 1
@@ -170,6 +170,27 @@ def _compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
             left += c[i]
         else:
             return
+
+
+def _class_windows(sizes: Sequence[int], moduli: Sequence[float], m: int,
+                   t: float) -> Iterator[tuple[int, int, int, list[int]]]:
+    """The windows of ``greedy_class_counts``' walk, in walk order, as
+    (i_max, end, remainder, caps): classes before i_max are taken whole, and
+    the remainder of m is spread over classes i_max..end - 1 with at most
+    ``caps`` from each.  The take-everything vector, when it sums to m, comes
+    last as the window (n, n, 0, [])."""
+    n = len(sizes)
+    fixed = 0
+    for i_max in range(n):
+        if fixed > m:
+            return
+        end = i_max + 1
+        while end < n and moduli[end] >= t * moduli[i_max]:
+            end += 1
+        yield i_max, end, m - fixed, [sizes[i_max] - 1, *sizes[i_max + 1:end]]
+        fixed += sizes[i_max]
+    if fixed == m:
+        yield n, n, 0, []
 
 
 def greedy_class_counts(sizes: Sequence[int], moduli: Sequence[float], m: int,
@@ -185,22 +206,11 @@ def greedy_class_counts(sizes: Sequence[int], moduli: Sequence[float], m: int,
     i_max ascending, then window counts in lexicographic order; the vector
     taking every class, when it sums to m, comes last.
     """
-    n = len(sizes)
-    fixed = 0
-    for i_max in range(n):
-        if fixed > m:
-            return
-        end = i_max + 1
-        while end < n and moduli[end] >= t * moduli[i_max]:
-            end += 1
+    for i_max, end, rest, caps in _class_windows(sizes, moduli, m, t):
         head = tuple(sizes[:i_max])
-        tail = (0,) * (n - end)
-        caps = [sizes[i_max] - 1, *sizes[i_max + 1:end]]
-        for window in _compositions(m - fixed, caps):
+        tail = (0,) * (len(sizes) - end)
+        for window in _compositions(rest, caps):
             yield head + window + tail
-        fixed += sizes[i_max]
-    if fixed == m:
-        yield tuple(sizes)
 
 
 class EnumerationResult(NamedTuple):

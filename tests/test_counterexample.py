@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import greedylab as gl
 from greedylab import counterexample as cx
+from greedylab import greedy
 
 
 def sqrt_partial_sum(n: int) -> float:
@@ -167,6 +168,14 @@ class TestGreedyClasses:
             cx.enumerate_selection_classes(ex, 3, 1.0, cap=cap)
         with pytest.raises(ValueError, match="cap"):
             cx.divergence_experiment(2, 1.0, True, cap=cap)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_sweep_checks_cap_before_any_row(self, cap):
+        # the canonical sweep reads no cap, and an empty grid reaches no row
+        for call in (lambda: cx.divergence_experiment(2, 1.0, False, cap=cap),
+                     lambda: cx.divergence_experiment(2, 1.0, True, m_grid=[], cap=cap)):
+            with pytest.raises(ValueError, match="cap must be at least 1"):
+                call()
 
     @pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
     def test_non_integral_cardinality_is_rejected(self, m):
@@ -397,3 +406,105 @@ class TestBatchedSweepMatchesReference:
             ex, classes[0])
         row, = assert_sweep_matches_reference(depth, t, grid)["rows"]
         assert row["exact"] and row["greedy_set_family"] == classes[0].family_label()
+
+
+def window_spans(ex, m, t):
+    """(i_max, end, first walk position, class count) of every window of the
+    row's walk, counted by walking it."""
+    sizes, moduli, _, _ = cx._class_table(ex, m, t)
+    spans, start = [], 0
+    for i_max, end, rest, caps in greedy._class_windows(sizes, moduli, m, t):
+        count = sum(1 for _ in greedy._compositions(rest, caps))
+        spans.append((i_max, end, start, count))
+        start += count
+    return spans
+
+
+def is_two_block(ex, i_max, end):
+    return i_max >= ex.depth and end == i_max + 2
+
+
+class TestTwoBlockWindowsMatchReference:
+    """A window in the blocks that holds block k and block k + 1 is solved in
+    closed form, not walked; every field must still equal the per-class
+    loop's, and ``cap`` must keep counting every class of such a window."""
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05])
+    def test_depth_six_default_grid(self, t):
+        assert_sweep_matches_reference(6, t)
+
+    # block k's window holds block k alone above t = 0.1 * sqrt(k / (k + 1)),
+    # and blocks k and k + 1 down to 0.01 * sqrt(k / (k + 2)): the shapes
+    # switch inside this range, at a different t for every k
+    @given(st.integers(1, 5), st.floats(0.0087, 0.0935), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_t_where_block_windows_change_shape(self, depth, t, data):
+        ex = cx.build_example(depth)
+        grid = data.draw(st.lists(st.integers(0, ex.support_size), min_size=1, max_size=3))
+        assert_sweep_matches_reference(depth, t, grid)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05, 0.01])
+    def test_caps_around_the_class_count(self, depth, t):
+        ex = cx.build_example(depth)
+        for m in cx.default_m_grid(ex):
+            n = sum(count for *_, count in window_spans(ex, m, t))
+            for cap in (n - 1, n, n + 1):
+                if cap >= 1:
+                    row, = assert_sweep_matches_reference(depth, t, [m], cap)["rows"]
+                    assert row["exact"] == (cap >= n)
+
+    @pytest.mark.parametrize("depth, t", [(4, 0.05), (5, 0.05), (5, 0.02)])
+    def test_caps_ending_inside_a_two_block_window(self, depth, t):
+        ex = cx.build_example(depth)
+        moved = 0
+        for m in cx.default_m_grid(ex):
+            full, = assert_sweep_matches_reference(depth, t, [m])["rows"]
+            for i_max, end, start, count in window_spans(ex, m, t):
+                if not is_two_block(ex, i_max, end) or count < 3:
+                    continue
+                for cap in (start + 1, start + count // 2, start + count - 1):
+                    row, = assert_sweep_matches_reference(depth, t, [m], cap)["rows"]
+                    assert not row["exact"]
+                    moved += row["min_norm"] != full["min_norm"]
+        # some truncation cuts off a window's own minimiser
+        assert moved
+
+    @pytest.mark.parametrize("depth", [7, 8])
+    @pytest.mark.parametrize("t", [0.05, 0.01])
+    def test_candidates_hold_every_first_minimiser(self, depth, t):
+        # beyond the per-class loop's reach: every count of each two-block
+        # window of up to 10^6 classes, evaluated with the sweep's expression
+        ex = cx.build_example(depth)
+        steps = np.array([v for k in range(1, depth + 1)
+                          for v in (cx.spike_value(k), cx.block_value(k))])
+        checked = 0
+        for m in cx.default_m_grid(ex):
+            sizes, moduli, spike_at, block_at = cx._class_table(ex, m, t)
+            runs = [pos for pair in zip(spike_at, block_at) for pos in pair]
+            for i_max, end, rest, caps in greedy._class_windows(sizes, moduli, m, t):
+                if not is_two_block(ex, i_max, end):
+                    continue
+                lo, hi = max(0, rest - caps[1]), min(caps[0], rest)
+                if not lo <= hi < lo + 10**6:
+                    continue
+                norms = []
+                for c in np.array_split(np.arange(lo, hi + 1), (hi - lo) // 10**5 + 1):
+                    counts = np.zeros((len(c), len(sizes)), dtype=np.int64)
+                    counts[:, :i_max] = sizes[:i_max]
+                    counts[:, i_max], counts[:, i_max + 1] = c, rest - c
+                    norms.append(np.abs(np.cumsum(counts[:, runs] * steps, axis=1)).max(axis=1))
+                first = lo + int(np.argmin(np.concatenate(norms)))
+                head, tail = tuple(sizes[:i_max]), (0,) * (len(sizes) - end)
+                assert first in cx._two_block_candidates(head, rest, tail, lo, hi, runs, steps)
+                checked += 1
+        assert checked
+
+    def test_three_block_windows_are_walked(self):
+        # at t = 0.007 block 2 over block 4 is 0.01 * sqrt(2 / 4) > t, so
+        # depth 4 has a block window of three classes
+        ex = cx.build_example(4)
+        assert any(i_max >= ex.depth and end - i_max == 3 and count > 1
+                   for m in cx.default_m_grid(ex)
+                   for i_max, end, _, count in window_spans(ex, m, 0.007))
+        assert_sweep_matches_reference(4, 0.007)
