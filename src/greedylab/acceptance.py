@@ -190,7 +190,7 @@ def criterion_5_transfer(profile: Profile) -> CriterionResult:
     dims = (2, 3) if profile.quick else (2, 3, 4)
 
     def check(details: dict) -> bool:
-        rep = transfer_table("summing", dims, step=0.05, seed=profile.seed)
+        rep = transfer_table("summing", dims, step=0.05)
         applicable = sum(1 for row in rep["rows"] if row[6])
         ok = rep["violations"] == 0 and applicable > 0
         # contractive catalogue entries: constants are exactly 1 at every

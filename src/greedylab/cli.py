@@ -116,7 +116,7 @@ def run_experiment_set(name: str, params: dict, out: Path, seed: int) -> int:
                               seed)
     elif name == "transfer":
         rep = transfer_table(params["space"], _parse_dims(params["dims"]),
-                             float(params["step"]), seed)
+                             float(params["step"]))
     elif name == "bounded-gaps":
         rep = bounded_gap_trials(int(params["trials"]), seed,
                                  (int(params["dim_lo"]), int(params["dim_hi"])))

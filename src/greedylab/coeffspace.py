@@ -497,8 +497,10 @@ class GapSequence:
                 if b > self.bound_l * a:
                     raise ValueError(
                         f"stored terms violate {self.bound_l}-bounded gaps: {a} -> {b}")
-        if not vals and self.rule is None:
-            raise ValueError("gap sequence needs an explicit prefix or a rule")
+        if bool(vals) == (self.rule is not None):
+            raise ValueError("gap sequence needs an explicit prefix or a rule, not both")
+        if self.rule is not None and int(self.rule(1)) < 1:
+            raise ValueError("gap sequence terms must be positive")
 
     @classmethod
     def explicit(cls, values: Iterable[int], bound_l: Optional[int] = None) -> "GapSequence":
@@ -516,17 +518,15 @@ class GapSequence:
         return cls((), lambda k, b=base, f=first: f * b ** (k - 1), base)
 
     def members_up_to(self, n: int) -> tuple[int, ...]:
-        out = [v for v in self.values if v <= n]
-        if self.rule is not None:
-            # rule terms at or below the explicit prefix are skipped
-            prev, k, v = (out[-1] if out else 0), 1, int(self.rule(1))
-            while v <= n:
-                if v > prev:
-                    out.append(v)
-                k, last, v = k + 1, v, int(self.rule(k + 1))
-                if v <= last:
-                    raise ValueError(f"gap rule must increase: rule({k}) = {v} "
-                                     f"after rule({k - 1}) = {last}")
+        if self.rule is None:
+            return tuple(v for v in self.values if v <= n)
+        out, k, v = [], 1, int(self.rule(1))
+        while v <= n:
+            out.append(v)
+            k, last, v = k + 1, v, int(self.rule(k + 1))
+            if v <= last:
+                raise ValueError(f"gap rule must increase: rule({k}) = {v} "
+                                 f"after rule({k - 1}) = {last}")
         return tuple(out)
 
     def first(self) -> int:

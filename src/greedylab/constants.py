@@ -101,10 +101,13 @@ def _greedy_sets_for(x: CoeffVector, m: int, t: float, cap: int) -> list[frozens
 # ---------------------------------------------------------------------------
 
 
+# t-greedy sets enumerated per (sample, cardinality) by the sampling estimator
+_ENUMERATION_CAP = 128
+
+
 def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: float,
                                    dim: int, budget: int, kind: str = "C_q_t",
-                                   seed: int = 0, enumeration_cap: int = 128,
-                                   ) -> ConstantEstimate:
+                                   seed: int = 0) -> ConstantEstimate:
     """Max of |P_A(x)| / |x| (or the suppression ratio |x - P_A(x)| / |x|)
     over search samples x and all t-greedy sets A with |A| in the gap
     sequence, capped at dim.
@@ -142,7 +145,7 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
         x_json: Optional[str] = None  # x's tie-break encoding, built on its first tie
         for m in sizes:
             if m <= nnz:
-                candidates = _greedy_sets_for(x, m, t, enumeration_cap)
+                candidates = _greedy_sets_for(x, m, t, _ENUMERATION_CAP)
             else:
                 padded = _pad_to_cardinality(x, m, dim)
                 candidates = [padded] if padded is not None else []
@@ -203,6 +206,8 @@ def _certified_witness(x: CoeffVector, A: frozenset, t: float) -> CoeffVector:
 # cell LPs per block-diagonal solve: one solve per constant up to dimension 4,
 # bounded memory beyond
 _LP_BATCH = 4096
+# cell LPs an exact search may need; a larger search is refused before any solve
+_LP_CAP = 2_000_000
 
 
 def linprog(*args, **kwargs):
@@ -283,8 +288,7 @@ def _solve_block_diagonal(lps: list, dim: int, bound: float) -> np.ndarray:
 
 
 def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float,
-                              dim: int, kind: str = "C_q_t",
-                              lp_cap: int = 2_000_000) -> ConstantEstimate:
+                              dim: int, kind: str = "C_q_t") -> ConstantEstimate:
     """Exact truncated-space constant via per-cell linear programs.
 
     Requires a dual-functional oracle (norm(z) = max |f . z| over finitely
@@ -306,8 +310,8 @@ def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float
     F = np.asarray(space.dual_functionals(dim), dtype=np.float64)
     n_subsets = sum(math.comb(dim, s) for s in sizes)
     n_lp = n_subsets * (2 ** (dim - 1)) * (2 * F.shape[0])
-    if n_lp > lp_cap:
-        raise ValueError(f"cell search needs {n_lp} linear programs, over the cap {lp_cap}")
+    if n_lp > _LP_CAP:
+        raise ValueError(f"cell search needs {n_lp} linear programs, over the cap {_LP_CAP}")
 
     best = 0.0
     best_x: Optional[CoeffVector] = None

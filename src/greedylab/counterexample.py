@@ -15,9 +15,12 @@ enumeration at small depth.  The adversarial sweep reads the class walk
 window by window.  A window in the blocks that holds two classes, block k and
 block k + 1, is a one-parameter family whose norm is piecewise affine in the
 count taken from block k, so only the counts next to its breakpoints and
-ends are evaluated; the other windows are walked.  Both are evaluated as
-blocks of count vectors with numpy; ``selection_norm`` and
-``enumerate_selection_classes`` stay as its per-class oracles.
+ends are evaluated, however many classes it holds.  The other windows are
+walked, up to SWEEP_WALK_CAP classes per row; a row whose walked windows hold
+more is marked inexact, its minimum taken only over the classes before the
+budget ran out.  Both are evaluated as blocks of count vectors with numpy;
+``selection_norm`` and ``enumerate_selection_classes`` stay as its per-class
+oracles.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
 
 MAX_DEPTH = 8  # n_9 - 1 is about 1.1e8; deeper truncations have no desk-scale use
 SWEEP_CHUNK = 8192  # count vectors per numpy block in the adversarial sweep
+SWEEP_WALK_CAP = 200_000  # walked classes per sweep row before it is inexact
 
 
 def spike_value(k: int) -> float:
@@ -213,11 +217,6 @@ def _check_cardinality(ex: ExampleSequence, m: int) -> None:
         raise ValueError(f"cardinality must lie in [0, {ex.support_size}], got {m}")
 
 
-def _check_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-
-
 def _class_table(ex: ExampleSequence, m: int, t: float
                  ) -> tuple[list[int], list[float], list[int], list[int]]:
     """Checked arguments of a class sweep, and the modulus classes it walks:
@@ -262,7 +261,8 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
     the same walk in count-matrix blocks instead; this list is its oracle.
     """
     sizes, moduli, spike_at, block_at = _class_table(ex, m, t)
-    _check_cap(cap)
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     walk = greedy_class_counts(sizes, moduli, m, t)
     out = [_selection_of(counts, spike_at, block_at)
            for counts in itertools.islice(walk, cap + 1)]
@@ -305,22 +305,24 @@ def _two_block_candidates(head: tuple[int, ...], rest: int, tail: tuple[int, ...
     return np.unique(np.concatenate([near, [lo, hi]])).astype(np.int64).tolist()
 
 
-def _adversarial_minimum(ex: ExampleSequence, m: int, t: float, cap: int
+def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
                          ) -> tuple[SpikeBlockSelection, float, bool, list[dict]]:
-    """(first minimiser, its norm, exact, floor violations) over the first
-    ``cap`` t-greedy classes of cardinality m, in walk order.
+    """(first minimiser, its norm, exact, floor violations) over the t-greedy
+    classes of cardinality m, in walk order.
 
     The walk is read window by window (``greedy._class_windows``).  A window
     wholly in the blocks that holds two classes, block k and block k + 1, is
     solved in closed form: its classes take c from block k for c from lo to
-    hi, and only ``_two_block_candidates`` of them are evaluated, though all
-    count against ``cap``.  Every spike sits in such a window's head, so phi
-    is depth + 1 there and no floor can be broken.  Every other window is
-    walked.  The count vectors are evaluated SWEEP_CHUNK at a time.  With the
-    columns in run-endpoint order (spike 1, block 1, spike 2, ...) and scaled
-    by the step values, a row's cumsum is ``selection_norm``'s running sum to
-    the bit: both add left to right, an unselected run adds a zero, and count
-    times value is exact at these counts.
+    hi, and only ``_two_block_candidates`` of them are evaluated.  Every
+    spike sits in such a window's head, so phi is depth + 1 there and no
+    floor can be broken.  Every other window is walked, and only walked
+    classes count against SWEEP_WALK_CAP: the sweep stops at the first walked
+    class past it, with exact False and the minimum and violations of the
+    classes before it.  The count vectors are evaluated SWEEP_CHUNK at a
+    time.  With the columns in run-endpoint order (spike 1, block 1, spike 2,
+    ...) and scaled by the step values, a row's cumsum is ``selection_norm``'s
+    running sum to the bit: both add left to right, an unselected run adds a
+    zero, and count times value is exact at these counts.
     """
     sizes, moduli, spike_at, block_at = _class_table(ex, m, t)
     runs = [pos for pair in zip(spike_at, block_at) for pos in pair]
@@ -330,25 +332,20 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float, cap: int
     floors = np.array([-math.inf,
                        *(phi_lower_bound(phi, t) for phi in range(1, ex.depth + 1)),
                        -math.inf])
-    left = cap
+    left = SWEEP_WALK_CAP
     exact = True
 
     def rows() -> Iterator[tuple[int, ...]]:
-        # the count vectors to evaluate, in walk order, until cap is used up
+        # the count vectors to evaluate, in walk order, until the walked
+        # windows use up SWEEP_WALK_CAP
         nonlocal left, exact
         for i_max, end, rest, caps in _class_windows(sizes, moduli, m, t):
             if rest > sum(caps):
                 continue  # the window holds no class
-            if not left:
-                exact = False
-                return
             head, tail = tuple(sizes[:i_max]), (0,) * (len(sizes) - end)
             # spikes 1/sqrt(k) >= 1/sqrt(8) all come before block 1's 0.1
             if i_max >= ex.depth and end == i_max + 2:
                 lo, hi = max(0, rest - caps[1]), min(caps[0], rest)
-                exact = hi - lo < left  # else cap ends inside the window
-                hi = min(hi, lo + left - 1)
-                left -= hi - lo + 1
                 for c in _two_block_candidates(head, rest, tail, lo, hi, runs, steps):
                     yield head + (c, rest - c) + tail
             else:
@@ -420,12 +417,12 @@ def default_m_grid(ex: ExampleSequence) -> tuple[int, ...]:
 
 
 def divergence_experiment(depth: int, t: float, adversary: bool = True,
-                          m_grid: Optional[Iterable[int]] = None,
-                          cap: int = 200_000) -> dict:
+                          m_grid: Optional[Iterable[int]] = None) -> dict:
     """Sweep greedy-sum norms over a cardinality grid.
 
-    With ``adversary`` the minimum over enumerated t-greedy classes is taken
-    (exact whenever the class walk completes); otherwise the canonical class.
+    With ``adversary`` the minimum over the t-greedy classes is taken (exact
+    unless the walked windows of a row hold more than SWEEP_WALK_CAP
+    classes); otherwise the canonical class.
     Each row records the first omitted spike phi and the analytic floor for
     it, and any row where a spike inside the truncation is omitted is checked
     against that floor.
@@ -433,13 +430,12 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
     from .reporting import parallel_map
 
     _check_t(t)
-    _check_cap(cap)
     ex = build_example(depth)
     grid = tuple(m_grid) if m_grid is not None else default_m_grid(ex)
 
     def sweep_row(m: int) -> tuple[dict, list[dict]]:
         if adversary:
-            sel, norm, exact, row_violations = _adversarial_minimum(ex, m, t, cap)
+            sel, norm, exact, row_violations = _adversarial_minimum(ex, m, t)
         else:
             sel = canonical_selection(ex, m)
             norm = selection_norm(ex, sel)

@@ -78,7 +78,7 @@ def constants_table(space_key: str, kind: str, t: float, dims: Sequence[int],
 
 
 def transfer_table(space_key: str = "summing", dims: Sequence[int] = (2, 3),
-                   step: float = 0.05, seed: int = 0) -> dict:
+                   step: float = 0.05) -> dict:
     """Exact constants on a weakness grid, then every applicable (s, t) pair
     checked against the transfer bound.  Requires a polyhedral space."""
     gap = GapSequence.naturals()

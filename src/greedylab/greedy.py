@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 # a tie policy is "lowest", "highest", or a callback choosing `slots` indices
-# out of a tied group (adversarial search hooks in here)
+# out of a tied group (``random_greedy_set`` passes a random choice)
 TiePolicy = Union[str, Callable[[tuple[int, ...], int], Iterable[int]]]
 
 
@@ -43,18 +43,11 @@ def _check_t(t: float) -> float:
 
 @dataclass(frozen=True)
 class GreedySelection:
-    """An index set A together with the weakness parameter certifying it.
-
-    ``tie_trace`` lists the groups of indices whose coefficient moduli tied
-    during selection; ``short`` flags requests beyond the support, where the
-    selection degenerates to the whole support.
-    """
+    """An index set A together with the weakness parameter certifying it."""
 
     indices: frozenset
     t: float
     cardinality: int
-    tie_trace: tuple[tuple[int, ...], ...] = ()
-    short: bool = False
 
     def revalidate(self, x: CoeffVector) -> bool:
         return is_t_greedy(x, self.indices, self.t)
@@ -104,7 +97,7 @@ def one_greedy_set(x: CoeffVector, m: int, t: float,
 
     For t = 1 this is the m largest-modulus coefficients, ties broken by the
     policy; the same set is t-greedy for every smaller t.  Requests beyond
-    the support return the whole support, flagged short.
+    the support return the whole support.
     """
     t = _check_t(t)
     if m < 0:
@@ -112,15 +105,11 @@ def one_greedy_set(x: CoeffVector, m: int, t: float,
     classes = _modulus_classes(x)
     total = len(x)
     if m >= total:
-        trace = tuple(idxs for _, idxs in classes if len(idxs) > 1)
-        return GreedySelection(frozenset(x.support()), t, total, trace, short=m > total)
+        return GreedySelection(frozenset(x.support()), t, total)
 
     chosen: list[int] = []
-    trace: list[tuple[int, ...]] = []
     remaining = m
     for _, idxs in classes:
-        if len(idxs) > 1:
-            trace.append(idxs)
         if remaining <= 0:
             break
         if len(idxs) <= remaining:
@@ -139,7 +128,7 @@ def one_greedy_set(x: CoeffVector, m: int, t: float,
                 raise ValueError(f"unknown tie policy {policy!r}")
             chosen.extend(part)
             remaining = 0
-    return GreedySelection(frozenset(chosen), t, m, tuple(trace))
+    return GreedySelection(frozenset(chosen), t, m)
 
 
 def _compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
@@ -254,9 +243,7 @@ def enumerate_t_greedy_sets(x: CoeffVector, m: int, t: float,
 
     index_sets.sort()
     overflow = truncated or len(index_sets) > cap
-    trace = tuple(idxs for idxs in groups if len(idxs) > 1)
-    selections = tuple(
-        GreedySelection(frozenset(s), t, m, trace) for s in index_sets[:cap])
+    selections = tuple(GreedySelection(frozenset(s), t, m) for s in index_sets[:cap])
     return EnumerationResult(selections, overflow)
 
 

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import struct
-import time
 
 import numpy as np
 import pytest
@@ -397,15 +396,16 @@ class TestGapSequence:
         with pytest.raises(ValueError, match="must increase"):
             GapSequence(rule=counted).members_up_to(100)
 
-    def test_rule_terms_below_the_prefix_are_skipped(self):
-        assert GapSequence((1, 2), rule=lambda k: k + 2).members_up_to(6) == (1, 2, 3, 4, 5, 6)
-        assert GapSequence((1, 2, 3), rule=lambda k: k).members_up_to(5) == (1, 2, 3, 4, 5)
-        assert GapSequence((1, 4), rule=lambda k: 2 * k).members_up_to(9) == (1, 4, 6, 8)
+    def test_prefix_or_rule_not_both(self):
+        # a prefix that disagrees with its rule has no single meaning
+        for prefix, rule in (((1, 5), lambda k: k), ((1, 2), lambda k: k + 2)):
+            with pytest.raises(ValueError, match="not both"):
+                GapSequence(prefix, rule=rule)
+        with pytest.raises(ValueError, match="not both"):
+            GapSequence()
+        assert GapSequence(rule=lambda k: 3 * k).first() == 3
 
-    def test_first_with_prefix_and_rule_is_immediate(self):
-        # with a prefix, first() must not walk the members of the rule
-        gap = GapSequence((1, 2), rule=lambda k: k + 2)
-        start = time.perf_counter()
-        assert gap.first() == 1
-        assert GapSequence((), rule=lambda k: 3 * k).first() == 3
-        assert time.perf_counter() - start < 1.0
+    @pytest.mark.parametrize("rule", [lambda k: k - 1, lambda k: 2 * k - 5])
+    def test_rule_terms_must_be_positive(self, rule):
+        with pytest.raises(ValueError, match="positive"):
+            GapSequence(rule=rule)

@@ -187,10 +187,11 @@ class TestExactCellSearch:
         with pytest.raises(ValueError, match="dual-functional"):
             gl.exact_constant_polyhedral(gl.lp_space(2.0, 3), NAT, 1.0, 3)
 
-    def test_lp_budget_guard(self):
-        with pytest.raises(ValueError, match="cap"):
-            gl.exact_constant_polyhedral(gl.summing_space(8), NAT, 1.0, 8,
-                                         lp_cap=10)
+    def test_lp_budget_guard(self, monkeypatch):
+        # dimension 9 needs 2,354,688 cell LPs; none may be solved
+        monkeypatch.setattr(constants_module, "linprog", None)
+        with pytest.raises(ValueError, match="2354688 linear programs, over the cap"):
+            gl.exact_constant_polyhedral(gl.summing_space(9), NAT, 1.0, 9)
 
     def test_solver_failure_raises(self, monkeypatch):
         failed = SimpleNamespace(success=False, status=4, x=None,

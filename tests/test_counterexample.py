@@ -18,13 +18,18 @@ def sqrt_partial_sum(n: int) -> float:
     return math.fsum(1.0 / math.sqrt(k) for k in range(1, n + 1))
 
 
-def reference_sweep(depth: int, t: float, m_grid=None, cap: int = 200_000) -> dict:
+def reference_sweep(depth: int, t: float, m_grid=None) -> dict:
     """The adversarial sweep as a per-class loop over the class list: the
-    oracle for ``divergence_experiment``'s count-matrix blocks."""
+    oracle for ``divergence_experiment``'s count-matrix blocks.
+
+    The list is cut at SWEEP_WALK_CAP classes.  No row at depth <= 6 reaches
+    the default, so there this is the uncapped sweep.  The sweep counts only
+    walked classes, so a smaller budget cuts both at the same class only on
+    rows with no two-block window, as at t in {1, 0.5, 0.1}."""
     ex = cx.build_example(depth)
     rows, violations = [], []
     for m in (m_grid if m_grid is not None else cx.default_m_grid(ex)):
-        classes, exact = cx.enumerate_selection_classes(ex, m, t, cap)
+        classes, exact = cx.enumerate_selection_classes(ex, m, t, cx.SWEEP_WALK_CAP)
         norm = sel = None
         for cand in classes:
             val = cx.selection_norm(ex, cand)
@@ -44,12 +49,15 @@ def reference_sweep(depth: int, t: float, m_grid=None, cap: int = 200_000) -> di
             "violations": violations}
 
 
-def assert_sweep_matches_reference(depth, t, m_grid=None, cap=200_000):
-    got = cx.divergence_experiment(depth, t, True, m_grid=m_grid, cap=cap)
-    want = reference_sweep(depth, t, m_grid, cap)
+def assert_sweep_equals(got, want):
     assert got == want
     # the same bytes in a report: no numpy scalar stands in for a float or int
     assert json.dumps(got) == json.dumps(want)
+
+
+def assert_sweep_matches_reference(depth, t, m_grid=None):
+    got = cx.divergence_experiment(depth, t, True, m_grid=m_grid)
+    assert_sweep_equals(got, reference_sweep(depth, t, m_grid))
     return got
 
 
@@ -164,18 +172,8 @@ class TestGreedyClasses:
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_is_rejected(self, cap):
         ex = cx.build_example(3)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
             cx.enumerate_selection_classes(ex, 3, 1.0, cap=cap)
-        with pytest.raises(ValueError, match="cap"):
-            cx.divergence_experiment(2, 1.0, True, cap=cap)
-
-    @pytest.mark.parametrize("cap", [0, -5])
-    def test_sweep_checks_cap_before_any_row(self, cap):
-        # the canonical sweep reads no cap, and an empty grid reaches no row
-        for call in (lambda: cx.divergence_experiment(2, 1.0, False, cap=cap),
-                     lambda: cx.divergence_experiment(2, 1.0, True, m_grid=[], cap=cap)):
-            with pytest.raises(ValueError, match="cap must be at least 1"):
-                call()
 
     @pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
     def test_non_integral_cardinality_is_rejected(self, m):
@@ -383,18 +381,26 @@ class TestBatchedSweepMatchesReference:
         monkeypatch.setattr(cx, "phi_lower_bound", lambda phi, t: floor(phi, t) + 1.2)
         for depth, t in ((3, 0.05), (4, 0.05)):
             assert_sweep_matches_reference(depth, t)
-            for cap in (chunk - 1, chunk, chunk + 1, 3 * chunk):
-                if cap >= 1:
-                    assert_sweep_matches_reference(depth, t, cap=cap)
+        # every window is walked at t = 0.1, so the budget cuts the walk
+        # itself; the largest rows hold 16 and 64 classes
+        cut = False
+        for budget in (chunk - 1, chunk, chunk + 1, 3 * chunk):
+            if budget >= 1:
+                monkeypatch.setattr(cx, "SWEEP_WALK_CAP", budget)
+                for depth in (4, 6):
+                    rows = assert_sweep_matches_reference(depth, 0.1)["rows"]
+                    cut |= not all(row["exact"] for row in rows)
+        assert cut
 
     # depth 5, t = 0.05, m = 11,115: 10,001 classes, every one of norm 1.0
     BIG = (5, 0.05, [11_115])
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_caps_at_the_chunk_boundary(self, offset):
-        depth, t, grid = self.BIG
-        row, = assert_sweep_matches_reference(
-            depth, t, grid, cap=cx.SWEEP_CHUNK + offset)["rows"]
+    def test_caps_at_the_chunk_boundary(self, monkeypatch, offset):
+        # depth 6, t = 0.1, m = 6: 64 classes, all walked
+        monkeypatch.setattr(cx, "SWEEP_CHUNK", 32)
+        monkeypatch.setattr(cx, "SWEEP_WALK_CAP", 32 + offset)
+        row, = assert_sweep_matches_reference(6, 0.1, [6])["rows"]
         assert not row["exact"]
 
     def test_minimum_tied_across_chunks_keeps_the_first(self):
@@ -424,10 +430,15 @@ def is_two_block(ex, i_max, end):
     return i_max >= ex.depth and end == i_max + 2
 
 
+def walked_count(ex, spans):
+    """Classes the sweep walks: those outside the two-block windows."""
+    return sum(count for i_max, end, _, count in spans if not is_two_block(ex, i_max, end))
+
+
 class TestTwoBlockWindowsMatchReference:
     """A window in the blocks that holds block k and block k + 1 is solved in
     closed form, not walked; every field must still equal the per-class
-    loop's, and ``cap`` must keep counting every class of such a window."""
+    loop's, and none of its classes counts against SWEEP_WALK_CAP."""
 
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05])
     def test_depth_six_default_grid(self, t):
@@ -445,30 +456,52 @@ class TestTwoBlockWindowsMatchReference:
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05, 0.01])
-    def test_caps_around_the_class_count(self, depth, t):
+    def test_caps_around_the_class_count(self, monkeypatch, depth, t):
+        # a row is exact exactly when the budget covers its walked classes
         ex = cx.build_example(depth)
         for m in cx.default_m_grid(ex):
-            n = sum(count for *_, count in window_spans(ex, m, t))
-            for cap in (n - 1, n, n + 1):
-                if cap >= 1:
-                    row, = assert_sweep_matches_reference(depth, t, [m], cap)["rows"]
-                    assert row["exact"] == (cap >= n)
+            full = reference_sweep(depth, t, [m])
+            spans = window_spans(ex, m, t)
+            n = walked_count(ex, spans)
+            closed = any(is_two_block(ex, i_max, end) and count
+                         for i_max, end, _, count in spans)
+            for budget in (n - 1, n, n + 1):
+                if budget < 1:
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(cx, "SWEEP_WALK_CAP", budget)
+                    if not closed:
+                        got = assert_sweep_matches_reference(depth, t, [m])
+                    else:
+                        got = cx.divergence_experiment(depth, t, True, [m])
+                        if budget >= n:
+                            assert_sweep_equals(got, full)
+                assert got["rows"][0]["exact"] == (budget >= n)
 
     @pytest.mark.parametrize("depth, t", [(4, 0.05), (5, 0.05), (5, 0.02)])
-    def test_caps_ending_inside_a_two_block_window(self, depth, t):
+    def test_walk_budget_skips_two_block_windows(self, monkeypatch, depth, t):
+        # a budget of just the walked classes, none at all on some rows, keeps
+        # exact the rows whose two-block windows hold up to 10,000 classes
         ex = cx.build_example(depth)
-        moved = 0
+        checked = 0
         for m in cx.default_m_grid(ex):
-            full, = assert_sweep_matches_reference(depth, t, [m])["rows"]
-            for i_max, end, start, count in window_spans(ex, m, t):
-                if not is_two_block(ex, i_max, end) or count < 3:
-                    continue
-                for cap in (start + 1, start + count // 2, start + count - 1):
-                    row, = assert_sweep_matches_reference(depth, t, [m], cap)["rows"]
+            spans = window_spans(ex, m, t)
+            if not any(is_two_block(ex, i_max, end) and count >= 3
+                       for i_max, end, _, count in spans):
+                continue
+            full = reference_sweep(depth, t, [m])
+            n = walked_count(ex, spans)
+            with monkeypatch.context() as patch:
+                patch.setattr(cx, "SWEEP_WALK_CAP", n)
+                got = cx.divergence_experiment(depth, t, True, [m])
+                assert_sweep_equals(got, full)
+                assert got["rows"][0]["exact"]
+                if n:
+                    patch.setattr(cx, "SWEEP_WALK_CAP", n - 1)
+                    row, = cx.divergence_experiment(depth, t, True, [m])["rows"]
                     assert not row["exact"]
-                    moved += row["min_norm"] != full["min_norm"]
-        # some truncation cuts off a window's own minimiser
-        assert moved
+            checked += 1
+        assert checked
 
     @pytest.mark.parametrize("depth", [7, 8])
     @pytest.mark.parametrize("t", [0.05, 0.01])

@@ -62,10 +62,6 @@ class TestOneGreedySet:
         cb = lambda group, slots: group[-slots:]
         assert gl.one_greedy_set(x, 1, 1.0, cb).indices == {2}
 
-    def test_tie_trace_recorded(self):
-        sel = gl.one_greedy_set(CV.from_dense([1.0, 1.0, 0.5]), 1, 1.0)
-        assert (1, 2) in sel.tie_trace
-
     def test_near_moduli_stay_distinct(self):
         # ties are exact: moduli 1e-12 apart form two classes
         x = CV.from_dense([1.0, 1.0 + 1e-12])
@@ -79,7 +75,7 @@ class TestOneGreedySet:
 
     def test_short_selection_beyond_support(self):
         sel = gl.one_greedy_set(CV.from_dense([2.0, 1.0]), 5, 1.0)
-        assert sel.short and sel.indices == {1, 2}
+        assert sel.indices == {1, 2}
 
     def test_divergence_truncation_spikes(self):
         # the three spikes dominate every block coefficient of the truncation
