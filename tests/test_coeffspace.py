@@ -403,7 +403,14 @@ class TestGapSequence:
                 GapSequence(prefix, rule=rule)
         with pytest.raises(ValueError, match="not both"):
             GapSequence()
-        assert GapSequence(rule=lambda k: 3 * k).first() == 3
+
+    def test_first_of_a_rule_is_immediate(self):
+        # first() must not walk the members of the rule
+        calls = []
+        gap = GapSequence(rule=lambda k: calls.append(k) or 3 * k)
+        calls.clear()
+        assert gap.first() == 3
+        assert calls == [1]
 
     @pytest.mark.parametrize("rule", [lambda k: k - 1, lambda k: 2 * k - 5])
     def test_rule_terms_must_be_positive(self, rule):
