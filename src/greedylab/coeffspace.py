@@ -249,8 +249,6 @@ def lp_norm(x: CoeffVector, p: float) -> float:
         return 0.0
     a = np.abs(x.values)
     peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
     # factor out the peak so tiny p does not underflow
     return peak * float(np.sum((a / peak) ** p)) ** (1.0 / p)
 
@@ -527,6 +525,9 @@ class GapSequence:
             if v <= last:
                 raise ValueError(f"gap rule must increase: rule({k}) = {v} "
                                  f"after rule({k - 1}) = {last}")
+            if self.bound_l is not None and v > self.bound_l * last:
+                raise ValueError(f"gap rule violates {self.bound_l}-bounded gaps: "
+                                 f"rule({k - 1}) = {last} -> rule({k}) = {v}")
         return tuple(out)
 
     def first(self) -> int:

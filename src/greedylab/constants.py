@@ -85,15 +85,14 @@ def _pad_to_cardinality(x: CoeffVector, m: int, dim: int) -> Optional[frozenset]
 
 
 def _greedy_sets_for(x: CoeffVector, m: int, t: float, cap: int) -> list[frozenset]:
-    """Candidate t-greedy sets of cardinality m for x (all of them when they fit)."""
-    if m <= len(x):
-        result = enumerate_t_greedy_sets(x, m, t, cap=cap)
-        sets = [sel.indices for sel in result.selections]
-        if result.overflow:
-            sets.append(one_greedy_set(x, m, t, "lowest").indices)
-            sets.append(one_greedy_set(x, m, t, "highest").indices)
-        return list(dict.fromkeys(sets))
-    return []
+    """Candidate t-greedy sets of cardinality m <= len(x) for x (all of them
+    when they fit)."""
+    result = enumerate_t_greedy_sets(x, m, t, cap=cap)
+    sets = [sel.indices for sel in result.selections]
+    if result.overflow:
+        sets.append(one_greedy_set(x, m, t, "lowest").indices)
+        sets.append(one_greedy_set(x, m, t, "highest").indices)
+    return list(dict.fromkeys(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +365,7 @@ def check_suppression_one_implies_qg(space: SpaceDescriptor, gap: GapSequence,
     with constant one at the gap cardinalities, so that pre-condition is
     checked first; its failure is reported, not raised.
     """
-    members = gap.members_up_to(dim)
-    n1 = members[0] if members else gap.first()
+    n1 = gap.first()
     M = n1 * space.alpha1 * space.alpha2
     bound = M + 1.0
     rng = np.random.default_rng(seed)
@@ -420,16 +418,18 @@ def check_suppression_one_implies_qg(space: SpaceDescriptor, gap: GapSequence,
 
 
 def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
-                                 l: int, x: CoeffVector, A: Iterable[int], t: float,
+                                 x: CoeffVector, A: Iterable[int], t: float,
                                  gap: GapSequence) -> dict:
-    """Evaluate |P_A(x)| against 2 * C_qt * K * (l - 1 + K) * |x| by executing
-    the interval partition that proves it, reporting every intermediate bound.
+    """Evaluate |P_A(x)| against 2 * C_qt * K * (l - 1 + K) * |x|, with l the
+    gap sequence's own ``bound_l``, by executing the interval partition that
+    proves it, reporting every intermediate bound.
 
     A must be t-greedy for x with n_k <= |A| < l * n_k for a stored gap term
     n_k (below n_1 the crude coordinate bound n_1 * alpha1 * alpha2 applies).
     """
-    if l <= 1:
-        raise ValueError(f"gap bound l must exceed 1, got {l}")
+    l = gap.bound_l
+    if l is None:
+        raise ValueError("the partition bound needs a gap sequence with bound_l")
     A_sorted = tuple(sorted(set(int(i) for i in A)))
     if not is_t_greedy(x, A_sorted, t):
         raise ValueError("A is not a t-greedy set for x")
@@ -437,89 +437,76 @@ def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
     norm_x = space.norm(x)
     proj_norm = space.norm(projection(x, A_sorted))
     checks: list[BoundCheck] = []
-    members = gap.members_up_to(nA)
+    realized: list[float] = []
+    in_intervals: list[bool] = []
     n1 = gap.first()
+
+    def interval_step(block: tuple[int, ...]) -> tuple[float, float]:
+        """|P_block x| and |P_I x| for the interval I spanned by the block,
+        which must be t-greedy for P_I x."""
+        piece = projection(x, tuple(range(block[0], block[-1] + 1)))
+        in_intervals.append(is_t_greedy(piece, block, t))
+        n_block, n_piece = space.norm(projection(x, block)), space.norm(piece)
+        if n_piece > 0:
+            realized.append(float(n_block / n_piece))
+        return n_block, n_piece
 
     global_rhs = max(n1 * space.alpha1 * space.alpha2,
                      2.0 * C_qt * K * (l - 1.0 + K)) * norm_x
 
     if nA < n1:
+        branch, fields = "small_cardinality", {"n1": int(n1)}
         checks.append(BoundCheck("small_cardinality",
                                  proj_norm, n1 * space.alpha1 * space.alpha2 * norm_x))
-        checks.append(BoundCheck("global_bound", proj_norm, global_rhs))
-        return {"branch": "small_cardinality", "cardinality": nA, "n1": int(n1),
-                "norm_x": float(norm_x), "proj_norm": float(proj_norm),
-                "realized_ratios": [],
-                "bound_checks": [c.to_json() for c in checks],
-                "ok": all(c.ok for c in checks)}
-
-    if not members:
-        raise ValueError("cardinality window violated: no gap term at or below |A|")
-    n_k = members[-1]
-    if not (n_k <= nA < l * n_k):
-        raise ValueError(f"cardinality window violated: need n_k <= |A| < l*n_k, "
-                         f"got n_k={n_k}, |A|={nA}, l={l}")
-
-    final_rhs = 2.0 * C_qt * K * (l - 1.0 + K) * norm_x
-    if nA == n_k:
-        # A itself is a greedy set of an admissible cardinality
-        checks.append(BoundCheck("single_block", proj_norm, 2.0 * C_qt * K * norm_x))
-        checks.append(BoundCheck("partition_bound", proj_norm, final_rhs))
-        checks.append(BoundCheck("global_bound", proj_norm, global_rhs))
-        return {"branch": "single_block", "cardinality": nA, "n_k": int(n_k), "j": 1,
-                "norm_x": float(norm_x), "proj_norm": float(proj_norm),
-                "realized_ratios": [float(proj_norm / norm_x)] if norm_x > 0 else [],
-                "bound_checks": [c.to_json() for c in checks],
-                "ok": all(c.ok for c in checks)}
-
-    # ordered partition: first block carries the remainder, the rest have size n_k
-    j = -(-nA // n_k)
-    r0 = nA - (j - 1) * n_k
-    blocks = [A_sorted[:r0]]
-    for i in range(1, j):
-        blocks.append(A_sorted[r0 + (i - 1) * n_k: r0 + i * n_k])
-
-    partition = {"n_k": int(n_k), "j": int(j), "sizes": [len(b) for b in blocks]}
-    greedy_within = True
-    realized: list[float] = []
-
-    for i, block in enumerate(blocks, start=1):
-        if i == 1 and r0 < n_k:
-            continue
-        interval = tuple(range(block[0], block[-1] + 1))
-        piece = projection(x, interval)
-        greedy_within &= is_t_greedy(piece, block, t)
-        n_piece = space.norm(piece)
-        n_block = space.norm(projection(x, block))
-        if n_piece > 0:
-            realized.append(float(n_block / n_piece))
-        checks.append(BoundCheck(f"block_ratio_{i}", n_block, C_qt * n_piece))
-        checks.append(BoundCheck(f"interval_{i}", n_piece, 2.0 * K * norm_x))
-        checks.append(BoundCheck(f"block_bound_{i}", n_block, 2.0 * C_qt * K * norm_x))
-
-    if r0 < n_k:
-        completion = A_sorted[r0: r0 + (n_k - r0)]  # first n_k - |A_1| of A minus A_1
-        filled = blocks[0] + completion
-        interval1 = tuple(range(filled[0], filled[-1] + 1))
-        piece1 = projection(x, interval1)
-        greedy_within &= is_t_greedy(piece1, filled, t)
-        n_first = space.norm(projection(x, blocks[0]))
-        n_filled = space.norm(projection(x, filled))
-        n_piece1 = space.norm(piece1)
-        if n_piece1 > 0:
-            realized.append(float(n_filled / n_piece1))
-        checks.append(BoundCheck("completion_prefix", n_first, K * n_filled))
-        checks.append(BoundCheck("completion_ratio", n_filled, C_qt * n_piece1))
-        checks.append(BoundCheck("interval_1", n_piece1, 2.0 * K * norm_x))
-        checks.append(BoundCheck("first_block_bound", n_first,
-                                 2.0 * C_qt * K * K * norm_x))
-        partition["completion_size"] = len(completion)
-
-    checks.append(BoundCheck("partition_bound", proj_norm, final_rhs))
+    else:
+        members = gap.members_up_to(nA)
+        if not members:
+            raise ValueError("cardinality window violated: no gap term at or below |A|")
+        n_k = members[-1]
+        if not (n_k <= nA < l * n_k):
+            raise ValueError(f"cardinality window violated: need n_k <= |A| < l*n_k, "
+                             f"got n_k={n_k}, |A|={nA}, l={l}")
+        if nA == n_k:
+            # A itself is a greedy set of an admissible cardinality
+            branch, fields = "single_block", {"n_k": int(n_k), "j": 1}
+            if norm_x > 0:
+                realized.append(float(proj_norm / norm_x))
+            checks.append(BoundCheck("single_block", proj_norm, 2.0 * C_qt * K * norm_x))
+        else:
+            # ordered partition: the first block carries the remainder, the
+            # rest have size n_k
+            j = -(-nA // n_k)
+            r0 = nA - (j - 1) * n_k
+            blocks = [A_sorted[:r0]] + [A_sorted[r0 + (i - 1) * n_k: r0 + i * n_k]
+                                        for i in range(1, j)]
+            branch, fields = "partition", {"n_k": int(n_k), "j": int(j),
+                                           "sizes": [len(b) for b in blocks]}
+            for i, block in enumerate(blocks, start=1):
+                if i == 1 and r0 < n_k:
+                    continue
+                n_block, n_piece = interval_step(block)
+                checks.append(BoundCheck(f"block_ratio_{i}", n_block, C_qt * n_piece))
+                checks.append(BoundCheck(f"interval_{i}", n_piece, 2.0 * K * norm_x))
+                checks.append(BoundCheck(f"block_bound_{i}", n_block,
+                                         2.0 * C_qt * K * norm_x))
+            if r0 < n_k:
+                # complete A_1 by the first n_k - |A_1| indices of A minus A_1
+                n_filled, n_piece1 = interval_step(A_sorted[:n_k])
+                n_first = space.norm(projection(x, blocks[0]))
+                checks.append(BoundCheck("completion_prefix", n_first, K * n_filled))
+                checks.append(BoundCheck("completion_ratio", n_filled, C_qt * n_piece1))
+                checks.append(BoundCheck("interval_1", n_piece1, 2.0 * K * norm_x))
+                checks.append(BoundCheck("first_block_bound", n_first,
+                                         2.0 * C_qt * K * K * norm_x))
+                fields["completion_size"] = n_k - r0
+        checks.append(BoundCheck("partition_bound", proj_norm,
+                                 2.0 * C_qt * K * (l - 1.0 + K) * norm_x))
     checks.append(BoundCheck("global_bound", proj_norm, global_rhs))
-    return {"branch": "partition", "cardinality": nA, **partition,
-            "norm_x": float(norm_x), "proj_norm": float(proj_norm),
-            "realized_ratios": realized,
-            "blocks_t_greedy_in_intervals": bool(greedy_within),
-            "bound_checks": [c.to_json() for c in checks],
-            "ok": bool(greedy_within) and all(c.ok for c in checks)}
+
+    report = {"branch": branch, "cardinality": nA, **fields,
+              "norm_x": float(norm_x), "proj_norm": float(proj_norm),
+              "realized_ratios": realized}
+    if branch == "partition":
+        report["blocks_t_greedy_in_intervals"] = all(in_intervals)
+    return {**report, "bound_checks": [c.to_json() for c in checks],
+            "ok": all(in_intervals) and all(c.ok for c in checks)}

@@ -159,15 +159,6 @@ class SpikeBlockSelection:
         return f"spikes[{spikes}]+blocks[{counts}]"
 
 
-def _value_classes(ex: ExampleSequence) -> list[tuple[float, int, str, int]]:
-    """(modulus, multiplicity, kind, k), strictly descending modulus."""
-    classes = [(spike_value(k), 1, "spike", k) for k in range(1, ex.depth + 1)]
-    classes += [(-block_value(k), ex.block_size(k), "block", k)
-                for k in range(1, ex.depth + 1)]
-    classes.sort(key=lambda c: -c[0])
-    return classes
-
-
 def selection_norm(ex: ExampleSequence, sel: SpikeBlockSelection) -> float:
     """Summing norm of the projection, walking run endpoints once."""
     v = 0.0
@@ -218,35 +209,32 @@ def _check_cardinality(ex: ExampleSequence, m: int) -> None:
 
 
 def _class_table(ex: ExampleSequence, m: int, t: float
-                 ) -> tuple[list[int], list[float], list[int], list[int]]:
-    """Checked arguments of a class sweep, and the modulus classes it walks:
-    their sizes and moduli in descending order, with the columns of spike k
-    and of block k at index k - 1 of the last two lists."""
+                 ) -> tuple[list[int], list[float]]:
+    """Checked arguments of a class sweep, and the sizes and moduli of the
+    modulus classes it walks, in descending order: spikes 1..depth, then
+    blocks 1..depth, as the smallest spike 1/sqrt(MAX_DEPTH) exceeds block
+    1's 0.1.  So a count vector holds spike k in column k - 1 and block k in
+    column depth + k - 1."""
     _check_t(t)
     _check_cardinality(ex, m)
-    classes = _value_classes(ex)
-    pos_of = {(kind, k): pos for pos, (_, _, kind, k) in enumerate(classes)}
-    spike_at = [pos_of["spike", k] for k in range(1, ex.depth + 1)]
-    block_at = [pos_of["block", k] for k in range(1, ex.depth + 1)]
-    return ([mult for _, mult, _, _ in classes], [mod for mod, _, _, _ in classes],
-            spike_at, block_at)
+    ks = range(1, ex.depth + 1)
+    return ([1] * ex.depth + [ex.block_size(k) for k in ks],
+            [spike_value(k) for k in ks] + [-block_value(k) for k in ks])
 
 
-def _selection_of(counts: Sequence[int], spike_at: list[int],
-                  block_at: list[int]) -> SpikeBlockSelection:
+def _selection_of(counts: Sequence[int]) -> SpikeBlockSelection:
+    depth = len(counts) // 2
     # spikes go through a set: a frozenset copied from a set is sized to fit,
     # one filled from a list can take over half again as much memory
-    return SpikeBlockSelection(
-        frozenset({k for k, pos in enumerate(spike_at, start=1) if counts[pos]}),
-        tuple([counts[pos] for pos in block_at]))
+    return SpikeBlockSelection(frozenset({k for k in range(1, depth + 1) if counts[k - 1]}),
+                               tuple(counts[depth:]))
 
 
 def canonical_selection(ex: ExampleSequence, m: int) -> SpikeBlockSelection:
     """The class filling modulus classes in descending order: the one 1-greedy
     class of cardinality m, hence t-greedy for every t in (0, 1]."""
-    sizes, moduli, spike_at, block_at = _class_table(ex, m, 1.0)
-    return _selection_of(next(greedy_class_counts(sizes, moduli, m, 1.0)),
-                         spike_at, block_at)
+    sizes, moduli = _class_table(ex, m, 1.0)
+    return _selection_of(next(greedy_class_counts(sizes, moduli, m, 1.0)))
 
 
 def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
@@ -260,12 +248,11 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
     ``greedy.greedy_class_counts`` walks them.  The divergence sweep evaluates
     the same walk in count-matrix blocks instead; this list is its oracle.
     """
-    sizes, moduli, spike_at, block_at = _class_table(ex, m, t)
+    sizes, moduli = _class_table(ex, m, t)
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     walk = greedy_class_counts(sizes, moduli, m, t)
-    out = [_selection_of(counts, spike_at, block_at)
-           for counts in itertools.islice(walk, cap + 1)]
+    out = [_selection_of(counts) for counts in itertools.islice(walk, cap + 1)]
     if len(out) > cap:
         return out[:cap], False
     return out, True
@@ -324,8 +311,8 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
     running sum to the bit: both add left to right, an unselected run adds a
     zero, and count times value is exact at these counts.
     """
-    sizes, moduli, spike_at, block_at = _class_table(ex, m, t)
-    runs = [pos for pair in zip(spike_at, block_at) for pos in pair]
+    sizes, moduli = _class_table(ex, m, t)
+    runs = [pos for k in range(ex.depth) for pos in (k, ex.depth + k)]
     steps = np.array([v for k in range(1, ex.depth + 1)
                       for v in (spike_value(k), block_value(k))])
     # floors[phi]; phi = depth + 1 omits no spike and has no floor to break
@@ -343,8 +330,7 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
             if rest > sum(caps):
                 continue  # the window holds no class
             head, tail = tuple(sizes[:i_max]), (0,) * (len(sizes) - end)
-            # spikes 1/sqrt(k) >= 1/sqrt(8) all come before block 1's 0.1
-            if i_max >= ex.depth and end == i_max + 2:
+            if i_max >= ex.depth and end == i_max + 2:  # two block columns
                 lo, hi = max(0, rest - caps[1]), min(caps[0], rest)
                 for c in _two_block_candidates(head, rest, tail, lo, hi, runs, steps):
                     yield head + (c, rest - c) + tail
@@ -367,16 +353,16 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
         if not len(counts):
             break
         norms = np.abs(np.cumsum(counts[:, runs] * steps, axis=1)).max(axis=1)
-        omitted = counts[:, spike_at] == 0
+        omitted = counts[:, :ex.depth] == 0
         phis = np.where(omitted.any(axis=1), omitted.argmax(axis=1) + 1, ex.depth + 1)
         for i in np.flatnonzero(norms < floors[phis] - 1e-9):
-            family = _selection_of(counts[i].tolist(), spike_at, block_at).family_label()
+            family = _selection_of(counts[i].tolist()).family_label()
             violations.append({"m": m, "family": family, "norm": float(norms[i]),
                                "phi": int(phis[i]), "lower_bound": float(floors[phis[i]])})
         i = int(np.argmin(norms))  # first minimiser in the block; strict < across
         if norms[i] < best_norm:
             best_norm, best_counts = float(norms[i]), counts[i].tolist()
-    return _selection_of(best_counts, spike_at, block_at), best_norm, exact, violations
+    return _selection_of(best_counts), best_norm, exact, violations
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
         l = int(rng.choice(np.asarray(l_pool)))
         m = int(rng.integers(1, min(dim, len(x)) + 1))
         sel = random_greedy_set(x, m, t, rng)
-        drawn.append((dim, x, t, l, sel.indices))
+        drawn.append((dim, x, t, GapSequence.powers(l), sel.indices))
 
     measured: dict[tuple[float, int], float] = {}
     spaces: dict[int, SpaceDescriptor] = {}
@@ -149,9 +149,8 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
         return spaces[dim]
 
     n_ks: list[Optional[int]] = []
-    for dim, x, t, l, A in drawn:
-        rep = bounded_gap_projection_bound(space_at(dim), 1.0, 1.0, l, x, A, t,
-                                           GapSequence.powers(l))
+    for dim, x, t, gap, A in drawn:
+        rep = bounded_gap_projection_bound(space_at(dim), 1.0, 1.0, x, A, t, gap)
         n_k = rep.get("n_k")
         n_ks.append(n_k)
         if n_k is not None:
@@ -163,16 +162,15 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
               "lhs", "rhs", "margin", "ok"]
     rows = []
     violations = 0
-    for idx, ((dim, x, t, l, A), n_k) in enumerate(zip(drawn, n_ks)):
+    for idx, ((dim, x, t, gap, A), n_k) in enumerate(zip(drawn, n_ks)):
         C = measured.get((t, n_k), 1.0) if n_k is not None else 1.0
-        rep = bounded_gap_projection_bound(space_at(dim), C, 1.0, l, x, A, t,
-                                           GapSequence.powers(l))
+        rep = bounded_gap_projection_bound(space_at(dim), C, 1.0, x, A, t, gap)
         final = next(c for c in rep["bound_checks"] if c["name"] == "global_bound")
         part = next((c for c in rep["bound_checks"] if c["name"] == "partition_bound"), final)
         ok = rep["ok"]
         if not ok:
             violations += 1
-        rows.append([idx, dim, t, l, n_k, len(A), rep["branch"], C,
+        rows.append([idx, dim, t, gap.bound_l, n_k, len(A), rep["branch"], C,
                      part["lhs"], part["rhs"], part["margin"], ok])
     return {"header": header, "rows": rows,
             "json": {"trials": len(rows), "violations": violations,

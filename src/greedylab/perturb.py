@@ -47,6 +47,12 @@ def projection_crude_bound(space: SpaceDescriptor, A: Iterable[int]) -> float:
     return space.alpha ** (size - 1) * size * space.c_param
 
 
+def _delta(space: SpaceDescriptor, eps: float, size: int) -> float:
+    """eps / (4 c^2 alpha^size size): the picker budget for a set of that size."""
+    c = space.c_param
+    return eps / (4.0 * c * c * space.alpha ** size * size)
+
+
 def perturb_to_finite_support(space: SpaceDescriptor, x: CoeffVector,
                               A: Iterable[int], t: float, eps: float,
                               z_picker: Optional[Callable[[CoeffVector, float],
@@ -77,9 +83,7 @@ def perturb_to_finite_support(space: SpaceDescriptor, x: CoeffVector,
         return z
 
     c = space.c_param
-    alpha = space.alpha
-    size = len(A_set)
-    delta = eps / (4.0 * c * c * alpha ** size * size)
+    delta = _delta(space, eps, len(A_set))
     z = picker(x, delta)
     dist_z = space.norm(x - z)
     if dist_z > delta * (1.0 + 1e-9):
@@ -157,10 +161,10 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
             if abs(v) > abs(y[i]) / t + 1e-12 * max(1.0, abs(y[i]) / t):
                 raise PerturbationError(
                     f"retained coefficient lost dominance: pair (i={i}, j={j})")
-        # segment coefficients are zero now
-        for j in B:
-            if y[j] != 0.0:
-                raise PerturbationError(f"segment coefficient not cleared at j={j}")
+    # segment coefficients are zero now
+    for j in B:
+        if y[j] != 0.0:
+            raise PerturbationError(f"segment coefficient not cleared at j={j}")
 
     if len(moved) != len(A_set):
         raise PerturbationError(
@@ -215,8 +219,7 @@ def lemma_perturbation_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
         picker = lambda vec, d: vec
         if tail_len:
             start = x.max_index() + 1
-            c = space.c_param
-            delta = eps / (4.0 * c * c * space.alpha ** len(A) * len(A)) if A else eps
+            delta = _delta(space, eps, len(A)) if A else eps
             beta = min((abs(x[i]) for i in A), default=1.0)
             # keep the tail below both the picker budget and the greedy slack
             tail_scale = 0.25 * min(delta / (space.alpha ** tail_len * tail_len + 1),

@@ -396,6 +396,13 @@ class TestGapSequence:
         with pytest.raises(ValueError, match="must increase"):
             GapSequence(rule=counted).members_up_to(100)
 
+    def test_rule_that_outgrows_its_bound_fails(self):
+        # stored prefixes are checked against bound_l at construction; rule
+        # terms are checked as they are generated
+        with pytest.raises(ValueError, match=r"rule\(1\) = 3 -> rule\(2\) = 9"):
+            GapSequence(rule=lambda k: 3 ** k, bound_l=2).members_up_to(100)
+        assert GapSequence(rule=lambda k: 3 ** k, bound_l=3).members_up_to(100) == (3, 9, 27, 81)
+
     def test_prefix_or_rule_not_both(self):
         # a prefix that disagrees with its rule has no single meaning
         for prefix, rule in (((1, 5), lambda k: k), ((1, 2), lambda k: k + 2)):

@@ -299,7 +299,7 @@ class TestBoundedGapPartition:
 
     def test_partition_branch_with_generous_constant(self):
         space, x, A = self._setup(m=7)
-        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, 2, x, A, 1.0,
+        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
                                               GapSequence.powers(2, 4))
         assert rep["branch"] == "partition" and rep["n_k"] == 4
         assert rep["j"] == 2 and rep["sizes"] == [3, 4]
@@ -311,29 +311,43 @@ class TestBoundedGapPartition:
 
     def test_single_block_branch(self):
         space, x, A = self._setup(m=4)
-        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, 2, x, A, 1.0,
+        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
                                               GapSequence.powers(2, 4))
         assert rep["branch"] == "single_block" and rep["j"] == 1
 
     def test_small_cardinality_branch(self):
         space, x, A = self._setup(m=2)
-        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, 2, x, A, 1.0,
+        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
                                               GapSequence.powers(2, 4))
         assert rep["branch"] == "small_cardinality" and rep["ok"]
 
     def test_window_violation_raises(self):
         space, x, A = self._setup(m=9)  # 9 >= 2 * 4 with terms (4, 8): fits 8
-        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, 2, x, A, 1.0,
+        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
                                               GapSequence.powers(2, 4))
         assert rep["n_k"] == 8  # still inside the window for n_k = 8
         with pytest.raises(ValueError, match="window"):
-            gl.bounded_gap_projection_bound(space, 50.0, 1.0, 2, x, A, 1.0,
-                                            GapSequence.explicit([4]))
+            gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
+                                            GapSequence.explicit([4], bound_l=2))
+
+    def test_gap_without_a_bound_is_refused(self):
+        space, x, A = self._setup(m=7)
+        with pytest.raises(ValueError, match="bound_l"):
+            gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
+                                            GapSequence.explicit([4, 8]))
+
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_partition_bound_reads_l_from_the_gap(self, l):
+        space, x, A = self._setup(m=7)
+        rep = gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
+                                              GapSequence.powers(l, 4))
+        bound = next(c for c in rep["bound_checks"] if c["name"] == "partition_bound")
+        assert bound["rhs"] == 2.0 * 50.0 * 1.0 * (l - 1.0 + 1.0) * space.norm(x)
 
     def test_non_greedy_set_rejected(self):
         space, x, _ = self._setup()
         with pytest.raises(ValueError, match="not a t-greedy"):
-            gl.bounded_gap_projection_bound(space, 50.0, 1.0, 2, x,
+            gl.bounded_gap_projection_bound(space, 50.0, 1.0, x,
                                             {x.support()[np.argmin(np.abs(x.values))]},
                                             1.0, GapSequence.powers(2, 4))
 
@@ -345,8 +359,8 @@ class TestBoundedGapPartition:
         space, x, _ = self._setup(seed=seed)
         A = gl.one_greedy_set(x, m, t).indices
         gap = GapSequence.powers(l)
-        at_one = gl.bounded_gap_projection_bound(space, 1.0, 1.0, l, x, A, t, gap)
-        at_C = gl.bounded_gap_projection_bound(space, C, 1.0, l, x, A, t, gap)
+        at_one = gl.bounded_gap_projection_bound(space, 1.0, 1.0, x, A, t, gap)
+        at_C = gl.bounded_gap_projection_bound(space, C, 1.0, x, A, t, gap)
         assert (at_one.get("n_k"), at_one["branch"]) == (at_C.get("n_k"), at_C["branch"])
 
     def test_randomized_trials_never_violate(self):

@@ -61,13 +61,22 @@ def assert_sweep_matches_reference(depth, t, m_grid=None):
     return got
 
 
+def sorted_classes(ex) -> list:
+    """(modulus, size, kind, k) of the 2 * depth modulus classes, sorted by
+    descending modulus: an oracle for ``_class_table``'s fixed order."""
+    classes = [(cx.spike_value(k), 1, "spike", k) for k in range(1, ex.depth + 1)]
+    classes += [(-cx.block_value(k), ex.block_size(k), "block", k)
+                for k in range(1, ex.depth + 1)]
+    return sorted(classes, key=lambda c: -c[0])
+
+
 def fill_selection(ex, m: int) -> cx.SpikeBlockSelection:
     """The class made by filling the modulus classes in descending order, one
     after another: ``canonical_selection``'s own loop before it read the walk."""
     spike_ks = set()
     counts = [0] * ex.depth
     left = m
-    for _, mult, kind, k in cx._value_classes(ex):
+    for _, mult, kind, k in sorted_classes(ex):
         if left <= 0:
             break
         take = min(mult, left)
@@ -209,6 +218,20 @@ class TestGreedyClasses:
 
     def test_zero_cardinality(self):
         assert cx.greedy_sum_norm(cx.build_example(3), 0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("depth", range(1, cx.MAX_DEPTH + 1))
+    def test_class_table_is_the_sorted_order(self, depth):
+        # the fixed layout (spikes 1..depth, then blocks 1..depth) is the
+        # descending modulus order, strictly, as greedy_class_counts needs
+        ex = cx.build_example(depth)
+        sizes, moduli = cx._class_table(ex, 0, 1.0)
+        classes = sorted_classes(ex)
+        assert sizes == [size for _, size, _, _ in classes]
+        assert moduli == [mod for mod, _, _, _ in classes]
+        assert [(kind, k) for _, _, kind, k in classes] == [
+            *(("spike", k) for k in range(1, depth + 1)),
+            *(("block", k) for k in range(1, depth + 1))]
+        assert all(a > b for a, b in zip(moduli, moduli[1:]))
 
     @pytest.mark.parametrize("depth", range(1, cx.MAX_DEPTH + 1))
     def test_canonical_selection_matches_fill(self, depth):
@@ -417,7 +440,7 @@ class TestBatchedSweepMatchesReference:
 def window_spans(ex, m, t):
     """(i_max, end, first walk position, class count) of every window of the
     row's walk, counted by walking it."""
-    sizes, moduli, _, _ = cx._class_table(ex, m, t)
+    sizes, moduli = cx._class_table(ex, m, t)
     spans, start = [], 0
     for i_max, end, rest, caps in greedy._class_windows(sizes, moduli, m, t):
         count = sum(1 for _ in greedy._compositions(rest, caps))
@@ -513,8 +536,8 @@ class TestTwoBlockWindowsMatchReference:
                           for v in (cx.spike_value(k), cx.block_value(k))])
         checked = 0
         for m in cx.default_m_grid(ex):
-            sizes, moduli, spike_at, block_at = cx._class_table(ex, m, t)
-            runs = [pos for pair in zip(spike_at, block_at) for pos in pair]
+            sizes, moduli = cx._class_table(ex, m, t)
+            runs = [pos for k in range(depth) for pos in (k, depth + k)]
             for i_max, end, rest, caps in greedy._class_windows(sizes, moduli, m, t):
                 if not is_two_block(ex, i_max, end):
                     continue

@@ -299,7 +299,7 @@ def _t_checked_calls():
         "exact_constant_polyhedral": lambda t: gl.exact_constant_polyhedral(
             gl.summing_space(2), nat, t, 2),
         "bounded_gap_projection_bound": lambda t: gl.bounded_gap_projection_bound(
-            gl.summing_space(2), 1.0, 1.0, 2, x, {1}, t, nat),
+            gl.summing_space(2), 1.0, 1.0, x, {1}, t, nat),
         "equivalence_audit": lambda t: equivalence_audit(gl.summing_space(2), nat, t, 2, 1),
         "enumerate_selection_classes": lambda t: cx.enumerate_selection_classes(ex, 1, t),
         "greedy_sum_norm": lambda t: cx.greedy_sum_norm(ex, 1, t),

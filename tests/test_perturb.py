@@ -5,7 +5,7 @@ import pytest
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
-from greedylab import GapSequence
+from greedylab import GapSequence, perturb
 from greedylab.perturb import PerturbationError
 
 L_HALF = gl.lp_space(0.5, 16)
@@ -111,6 +111,14 @@ class TestPaddingConstruction:
         assert y[2] == 0.0
         spike = 2.0 * L_HALF.c_param * L_HALF.norm(x)
         assert y[min(D)] == spike
+
+    def test_uncleared_segment_raises_when_A_lies_in_it(self, monkeypatch):
+        # A within B retains no coefficient, and the segment check must not
+        # depend on one: a projection that leaves the segment in place is caught
+        monkeypatch.setattr(perturb, "projection", lambda x, A: CV.zero())
+        x = CV.from_dense([3.0, 2.0, 0.5, 0.25])
+        with pytest.raises(PerturbationError, match="segment coefficient not cleared"):
+            gl.padding_set_construction(gl.lp_space(0.5, 8), x, {1, 2}, 1.0, 3)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
