@@ -1,6 +1,7 @@
 """Microbenchmarks of the vector layer on one fixed 64-entry vector:
-construction, projection (restrict, drop), entry lookup, a full pairs() walk,
-addition, the four norms, and the t-greedy check, selection and enumeration.
+construction from lists and from arrays, projection (restrict, drop), entry
+lookup, a full pairs() walk, addition, the four norms, and the t-greedy check,
+selection and enumeration.
 
     PYTHONPATH=src python -m pytest bench/test_bench_coeffspace.py
 
@@ -22,9 +23,13 @@ Y = CV.from_dense(VALUES[::-1])  # the same support, so every index is shared
 A = gl.one_greedy_set(X, DIM // 4, 1.0).indices  # a greedy set, as the searches use
 
 
-def test_construction(benchmark):
-    idx = np.arange(1, DIM + 1)
-    x = benchmark(CV, idx, VALUES)
+@pytest.mark.parametrize("form", ["list", "array"])
+def test_construction(benchmark, form):
+    # lists, as from_pairs and the perturbation bump pass; arrays, as outside numpy data
+    idx, vals = list(range(1, DIM + 1)), VALUES.tolist()
+    if form == "array":
+        idx, vals = np.array(idx), VALUES
+    x = benchmark(CV, idx, vals)
     assert len(x) == DIM
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -44,34 +45,31 @@ def _summed(pairs: Iterable[tuple[int, float]]) -> tuple[tuple, tuple]:
     return tuple(keep), tuple([acc[i] for i in keep])
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class CoeffVector:
     """Finitely supported coefficient sequence, canonical form.
 
     Canonical means: indices are strictly increasing positive integers and no
     stored coefficient is zero.  Both are stored as tuples of builtin ``int``
     and ``float``: vectors here hold tens of entries, where numpy's per-call
-    overhead costs more than the arithmetic.  Instances are immutable; every
-    operation returns a new vector.
+    overhead costs more than the arithmetic.  Indices go through
+    ``operator.index``, so a float or string index raises instead of being
+    truncated.  Instances are immutable; every operation returns a new vector.
     """
 
     __slots__ = ("_idx", "_val")
 
     def __init__(self, indices: Iterable[int] = (), values: Iterable[float] = ()):
-        idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                         dtype=np.int64)
-        val = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                         dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-d and of equal length")
-        idx = idx.tolist()
+        try:
+            idx = [operator.index(i) for i in indices]
+            val = [float(v) for v in values]
+        except TypeError as exc:  # a float or str index, or a nested sequence
+            raise ValueError("indices must be integers and values real numbers, "
+                             "in two 1-d sequences") from exc
+        if len(idx) != len(val):
+            raise ValueError("indices and values must be of equal length")
         if idx and min(idx) < 1:
             raise ValueError("indices must be positive integers")
-        self._idx, self._val = _summed(zip(idx, val.tolist()))
+        self._idx, self._val = _summed(zip(idx, val))
 
     @classmethod
     def _canonical(cls, idx: tuple, val: tuple) -> "CoeffVector":
@@ -94,9 +92,13 @@ class CoeffVector:
     @classmethod
     def from_dense(cls, values: Sequence[float], start: int = 1) -> "CoeffVector":
         vals = np.asarray(values, dtype=np.float64)
+        try:
+            start = operator.index(start)
+        except TypeError as exc:
+            raise ValueError(f"dense start must be an integer, got {start!r}") from exc
         if vals.ndim != 1 or (start < 1 and vals.size):
             raise ValueError("dense values must be 1-d and start at a positive index")
-        pairs = [(i, v) for i, v in enumerate(vals.tolist(), int(start)) if v != 0.0]
+        pairs = [(i, v) for i, v in enumerate(vals.tolist(), start) if v != 0.0]
         return cls._canonical(tuple([i for i, _ in pairs]), tuple([v for _, v in pairs]))
 
     @classmethod
@@ -109,20 +111,10 @@ class CoeffVector:
 
     @classmethod
     def indicator(cls, indices: Iterable[int], coeff: float = 1.0) -> "CoeffVector":
-        idx = sorted(set(int(i) for i in indices))
+        idx = sorted(set(indices))
         return cls(idx, [coeff] * len(idx))
 
     # -- inspection ---------------------------------------------------
-
-    @property
-    def indices(self) -> np.ndarray:
-        """The indices as a read-only int64 array, built on each read."""
-        return _read_only(np.array(self._idx, dtype=np.int64))
-
-    @property
-    def values(self) -> np.ndarray:
-        """The values as a read-only float64 array, built on each read."""
-        return _read_only(np.array(self._val, dtype=np.float64))
 
     def support(self) -> tuple[int, ...]:
         return self._idx
@@ -191,34 +183,13 @@ class CoeffVector:
             return CoeffVector(self._idx, val)
         return CoeffVector._canonical(self._idx, tuple(val))
 
-    def __mul__(self, c: float) -> "CoeffVector":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def to_dense(self, dim: Optional[int] = None) -> np.ndarray:
-        n = self.max_index() if dim is None else int(dim)
-        out = np.zeros(n, dtype=np.float64)
-        for i, v in self.pairs():
-            if i <= n:
-                out[i - 1] = v
-        return out
-
     # -- serialization ------------------------------------------------
 
     def to_json_pairs(self) -> list[list[float]]:
         return [[i, v] for i, v in self.pairs()]
 
-    @classmethod
-    def from_json_pairs(cls, data: Iterable[Sequence[float]]) -> "CoeffVector":
-        return cls.from_pairs((int(i), float(v)) for i, v in data)
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_pairs())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoeffVector":
-        return cls.from_json_pairs(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +213,16 @@ def summing_norm(x: CoeffVector) -> float:
 
 
 def lp_norm(x: CoeffVector, p: float) -> float:
-    """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1, summed pairwise by np.sum."""
+    """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1.
+
+    np.power and the pairwise np.sum fix the bits: Python's ``**`` can differ
+    from np.power in the last bit, and a running sum from the pairwise one.
+    """
     if p <= 0:
         raise ValueError(f"lp_norm requires p > 0, got {p}")
     if not x:
         return 0.0
-    a = np.abs(x.values)
+    a = np.abs(np.array(x._val))
     peak = float(a.max())
     # factor out the peak so tiny p does not underflow
     return peak * float(np.sum((a / peak) ** p)) ** (1.0 / p)
@@ -258,17 +233,17 @@ def sup_norm(x: CoeffVector) -> float:
 
 
 def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> float:
-    """(sum w_i |a_i|^p)^(1/p); weights beyond the configured table default to 1."""
+    """(sum w_i |a_i|^p)^(1/p); weights beyond the configured table default to 1.
+
+    Summed with np.power and np.sum, as ``lp_norm`` is, for the same bits.
+    """
     if p <= 0:
         raise ValueError(f"weighted_lp_norm requires p > 0, got {p}")
     if not x:
         return 0.0
-    w = np.asarray(weights, dtype=np.float64)
-    idx = x.indices
-    inside = idx <= w.size
-    wi = np.ones(idx.size)
-    wi[inside] = w[idx[inside] - 1]
-    return float(np.sum(wi * np.abs(x.values) ** p)) ** (1.0 / p)
+    n = len(weights)
+    wi = np.array([weights[i - 1] if i <= n else 1.0 for i in x._idx], dtype=np.float64)
+    return float(np.sum(wi * np.abs(np.array(x._val)) ** p)) ** (1.0 / p)
 
 
 def projection(x: CoeffVector, A: Iterable[int]) -> CoeffVector:
@@ -383,7 +358,7 @@ def summing_space(dim: int = 64) -> SpaceDescriptor:
     )
 
 
-def lp_space(p: float, dim: int = 64) -> SpaceDescriptor:
+def lp_space(p: float) -> SpaceDescriptor:
     """l_p with the canonical basis; a quasi-norm with alpha = 2^(1/p-1) for p < 1."""
     if p <= 0:
         raise ValueError(f"lp_space requires p > 0, got {p}")
@@ -403,7 +378,7 @@ def lp_space(p: float, dim: int = 64) -> SpaceDescriptor:
     )
 
 
-def sup_space(dim: int = 64) -> SpaceDescriptor:
+def sup_space() -> SpaceDescriptor:
     return SpaceDescriptor(
         name="sup",
         norm=sup_norm,
@@ -453,9 +428,9 @@ def space_from_key(key: str, dim: int = 64) -> SpaceDescriptor:
     if key == "summing":
         return summing_space(dim)
     if key == "sup":
-        return sup_space(dim)
+        return sup_space()
     if key.startswith("lp:"):
-        return lp_space(_parse_exponent(key.split(":", 1)[1]), dim)
+        return lp_space(_parse_exponent(key.split(":", 1)[1]))
     if key.startswith("weighted-lp:"):
         parts = key.split(":", 2)
         if len(parts) != 3:

@@ -133,10 +133,12 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
     if not is_t_greedy(x, A_set, t):
         raise ValueError("A is not a t-greedy set for x")
     B = frozenset(range(1, m + 1))
+    y = x - projection(x, B)
+    if y and y.support()[0] <= m:
+        raise PerturbationError(f"segment coefficient not cleared at j={y.support()[0]}")
     overlap = A_set & B
 
     if not overlap:
-        y = x - projection(x, B)
         if not is_t_greedy(y, A_set, t):
             raise PerturbationError("A lost t-greediness after removing the segment")
         return y, frozenset()
@@ -144,7 +146,7 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
     top = max((x.max_index(), max(A_set), m))
     D = frozenset(range(top + 1, top + 1 + len(overlap)))
     height = 2.0 * space.c_param * space.norm(x)
-    y = x - projection(x, B) + CoeffVector.indicator(D, height)
+    y = y + CoeffVector.indicator(D, height)
     moved = (A_set - B) | D
 
     # D dominates everything left in y
@@ -161,10 +163,6 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
             if abs(v) > abs(y[i]) / t + 1e-12 * max(1.0, abs(y[i]) / t):
                 raise PerturbationError(
                     f"retained coefficient lost dominance: pair (i={i}, j={j})")
-    # segment coefficients are zero now
-    for j in B:
-        if y[j] != 0.0:
-            raise PerturbationError(f"segment coefficient not cleared at j={j}")
 
     if len(moved) != len(A_set):
         raise PerturbationError(
@@ -306,13 +304,13 @@ def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
                 best = max(best, space.norm(projection(x, sel.indices)) / nx)
         return best
 
-    finite_pool = [CoeffVector.basis_vector(1), CoeffVector.from_dense(np.ones(dim))]
+    finite_pool = [CoeffVector.basis_vector(1), CoeffVector.from_dense([1.0] * dim)]
     finite_pool += list(random_vectors(dim, budget, rng))
     deep_pool = []
     for x in random_vectors(dim, budget, rng):
-        tail_idx = np.arange(dim + 1, 4 * dim + 1)
-        tail = CoeffVector(tail_idx, 0.5 ** np.arange(1, tail_idx.size + 1)
-                           * float(rng.uniform(0.1, 1.0)))
+        level = float(rng.uniform(0.1, 1.0))
+        tail = CoeffVector(range(dim + 1, 4 * dim + 1),
+                           [0.5 ** k * level for k in range(1, 3 * dim + 1)])
         deep_pool.append(x + tail)
 
     ratio_finite = best_ratio(finite_pool)

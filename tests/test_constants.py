@@ -93,7 +93,7 @@ class TestTransferBound:
 
 class TestEstimator:
     def test_l2_contracts_exactly(self):
-        est = gl.estimate_quasi_greedy_constant(gl.lp_space(2.0, 6), NAT, 1.0, 6, 40)
+        est = gl.estimate_quasi_greedy_constant(gl.lp_space(2.0), NAT, 1.0, 6, 40)
         assert est.value == 1.0 and est.exact and est.upper_bound == 1.0
 
     def test_summing_dimension_one(self):
@@ -111,7 +111,7 @@ class TestEstimator:
 
     def test_empty_gap_window_rejected(self):
         with pytest.raises(ValueError, match="no admissible cardinality"):
-            gl.estimate_quasi_greedy_constant(gl.lp_space(2.0, 4),
+            gl.estimate_quasi_greedy_constant(gl.lp_space(2.0),
                                               GapSequence.explicit([9]), 1.0, 4, 10)
 
     def test_witnesses_revalidate(self):
@@ -162,7 +162,7 @@ class TestExactCellSearch:
                 == pytest.approx(1.0, abs=1e-9)
 
     def test_suppression_kind(self):
-        val = gl.exact_constant_polyhedral(gl.lp_space(1.0, 3), NAT, 1.0, 3,
+        val = gl.exact_constant_polyhedral(gl.lp_space(1.0), NAT, 1.0, 3,
                                            "C_sq_t").value
         assert val == pytest.approx(2.0 / 3.0, abs=1e-9)
 
@@ -185,7 +185,7 @@ class TestExactCellSearch:
 
     def test_requires_polyhedral_oracle(self):
         with pytest.raises(ValueError, match="dual-functional"):
-            gl.exact_constant_polyhedral(gl.lp_space(2.0, 3), NAT, 1.0, 3)
+            gl.exact_constant_polyhedral(gl.lp_space(2.0), NAT, 1.0, 3)
 
     def test_lp_budget_guard(self, monkeypatch):
         # dimension 9 needs 2,354,688 cell LPs; none may be solved
@@ -263,7 +263,7 @@ class TestTransferSoundness:
 class TestSuppressionOneTheorem:
     def test_l1_small_first_term(self):
         gap = GapSequence.explicit([2, 4, 8], bound_l=2)
-        rep = gl.check_suppression_one_implies_qg(gl.lp_space(1.0, 12), gap, 12,
+        rep = gl.check_suppression_one_implies_qg(gl.lp_space(1.0), gap, 12,
                                                   300, seed=3)
         assert rep["precheck_passed"] and rep["theorem_applicable"]
         assert rep["M"] == 2.0 and rep["bound"] == 3.0
@@ -271,7 +271,7 @@ class TestSuppressionOneTheorem:
 
     def test_sup_norm(self):
         gap = GapSequence.explicit([3, 6, 12], bound_l=2)
-        rep = gl.check_suppression_one_implies_qg(gl.sup_space(12), gap, 12,
+        rep = gl.check_suppression_one_implies_qg(gl.sup_space(), gap, 12,
                                                   300, seed=3)
         assert rep["bound"] == 4.0 and rep["max_ratio"] <= 1.0 + 1e-9
         assert rep["violations"] == 0
@@ -348,7 +348,7 @@ class TestBoundedGapPartition:
         space, x, _ = self._setup()
         with pytest.raises(ValueError, match="not a t-greedy"):
             gl.bounded_gap_projection_bound(space, 50.0, 1.0, x,
-                                            {x.support()[np.argmin(np.abs(x.values))]},
+                                            {min(x.support(), key=lambda i: abs(x[i]))},
                                             1.0, GapSequence.powers(2, 4))
 
     @given(st.integers(1, 24), st.sampled_from([2, 3, 4]), st.sampled_from([1.0, 0.8, 0.5]),

@@ -8,8 +8,8 @@ from greedylab import CoeffVector as CV
 from greedylab import GapSequence, perturb
 from greedylab.perturb import PerturbationError
 
-L_HALF = gl.lp_space(0.5, 16)
-L_TWO_THIRDS = gl.lp_space(2.0 / 3.0, 16)
+L_HALF = gl.lp_space(0.5)
+L_TWO_THIRDS = gl.lp_space(2.0 / 3.0)
 
 
 class TestCrudeBound:
@@ -31,7 +31,7 @@ class TestCrudeBound:
             assert lhs <= bound * L_HALF.norm(x) * (1 + 1e-12)
 
     def test_suite_over_catalogue(self):
-        for space in (L_HALF, L_TWO_THIRDS, gl.lp_space(1.0, 16),
+        for space in (L_HALF, L_TWO_THIRDS, gl.lp_space(1.0),
                       gl.summing_space(16)):
             rep = gl.crude_bound_suite(space, 400, seed=5)
             assert rep["failures"] == 0
@@ -40,14 +40,14 @@ class TestCrudeBound:
 
 class TestPerturbation:
     def test_l2_example(self):
-        space = gl.lp_space(2.0, 8)
+        space = gl.lp_space(2.0)
         x = CV.from_dense([1.0, 0.5, 0.25, 0.125])
         y = gl.perturb_to_finite_support(space, x, {1}, 1.0, 0.1)
         assert space.norm(x - y) <= 0.1
         assert gl.is_t_greedy(y, {1}, 1.0)
 
     def test_kept_coefficient_grows(self):
-        space = gl.lp_space(2.0, 8)
+        space = gl.lp_space(2.0)
         x = CV.from_dense([1.0, 0.5])
         eps = 0.2
         y = gl.perturb_to_finite_support(space, x, {1}, 1.0, eps)
@@ -57,27 +57,27 @@ class TestPerturbation:
         assert abs(y[1]) >= beta + c * delta
 
     def test_empty_set_returns_picker_output(self):
-        space = gl.lp_space(2.0, 8)
+        space = gl.lp_space(2.0)
         x = CV.from_dense([1.0, 0.5])
         z = gl.perturb_to_finite_support(space, x, set(), 1.0, 0.1)
         assert z == x
 
     def test_picker_budget_enforced(self):
-        space = gl.lp_space(2.0, 8)
+        space = gl.lp_space(2.0)
         x = CV.from_dense([1.0, 0.5])
         bad = lambda vec, d: vec + CV.basis_vector(5, 10.0)
         with pytest.raises(PerturbationError, match="picker"):
             gl.perturb_to_finite_support(space, x, {1}, 1.0, 0.1, bad)
 
     def test_non_greedy_input_rejected(self):
-        space = gl.lp_space(2.0, 8)
+        space = gl.lp_space(2.0)
         x = CV.from_dense([1.0, 2.0])
         with pytest.raises(ValueError, match="not a t-greedy"):
             gl.perturb_to_finite_support(space, x, {1}, 1.0, 0.1)
 
     def test_banach_case_reduces_to_simple_delta(self):
         # with alpha = 1 the radius formula loses the alpha^|A| factor
-        space = gl.lp_space(2.0, 8)
+        space = gl.lp_space(2.0)
         x = CV.from_dense([1.0, 0.5])
         eps = 0.08
         c = space.c_param
@@ -86,7 +86,7 @@ class TestPerturbation:
         assert y[1] == x[1] + 2.0 * c * delta_banach
         assert y[2] == x[2]
 
-    @pytest.mark.parametrize("space", [L_HALF, L_TWO_THIRDS, gl.lp_space(1.0, 16)])
+    @pytest.mark.parametrize("space", [L_HALF, L_TWO_THIRDS, gl.lp_space(1.0)])
     def test_randomized_suite(self, space):
         rep = gl.lemma_perturbation_suite(space, 1000, seed=23)
         assert rep["failures"] == 0
@@ -118,7 +118,14 @@ class TestPaddingConstruction:
         monkeypatch.setattr(perturb, "projection", lambda x, A: CV.zero())
         x = CV.from_dense([3.0, 2.0, 0.5, 0.25])
         with pytest.raises(PerturbationError, match="segment coefficient not cleared"):
-            gl.padding_set_construction(gl.lp_space(0.5, 8), x, {1, 2}, 1.0, 3)
+            gl.padding_set_construction(gl.lp_space(0.5), x, {1, 2}, 1.0, 3)
+
+    def test_uncleared_segment_raises_when_A_misses_it(self, monkeypatch):
+        # the disjoint branch returns y without padding; its segment is checked too
+        monkeypatch.setattr(perturb, "projection", lambda x, A: CV.zero())
+        x = CV.from_pairs([(1, 0.5), (3, 1.0), (5, 2.0)])
+        with pytest.raises(PerturbationError, match="segment coefficient not cleared at j=1"):
+            gl.padding_set_construction(gl.lp_space(0.5), x, {5}, 1.0, 2)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -169,7 +176,7 @@ class TestThreeStageInstance:
     coefficient decay."""
 
     def _build(self):
-        space = gl.lp_space(0.5, 64)
+        space = gl.lp_space(0.5)
         alpha, c = space.alpha, space.c_param
 
         s1 = 0.004
