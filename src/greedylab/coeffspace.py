@@ -171,7 +171,8 @@ class CoeffVector:
         return CoeffVector._canonical(*_summed(itertools.chain(self.pairs(), other.pairs())))
 
     def __sub__(self, other: "CoeffVector") -> "CoeffVector":
-        return self + other.scale(-1.0)
+        negated = [(i, -v) for i, v in other.pairs()]  # a + (-b) has a - b's bits
+        return CoeffVector._canonical(*_summed(itertools.chain(self.pairs(), negated)))
 
     def __neg__(self) -> "CoeffVector":
         return self.scale(-1.0)
@@ -215,17 +216,19 @@ def summing_norm(x: CoeffVector) -> float:
 def lp_norm(x: CoeffVector, p: float) -> float:
     """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1.
 
-    np.power and the pairwise np.sum fix the bits: Python's ``**`` can differ
-    from np.power in the last bit, and a running sum from the pairwise one.
+    The peak and |a_i| / peak are plain Python: IEEE division is correctly
+    rounded, so the bits are numpy's.  One ``ndarray ** p`` and the pairwise
+    ``np.add.reduce`` (``np.sum`` without its wrapper) fix the rest, where
+    Python's ``**`` and a running sum can differ in the last bit.
     """
     if p <= 0:
         raise ValueError(f"lp_norm requires p > 0, got {p}")
     if not x:
         return 0.0
-    a = np.abs(np.array(x._val))
-    peak = float(a.max())
+    a = [abs(v) for v in x._val]
+    peak = max(a)
     # factor out the peak so tiny p does not underflow
-    return peak * float(np.sum((a / peak) ** p)) ** (1.0 / p)
+    return peak * float(np.add.reduce(np.array([v / peak for v in a]) ** p)) ** (1.0 / p)
 
 
 def sup_norm(x: CoeffVector) -> float:
@@ -235,7 +238,7 @@ def sup_norm(x: CoeffVector) -> float:
 def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> float:
     """(sum w_i |a_i|^p)^(1/p); weights beyond the configured table default to 1.
 
-    Summed with np.power and np.sum, as ``lp_norm`` is, for the same bits.
+    Raised and summed with numpy as in ``lp_norm``, for the same bits.
     """
     if p <= 0:
         raise ValueError(f"weighted_lp_norm requires p > 0, got {p}")
@@ -243,7 +246,7 @@ def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> floa
         return 0.0
     n = len(weights)
     wi = np.array([weights[i - 1] if i <= n else 1.0 for i in x._idx], dtype=np.float64)
-    return float(np.sum(wi * np.abs(np.array(x._val)) ** p)) ** (1.0 / p)
+    return float(np.add.reduce(wi * np.array([abs(v) for v in x._val]) ** p)) ** (1.0 / p)
 
 
 def projection(x: CoeffVector, A: Iterable[int]) -> CoeffVector:
@@ -530,6 +533,6 @@ def random_vectors(dim: int, count: int, rng: np.random.Generator,
         if style != 2:
             mask = rng.random(dim) < rng.uniform(0.3, 1.0)
             vals = np.where(mask, vals, 0.0)
-        if not np.any(vals):
+        if not vals.any():
             vals[int(rng.integers(dim))] = 1.0
         yield CoeffVector.from_dense(vals)

@@ -22,8 +22,8 @@ import numpy as np
 from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, projection,
                          random_vectors)
 from .estimates import KINDS, BoundCheck, ConstantEstimate, _ratio
-from .greedy import (_check_t, enumerate_t_greedy_sets, is_t_greedy, one_greedy_set,
-                     random_greedy_set)
+from .greedy import (_check_t, _index_set, enumerate_t_greedy_sets, is_t_greedy,
+                     one_greedy_set, random_greedy_set)
 
 __all__ = [
     "estimate_quasi_greedy_constant",
@@ -430,7 +430,7 @@ def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
     l = gap.bound_l
     if l is None:
         raise ValueError("the partition bound needs a gap sequence with bound_l")
-    A_sorted = tuple(sorted(set(int(i) for i in A)))
+    A_sorted = tuple(sorted(_index_set(A)))
     if not is_t_greedy(x, A_sorted, t):
         raise ValueError("A is not a t-greedy set for x")
     nA = len(A_sorted)
@@ -508,5 +508,6 @@ def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
               "realized_ratios": realized}
     if branch == "partition":
         report["blocks_t_greedy_in_intervals"] = all(in_intervals)
-    return {**report, "bound_checks": [c.to_json() for c in checks],
-            "ok": all(in_intervals) and all(c.ok for c in checks)}
+    bound_checks = [c.to_json() for c in checks]
+    return {**report, "bound_checks": bound_checks,
+            "ok": all(in_intervals) and all(c["ok"] for c in bound_checks)}

@@ -8,6 +8,7 @@ single policy-driven selection this module enumerates every admissible set.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -57,6 +58,14 @@ class GreedySelection:
                 "cardinality": self.cardinality}
 
 
+def _index_set(A: Iterable[int]) -> frozenset:
+    """A as a set of ints; a float or string member raises, as in CoeffVector."""
+    try:
+        return frozenset([operator.index(i) for i in A])
+    except TypeError as exc:
+        raise ValueError("index set members must be integers") from exc
+
+
 def is_t_greedy(x: CoeffVector, A: Iterable[int], t: float) -> bool:
     """min over A of |coefficient| >= t * max over the rest of the support.
 
@@ -64,7 +73,7 @@ def is_t_greedy(x: CoeffVector, A: Iterable[int], t: float) -> bool:
     set covering the whole support is greedy because the outside max is 0.
     """
     t = _check_t(t)
-    A_set = frozenset([int(i) for i in A])
+    A_set = _index_set(A)
     if not A_set:
         return True
     outside = [abs(v) for i, v in x.pairs() if i not in A_set]
@@ -76,19 +85,17 @@ def is_t_greedy(x: CoeffVector, A: Iterable[int], t: float) -> bool:
     return inside_min >= t * max(outside)
 
 
-def _modulus_classes(x: CoeffVector):
-    """Support indices grouped by exactly equal coefficient modulus, descending.
+def _greedy_order(x: CoeffVector) -> list[tuple[float, int]]:
+    """(-modulus, index) pairs sorted: the order every selection reads.  Its
+    first m indices are the "lowest" greedy set of size m, for every t."""
+    return sorted([(-abs(v), i) for i, v in x.pairs()])
 
-    Returns a list of (modulus, index tuple).  One sort of (-modulus, index)
-    pairs leaves every group in ascending index order.
-    """
-    classes: list[tuple[float, list[int]]] = []
-    for neg, idx in sorted([(-abs(v), i) for i, v in x.pairs()]):
-        if classes and classes[-1][0] == neg:
-            classes[-1][1].append(idx)
-        else:
-            classes.append((neg, [idx]))
-    return [(-neg, tuple(idxs)) for neg, idxs in classes]
+
+def _modulus_classes(x: CoeffVector):
+    """(modulus, index tuple) per run of exactly equal moduli in the greedy
+    order: moduli descending, each group in ascending index order."""
+    return [(-neg, tuple([i for _, i in run]))
+            for neg, run in itertools.groupby(_greedy_order(x), key=operator.itemgetter(0))]
 
 
 def one_greedy_set(x: CoeffVector, m: int, t: float,
@@ -102,33 +109,30 @@ def one_greedy_set(x: CoeffVector, m: int, t: float,
     t = _check_t(t)
     if m < 0:
         raise ValueError(f"cardinality must be nonnegative, got {m}")
-    classes = _modulus_classes(x)
-    total = len(x)
-    if m >= total:
-        return GreedySelection(frozenset(x.support()), t, total)
+    order = _greedy_order(x)
+    total = len(order)
+    m = min(m, total)
+    if m in (0, total) or order[m - 1][0] != order[m][0] or policy == "lowest":
+        return GreedySelection(frozenset([i for _, i in order[:m]]), t, m)
 
-    chosen: list[int] = []
-    remaining = m
-    for _, idxs in classes:
-        if remaining <= 0:
-            break
-        if len(idxs) <= remaining:
-            chosen.extend(idxs)
-            remaining -= len(idxs)
-        else:
-            if policy == "lowest":
-                part = idxs[:remaining]
-            elif policy == "highest":
-                part = idxs[-remaining:]
-            elif callable(policy):
-                part = tuple(int(i) for i in policy(idxs, remaining))
-                if len(set(part)) != remaining or not set(part) <= set(idxs):
-                    raise ValueError("tie policy returned an invalid choice")
-            else:
-                raise ValueError(f"unknown tie policy {policy!r}")
-            chosen.extend(part)
-            remaining = 0
-    return GreedySelection(frozenset(chosen), t, m)
+    # the tied class order[lo:hi] straddles position m: the policy picks m - lo
+    key = order[m][0]
+    lo, hi = m - 1, m + 1
+    while lo and order[lo - 1][0] == key:
+        lo -= 1
+    while hi < total and order[hi][0] == key:
+        hi += 1
+    idxs = tuple([i for _, i in order[lo:hi]])
+    remaining = m - lo
+    if policy == "highest":
+        part = idxs[-remaining:]
+    elif callable(policy):
+        part = tuple(int(i) for i in policy(idxs, remaining))
+        if len(set(part)) != remaining or not set(part) <= set(idxs):
+            raise ValueError("tie policy returned an invalid choice")
+    else:
+        raise ValueError(f"unknown tie policy {policy!r}")
+    return GreedySelection(frozenset([i for _, i in order[:lo]] + list(part)), t, m)
 
 
 def _compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:

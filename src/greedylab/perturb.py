@@ -15,7 +15,7 @@ import numpy as np
 
 from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, projection,
                          random_vectors)
-from .greedy import is_t_greedy, one_greedy_set
+from .greedy import _check_t, _greedy_order, _index_set, is_t_greedy, one_greedy_set
 from .reporting import parallel_map
 
 __all__ = [
@@ -41,9 +41,7 @@ class PerturbationError(ValueError):
 
 def projection_crude_bound(space: SpaceDescriptor, A: Iterable[int]) -> float:
     """alpha^(|A|-1) * |A| * c: valid for every projection in the space."""
-    size = len(set(int(i) for i in A))
-    if size == 0:
-        return 0.0
+    size = len(_index_set(A))  # the empty set gives 0.0, as alpha >= 1
     return space.alpha ** (size - 1) * size * space.c_param
 
 
@@ -68,7 +66,7 @@ def perturb_to_finite_support(space: SpaceDescriptor, x: CoeffVector,
     revalidated together with the distance and greediness, and any failure
     raises with the violated inequality.
     """
-    A_set = frozenset(int(i) for i in A)
+    A_set = _index_set(A)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not is_t_greedy(x, A_set, t):
@@ -129,7 +127,7 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
         raise ValueError("x must be nonzero")
     if m < 0:
         raise ValueError(f"segment length must be nonnegative, got {m}")
-    A_set = frozenset(int(i) for i in A)
+    A_set = _index_set(A)
     if not is_t_greedy(x, A_set, t):
         raise ValueError("A is not a t-greedy set for x")
     B = frozenset(range(1, m + 1))
@@ -180,8 +178,6 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
 def _random_greedy_pair(dim: int, rng: np.random.Generator, style: int = 0,
                         t_pool=(1.0, 0.9, 0.7, 0.5, 0.3)) -> tuple[CoeffVector, frozenset, float]:
     x = next(iter(random_vectors(dim, 1, rng, style_offset=style)))
-    if not x:
-        x = CoeffVector.basis_vector(1)
     t = float(rng.choice(t_pool))
     m = int(rng.integers(1, len(x) + 1))
     policy = "lowest" if rng.integers(2) == 0 else "highest"
@@ -262,8 +258,6 @@ def crude_bound_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
     def trial(idx: int):
         rng = np.random.default_rng([seed, idx])
         x = next(iter(random_vectors(dim, 1, rng, style_offset=idx)))
-        if not x:
-            return True, None
         size = int(rng.integers(1, max_card + 1))
         A = frozenset(rng.choice(np.arange(1, dim + 1), size=min(size, dim),
                                  replace=False).tolist())
@@ -281,6 +275,7 @@ def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
     against samples with geometric tails out to 4*dim (the desk-scale stand-in
     for unrestricted support), and check the alpha^2 amplification bound.
     """
+    _check_t(t)
     if budget <= 0:
         return {"lemma": "finite-support amplification", "space": space.name,
                 "trials": 0, "seed": seed}
@@ -292,16 +287,13 @@ def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
     def best_ratio(samples) -> float:
         best = 0.0
         for x in samples:
-            if not x:
-                continue
             nx = space.norm(x)
             if nx <= 0.0:
                 continue
-            for m in sizes:
-                if m > len(x):
-                    continue
-                sel = one_greedy_set(x, m, t, "lowest")
-                best = max(best, space.norm(projection(x, sel.indices)) / nx)
+            # one sort per vector: its "lowest" greedy sets, for any t, are prefixes
+            order = [i for _, i in _greedy_order(x)]
+            best = max([best] + [space.norm(projection(x, order[:m])) / nx
+                                 for m in sizes if m <= len(x)])
         return best
 
     finite_pool = [CoeffVector.basis_vector(1), CoeffVector.from_dense([1.0] * dim)]

@@ -165,6 +165,14 @@ def _same_float(a, b) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+def _float_or_error(call):
+    """The call's result, or the type of the arithmetic error it raised."""
+    try:
+        return call()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
 def _same_vector(a: CV, b: CV) -> bool:
     return (a.support() == b.support()
             and all(_same_float(u, v) for (_, u), (_, v) in zip(a.pairs(), b.pairs())))
@@ -239,6 +247,31 @@ class TestTupleKernelsMatchNumpy:
         assert _same_float(gl.lp_norm(x, p), want)
         assert _same_float(gl.weighted_lp_norm(x, p, weights), want_w)
         assert _same_float(gl.weighted_lp_norm(x, p, w), want_w)
+
+    @given(st.lists(st.builds(lambda mant, exp, sign: sign * mant * 10.0 ** exp,
+                              st.floats(1.0, 9.99), st.integers(-300, 299),
+                              st.sampled_from([1.0, -1.0])), min_size=1, max_size=40),
+           st.sampled_from([0.3, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0]),
+           st.lists(st.floats(1e-3, 1e3), max_size=40))
+    @settings(max_examples=400)
+    def test_lp_norms_keep_the_numpy_bits_across_magnitudes(self, vals, p, weights):
+        # from 1e-300 to 1e300, single entries included: the whole-array
+        # expressions the norms used to be are the oracle
+        x = CV(range(1, len(vals) + 1), vals)
+        a = np.abs(np.array(vals))
+        peak = float(a.max())
+        w = np.ones(len(vals))
+        w[:len(weights)] = weights[:len(vals)]
+        with np.errstate(over="ignore", under="ignore"):
+            want = _float_or_error(
+                lambda: peak * float(np.sum((a / peak) ** p)) ** (1.0 / p))
+            want_w = _float_or_error(
+                lambda: float(np.sum(w * np.abs(np.array(vals)) ** p)) ** (1.0 / p))
+            got = _float_or_error(lambda: gl.lp_norm(x, p))
+            got_w = _float_or_error(lambda: gl.weighted_lp_norm(x, p, weights))
+        # the unscaled weighted sum can overflow Python's final ** (1/p)
+        assert type(got) is float and _same_float(got, want)
+        assert got_w == want_w if isinstance(want_w, type) else _same_float(got_w, want_w)
 
     @given(edge_vectors, edge_vectors)
     @settings(max_examples=300)

@@ -330,6 +330,19 @@ class TestBoundedGapPartition:
             gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, A, 1.0,
                                             GapSequence.explicit([4], bound_l=2))
 
+    def test_float_member_of_A_is_refused(self):
+        space, x, A = self._setup(m=7)
+        with pytest.raises(ValueError, match="integers"):
+            gl.bounded_gap_projection_bound(space, 50.0, 1.0, x, [*A][:-1] + [2.7],
+                                            1.0, GapSequence.powers(2, 4))
+
+    def test_ok_is_false_when_one_check_fails(self):
+        space, x, A = self._setup(m=7)
+        rep = gl.bounded_gap_projection_bound(space, 1e-9, 1.0, x, A, 1.0,
+                                              GapSequence.powers(2, 4))
+        oks = [c["ok"] for c in rep["bound_checks"]]
+        assert not all(oks) and any(oks) and rep["ok"] is False
+
     def test_gap_without_a_bound_is_refused(self):
         space, x, A = self._setup(m=7)
         with pytest.raises(ValueError, match="bound_l"):

@@ -49,6 +49,13 @@ class TestIsTGreedy:
         with pytest.raises(ValueError):
             gl.is_t_greedy(CV.basis_vector(1), {1}, t)
 
+    def test_float_member_is_refused_not_truncated(self):
+        # int(2.7) would read A as {2}, the largest coefficient
+        x = CV([1, 2, 3], [0.5, 3.0, 1.0])
+        with pytest.raises(ValueError, match="integers"):
+            gl.is_t_greedy(x, {2.7}, 1.0)
+        assert gl.is_t_greedy(x, {np.int64(2)}, 1.0)
+
 
 class TestOneGreedySet:
     def test_two_largest(self):
@@ -94,6 +101,101 @@ class TestOneGreedySet:
             sel = gl.one_greedy_set(x, m, 1.0)
             for t in (1.0, 0.6, 0.2):
                 assert gl.is_t_greedy(x, sel.indices, t)
+
+
+def class_loop_one_greedy_set(x: CV, m: int, t: float, policy="lowest"):
+    """``one_greedy_set`` as a walk over modulus classes, each grouped by its
+    own sort, with the policy asked inside the class that straddles m."""
+    t = gl.greedy._check_t(t)
+    if m < 0:
+        raise ValueError(f"cardinality must be nonnegative, got {m}")
+    classes = []
+    for neg, idx in sorted([(-abs(v), i) for i, v in x.pairs()]):
+        if classes and classes[-1][0] == neg:
+            classes[-1][1].append(idx)
+        else:
+            classes.append((neg, [idx]))
+    if m >= len(x):
+        return gl.GreedySelection(frozenset(x.support()), t, len(x))
+    chosen, remaining = [], m
+    for _, idxs in classes:
+        idxs = tuple(idxs)
+        if remaining <= 0:
+            break
+        if len(idxs) <= remaining:
+            chosen.extend(idxs)
+            remaining -= len(idxs)
+            continue
+        if policy == "lowest":
+            part = idxs[:remaining]
+        elif policy == "highest":
+            part = idxs[-remaining:]
+        elif callable(policy):
+            part = tuple(int(i) for i in policy(idxs, remaining))
+            if len(set(part)) != remaining or not set(part) <= set(idxs):
+                raise ValueError("tie policy returned an invalid choice")
+        else:
+            raise ValueError(f"unknown tie policy {policy!r}")
+        chosen.extend(part)
+        remaining = 0
+    return gl.GreedySelection(frozenset(chosen), t, m)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+def _recording_policy(log):
+    """A tie policy that logs its calls and picks neither end of the group."""
+    def policy(group, slots):
+        log.append((group, slots))
+        return sorted(group, key=lambda i: (i * 7919) % 13)[:slots]
+    return policy
+
+
+# few distinct moduli in both signs, so that tied classes straddle most m
+tie_rich_entries = st.dictionaries(
+    st.integers(1, 40),
+    st.sampled_from([0.25, -0.25, 1.0, -1.0, 3.0, -3.0, 5e-324, math.inf]) |
+    st.floats(-4, 4, allow_nan=False).filter(bool),
+    max_size=20)
+
+
+class TestOneGreedySetMatchesClassLoop:
+    @given(tie_rich_entries, st.sampled_from([1.0, 0.5, 0.1]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_policy_and_cardinality(self, entries, t):
+        x = CV(list(entries), list(entries.values()))
+        for m in range(len(x) + 2):
+            for policy in ("lowest", "highest", "no-such-policy"):
+                assert _outcome(lambda: gl.one_greedy_set(x, m, t, policy)) == \
+                    _outcome(lambda: class_loop_one_greedy_set(x, m, t, policy))
+            fast_calls, oracle_calls = [], []
+            got = gl.one_greedy_set(x, m, t, _recording_policy(fast_calls))
+            want = class_loop_one_greedy_set(x, m, t, _recording_policy(oracle_calls))
+            assert got == want
+            assert fast_calls == oracle_calls and len(fast_calls) <= 1
+
+    @given(tie_rich_entries, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_random_tie_breaks_draw_the_same_numbers(self, entries, seed):
+        x = CV(list(entries), list(entries.values()))
+        fast, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for m in range(len(x) + 1):
+            got = random_greedy_set(x, m, 1.0, fast)
+            style = int(oracle.integers(3))
+            policy = ("lowest", "highest",
+                      lambda g, k: oracle.choice(g, size=k, replace=False))[style]
+            assert got == class_loop_one_greedy_set(x, m, 1.0, policy)
+        assert fast.integers(2 ** 62) == oracle.integers(2 ** 62)
+
+    def test_invalid_policy_choice_still_rejected(self):
+        x = CV.from_dense([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="invalid choice"):
+            gl.one_greedy_set(x, 2, 1.0, lambda group, slots: group[:1])
 
 
 def zero_tolerance_modulus_classes(x: CV):

@@ -1,11 +1,14 @@
 """Quasi-Banach toolkit: crude bound, perturbation, padding, amplification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence, perturb
+from greedylab.cli import run_experiment_set
 from greedylab.perturb import PerturbationError
 
 L_HALF = gl.lp_space(0.5)
@@ -21,6 +24,10 @@ class TestCrudeBound:
 
     def test_empty_convention(self):
         assert gl.projection_crude_bound(L_HALF, []) == 0.0
+
+    def test_float_member_is_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            gl.projection_crude_bound(L_HALF, [1, 2.5])
 
     def test_never_violated_in_l_half(self):
         rng = np.random.default_rng(0)
@@ -68,6 +75,11 @@ class TestPerturbation:
         bad = lambda vec, d: vec + CV.basis_vector(5, 10.0)
         with pytest.raises(PerturbationError, match="picker"):
             gl.perturb_to_finite_support(space, x, {1}, 1.0, 0.1, bad)
+
+    def test_float_member_is_refused_not_truncated(self):
+        x = CV([1, 2, 3], [0.5, 3.0, 1.0])
+        with pytest.raises(ValueError, match="integers"):
+            gl.perturb_to_finite_support(L_HALF, x, [2.7], 1.0, 0.1)
 
     def test_non_greedy_input_rejected(self):
         space = gl.lp_space(2.0)
@@ -127,6 +139,11 @@ class TestPaddingConstruction:
         with pytest.raises(PerturbationError, match="segment coefficient not cleared at j=1"):
             gl.padding_set_construction(gl.lp_space(0.5), x, {5}, 1.0, 2)
 
+    def test_float_member_is_refused_not_truncated(self):
+        x = CV([1, 2, 3], [0.5, 3.0, 1.0])
+        with pytest.raises(ValueError, match="integers"):
+            gl.padding_set_construction(L_HALF, x, {2.7}, 1.0, 1)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             gl.padding_set_construction(L_HALF, CV.zero(), set(), 1.0, 2)
@@ -168,6 +185,43 @@ class TestEquivalenceAudit:
     def test_zero_budget_empty_report(self):
         rep = gl.equivalence_audit(L_HALF, GapSequence.naturals(), 1.0, 8, 0)
         assert rep["trials"] == 0 and "ratio_all" not in rep
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1])
+    def test_prefix_sets_are_the_lowest_greedy_sets(self, monkeypatch, t):
+        # every set the audit projects on is one_greedy_set's "lowest" set of
+        # that size, and every admissible size of every sample is visited
+        seen = []
+
+        def recording_projection(x, A):
+            seen.append((x, list(A)))
+            return gl.projection(x, A)
+
+        monkeypatch.setattr(perturb, "projection", recording_projection)
+        gap = GapSequence.explicit([1, 2, 3, 5, 8, 13])
+        gl.equivalence_audit(L_HALF, gap, t, 16, 30, seed=7)
+        sizes_by_sample = {}
+        for x, A in seen:
+            assert frozenset(A) == gl.one_greedy_set(x, len(A), t, "lowest").indices
+            sizes_by_sample.setdefault(x, []).append(len(A))
+        assert len(sizes_by_sample) >= 40
+        for x, sizes in sizes_by_sample.items():
+            assert sizes == [m for m in (1, 2, 3, 5, 8, 13) if m <= len(x)]
+
+
+class TestGoldenReport:
+    def test_perturb_audit_reports_are_byte_identical(self, tmp_path):
+        # recorded with the whole-array numpy norms and the class-loop greedy
+        # selection: any bit drift in the vector, norm or greedy kernels fails here
+        assert run_experiment_set("perturb-audit", {"trials": 80, "dim": 16},
+                                  tmp_path, 42) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("perturb-audit.csv", "perturb-audit.json")}
+        assert digests == {
+            "perturb-audit.csv":
+                "c8cd05d4b8acec2eba586baf5076606988b47534e458a2586ca0d05ae447e35b",
+            "perturb-audit.json":
+                "75feb25d7ede6ee2d24ce6e6670cfefe91a3164825d3ba7bf758b8f826e2c470",
+        }
 
 
 class TestThreeStageInstance:
