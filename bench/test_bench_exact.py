@@ -1,5 +1,8 @@
-"""Microbenchmark of one exact constant: the polyhedral cell search for the
-summing norm at dimension 3 and t = 0.6 (136 cell LPs, one block-diagonal solve).
+"""Microbenchmarks of the exact polyhedral cell search in the summing space:
+one constant at dimension 3 and t = 0.6 (136 cell LPs, of which 96 are
+distinct and solved), the 20-point weakness grid t = 0.05, 0.10, ..., 1 at
+dimension 3 in one search (1,920 distinct cell LPs), and one constant at
+dimension 5 and t = 0.6 (2,560 distinct cell LPs of 4,128).
 
     PYTHONPATH=src python -m pytest bench/test_bench_exact.py
 
@@ -11,8 +14,25 @@ import pytest
 import greedylab as gl
 from greedylab import GapSequence
 
+NAT = GapSequence.naturals()
+GRID = [round(0.05 * i, 10) for i in range(1, 21)]
+
 
 def test_exact_constant_summing_dim3(benchmark):
     space = gl.summing_space(3)
-    est = benchmark(gl.exact_constant_polyhedral, space, GapSequence.naturals(), 0.6, 3)
+    est = benchmark(gl.exact_constant_polyhedral, space, NAT, 0.6, 3)
     assert est.exact and est.value == pytest.approx(8.0 / 3.0, abs=1e-9)
+
+
+def test_exact_grid_summing_dim3(benchmark):
+    space = gl.summing_space(3)
+    estimates = benchmark(gl.exact_constant_grid, space, NAT, GRID, 3)
+    assert [e.t for e in estimates] == GRID
+    assert estimates[-1].value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_exact_constant_summing_dim5(benchmark):
+    space = gl.summing_space(5)
+    est = benchmark.pedantic(gl.exact_constant_polyhedral, (space, NAT, 0.6, 5),
+                             rounds=5, iterations=1)
+    assert est.exact and est.value == pytest.approx(13.0 / 3.0, abs=1e-9)

@@ -14,7 +14,8 @@ from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, lp_norm,
 from .constants import (alternating_witness, alternating_witness_estimate,
                         bounded_gap_projection_bound,
                         check_suppression_one_implies_qg,
-                        estimate_quasi_greedy_constant, exact_constant_polyhedral,
+                        estimate_quasi_greedy_constant, exact_constant_grid,
+                        exact_constant_polyhedral,
                         transfer_bound_t_from_s)
 from .counterexample import (ExampleSequence, SpikeBlockSelection, build_example,
                              divergence_experiment, greedy_sum_norm,

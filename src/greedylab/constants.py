@@ -7,15 +7,16 @@ supremum.  For polyhedral norms an exact cell search is available: once a
 sign pattern is fixed, the t-greedy condition is a system of linear
 inequalities, so each (index set, sign cell, dual functional) triple is a
 small linear program and the truncated-space constant is the maximum over
-finitely many of them.  The cell programs of one constant share no variable,
-so they are stacked into block-diagonal programs and solved together.
+finitely many of them.  The cell programs share no variable, so those of a
+whole weakness grid are stacked, a few hundred at a time, into block-diagonal
+programs and solved together.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .greedy import (_check_t, _index_set, enumerate_t_greedy_sets, is_t_greedy,
 __all__ = [
     "estimate_quasi_greedy_constant",
     "exact_constant_polyhedral",
+    "exact_constant_grid",
     "transfer_bound_t_from_s",
     "check_suppression_one_implies_qg",
     "bounded_gap_projection_bound",
@@ -180,33 +182,16 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
 # ---------------------------------------------------------------------------
 
 
-def _certified_witness(x: CoeffVector, A: frozenset, t: float) -> CoeffVector:
-    """Snap solver fuzz so the witness passes the exact t-greedy test."""
-    vals = dict(x.pairs())
-    peak = max((abs(v) for v in vals.values()), default=0.0)
-    if peak == 0.0:
-        return x
-    vals = {i: v for i, v in vals.items() if abs(v) > 1e-11 * peak}
-    outside = {i: v for i, v in vals.items() if i not in A}
-    if outside:
-        # an A-index with a (snapped) zero coefficient forces the whole
-        # complement to zero
-        lo = min((abs(vals[i]) for i in A if i in vals), default=0.0)
-        if any(i not in vals for i in A):
-            lo = 0.0
-        hi = max(abs(v) for v in outside.values())
-        if t * hi > lo and hi > 0.0:
-            shrink = (lo / (t * hi)) * (1.0 - 1e-14) if lo > 0.0 else 0.0
-            for i in outside:
-                vals[i] = vals[i] * shrink
-    return CoeffVector.from_pairs((i, v) for i, v in vals.items() if v != 0.0)
-
-
-# cell LPs per block-diagonal solve: one solve per constant up to dimension 4,
-# bounded memory beyond
-_LP_BATCH = 4096
-# cell LPs an exact search may need; a larger search is refused before any solve
+# cell LPs per block-diagonal solve; HiGHS time and memory grow with the size
+# of the block program, so many small solves beat one large one
+_LP_BATCH = 200
+# cell LPs one search may need, summed over its weakness grid; a larger search
+# is refused before any solve
 _LP_CAP = 2_000_000
+# a vertex whose screened ratio is more than this (relative) below the best so
+# far cannot beat it: max |F . y| in numpy and the space's own norm differ
+# only by rounding, a few units in the last place
+_SCREEN_TOL = 1e-9
 
 
 def linprog(*args, **kwargs):
@@ -218,21 +203,31 @@ def linprog(*args, **kwargs):
 
 
 def _cell_lps(F: np.ndarray, sizes: Iterable[int], dim: int, t: float, kind: str
-              ) -> Iterator[tuple[frozenset, tuple, np.ndarray]]:
-    """Every cell LP in search order, as (A, constraints, objective).
+              ) -> Iterator[tuple[frozenset, np.ndarray, tuple, np.ndarray]]:
+    """Every distinct cell LP in search order, as (A, A's mask, constraints,
+    objective).
 
     The constraints of one (index set, sign cell) pair are shared by its
-    2 * |F| objectives, as a sparse triple (rows, cols, values) plus the
-    right-hand side of ``A_ub x <= b_ub``.
+    objectives, as a sparse triple (rows, cols, values) plus the right-hand
+    side of ``A_ub x <= b_ub``.  The objectives are -sgn * f * mask over the
+    functionals f and the signs sgn, in that order, without the zero ones and
+    without repeats: in the summing space f . 1_A takes only about |A| values
+    over the d prefix functionals.
     """
     ball = np.vstack([F, -F])
     for size in sizes:
         for A_tuple in itertools.combinations(range(1, dim + 1), size):
             A = frozenset(A_tuple)
-            mask = np.zeros(dim)
-            for i in A_tuple:
-                mask[i - 1] = 1.0
-            obj_mask = mask if kind == "C_q_t" else 1.0 - mask
+            in_A = np.zeros(dim, dtype=bool)
+            in_A[[i - 1 for i in A_tuple]] = True
+            obj_mask = (in_A if kind == "C_q_t" else ~in_A).astype(np.float64)
+            objectives = {}
+            for f in F:
+                cvec = f * obj_mask
+                if np.any(cvec):
+                    for sgn in (1.0, -1.0):
+                        c = -sgn * cvec
+                        objectives.setdefault(c.tobytes(), c)
             outside = [j for j in range(1, dim + 1) if j not in A]
             for signs_rest in itertools.product((1.0, -1.0), repeat=dim - 1):
                 sigma = np.array((1.0,) + signs_rest)
@@ -251,15 +246,12 @@ def _cell_lps(F: np.ndarray, sizes: Iterable[int], dim: int, t: float, kind: str
                                        np.zeros(A_ub.shape[0] - ball.shape[0])])
                 nz_rows, nz_cols = np.nonzero(A_ub)
                 cell = (nz_rows, nz_cols, A_ub[nz_rows, nz_cols], b_ub)
-                for f in F:
-                    cvec = f * obj_mask
-                    if not np.any(cvec):
-                        continue
-                    for sgn in (1.0, -1.0):
-                        yield A, cell, -sgn * cvec
+                for c in objectives.values():
+                    yield A, in_A, cell, c
 
 
-def _solve_block_diagonal(lps: list, dim: int, bound: float) -> np.ndarray:
+def _solve_block_diagonal(cells: Sequence[tuple], objectives: Sequence[np.ndarray],
+                          dim: int, bound: float) -> np.ndarray:
     """Optimal vertices of the given cell LPs, one row each, from one HiGHS solve.
 
     The LPs are the diagonal blocks of one program with a separable
@@ -270,67 +262,120 @@ def _solve_block_diagonal(lps: list, dim: int, bound: float) -> np.ndarray:
 
     rows, cols, vals, b_ub = [], [], [], []
     n_rows = 0
-    for k, (_, (nz_rows, nz_cols, nz_vals, b), _) in enumerate(lps):
+    for k, (nz_rows, nz_cols, nz_vals, b) in enumerate(cells):
         rows.append(nz_rows + n_rows)
         cols.append(nz_cols + k * dim)
         vals.append(nz_vals)
         b_ub.append(b)
         n_rows += b.size
     A_ub = coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(n_rows, len(lps) * dim))
-    res = linprog(np.concatenate([c for _, _, c in lps]), A_ub=A_ub,
-                  b_ub=np.concatenate(b_ub), bounds=(-bound, bound), method="highs")
+                     shape=(n_rows, len(cells) * dim))
+    res = linprog(np.concatenate(objectives), A_ub=A_ub, b_ub=np.concatenate(b_ub),
+                  bounds=(-bound, bound), method="highs")
     if not res.success:
-        raise RuntimeError(f"HiGHS failed on {len(lps)} cell LPs: "
+        raise RuntimeError(f"HiGHS failed on {len(cells)} cell LPs: "
                            f"status {res.status}: {res.message}")
-    return res.x.reshape(len(lps), dim)
+    return res.x.reshape(len(cells), dim)
 
 
-def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float,
-                              dim: int, kind: str = "C_q_t") -> ConstantEstimate:
-    """Exact truncated-space constant via per-cell linear programs.
+def _snap_vertices(X: np.ndarray, in_A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cell vertices (rows of X) with the solver fuzz snapped off, so that the
+    nonempty index set of row k (``in_A[k]``) is exactly ``t[k]``-greedy.
+
+    Entries up to 1e-11 times the row's peak become zero.  If the largest
+    entry outside the set, hi, then has t * hi > lo, the smallest entry of the
+    set, every outside entry is multiplied by (lo / (t * hi)) * (1 - 1e-14);
+    a set entry snapped to zero gives lo = 0 and zeroes the complement.  Each
+    step is one elementwise IEEE operation, so a row has the bits the same
+    steps give on Python floats.
+    """
+    absX = np.abs(X)
+    Y = np.where(absX > 1e-11 * absX.max(axis=1, keepdims=True), X, 0.0)
+    absY = np.abs(Y)
+    lo = np.where(in_A, absY, np.inf).min(axis=1)
+    t_hi = t * np.where(in_A, 0.0, absY).max(axis=1)
+    shrink = np.divide(lo, t_hi, out=np.zeros_like(lo), where=(t_hi > lo) & (lo > 0.0))
+    shrink *= 1.0 - 1e-14
+    return np.where((t_hi > lo)[:, None] & ~in_A, Y * shrink[:, None], Y)
+
+
+def _screened_ratios(Y: np.ndarray, in_A: np.ndarray, F: np.ndarray,
+                     kind: str) -> np.ndarray:
+    """The ratio of each row of Y, with both norms taken as max |F . y| in
+    numpy; -inf for a zero row, which the search skips."""
+    part = np.where(in_A if kind == "C_q_t" else ~in_A, Y, 0.0)
+    norm = np.abs(Y @ F.T).max(axis=1)
+    return np.divide(np.abs(part @ F.T).max(axis=1), norm,
+                     out=np.full(len(Y), -np.inf), where=norm > 0.0)
+
+
+def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[float],
+                        dim: int, kind: str = "C_q_t") -> list[ConstantEstimate]:
+    """Exact truncated-space constants, one per weakness parameter in ``ts``,
+    via per-cell linear programs.
 
     Requires a dual-functional oracle (norm(z) = max |f . z| over finitely
     many rows f).  For each admissible index set A and sign cell, the
     constraint set {|x| <= 1, A t-greedy for x} is a polytope, and each dual
-    functional gives a linear objective; the constant is the maximum LP value.
-    The cell LPs are solved ``_LP_BATCH`` at a time as one block-diagonal
-    program; a solve that does not reach optimality raises RuntimeError.
+    functional gives a linear objective; the constant is the maximum ratio
+    over the optimal vertices.  The distinct cell LPs of every t stream, in
+    order, into block-diagonal programs of ``_LP_BATCH`` LPs, one HiGHS solve
+    each; a solve that does not reach optimality raises RuntimeError.  The
+    vertices of a solve are snapped and their ratios screened in numpy; only
+    a vertex that may beat its t's best so far is built as a vector and
+    normed by the space, and the first vertex with the largest ratio wins.
     """
     if space.dual_functionals is None:
         raise ValueError(f"space {space.name!r} has no dual-functional oracle")
-    _check_t(t)
     if kind not in KINDS:
         raise ValueError(f"kind must be C_q_t or C_sq_t, got {kind!r}")
-    sizes = [s for s in gap.members_up_to(dim)]
+    sizes = gap.members_up_to(dim)
     if not sizes:
         raise ValueError("no admissible cardinality: gap sequence has no member <= dim")
 
     F = np.asarray(space.dual_functionals(dim), dtype=np.float64)
     n_subsets = sum(math.comb(dim, s) for s in sizes)
-    n_lp = n_subsets * (2 ** (dim - 1)) * (2 * F.shape[0])
+    n_lp = n_subsets * (2 ** (dim - 1)) * (2 * F.shape[0]) * len(ts)
     if n_lp > _LP_CAP:
         raise ValueError(f"cell search needs {n_lp} linear programs, over the cap {_LP_CAP}")
+    for t in ts:
+        _check_t(t)
 
-    best = 0.0
-    best_x: Optional[CoeffVector] = None
-    best_A: Optional[frozenset] = None
+    best = [0.0] * len(ts)
+    best_x: list[Optional[CoeffVector]] = [None] * len(ts)
+    best_A: list[Optional[frozenset]] = [None] * len(ts)
 
-    lps = _cell_lps(F, sizes, dim, t, kind)
+    lps = ((k, t, *lp) for k, t in enumerate(ts) for lp in _cell_lps(F, sizes, dim, t, kind))
     while batch := list(itertools.islice(lps, _LP_BATCH)):
-        vertices = _solve_block_diagonal(batch, dim, space.alpha2)
-        for (A, _, _), vertex in zip(batch, vertices):
-            x = _certified_witness(CoeffVector.from_dense(vertex), A, t)
-            nx = space.norm(x)
-            if nx <= 0.0:
-                continue
-            ratio = _ratio(space, x, A, kind, nx)
-            if ratio > best:
-                best, best_x, best_A = ratio, x, A
+        ks, t_rows, As, masks, cells, objectives = zip(*batch)
+        in_A = np.array(masks)
+        Y = _snap_vertices(_solve_block_diagonal(cells, objectives, dim, space.alpha2),
+                           in_A, np.array(t_rows))
+        screened = _screened_ratios(Y, in_A, F, kind)
+        ks = np.array(ks)
+        for k in dict.fromkeys(ks.tolist()):
+            rows = np.flatnonzero(ks == k)
+            running = np.maximum.accumulate(np.maximum(screened[rows], best[k]))
+            for i in rows[screened[rows] >= running * (1.0 - _SCREEN_TOL)]:
+                x = CoeffVector.from_dense(Y[i])
+                nx = space.norm(x)
+                if nx <= 0.0:
+                    continue
+                ratio = _ratio(space, x, As[i], kind, nx)
+                if ratio > best[k]:
+                    best[k], best_x[k], best_A[k] = ratio, x, As[i]
 
-    return ConstantEstimate(kind=kind, value=float(best), witness_x=best_x,
-                            witness_A=best_A, exact=True, t=t, upper_bound=float(best),
-                            note="exact polyhedral cell search", mode="lp-cell")
+    return [ConstantEstimate(kind=kind, value=float(b), witness_x=x, witness_A=A,
+                             exact=True, t=t, upper_bound=float(b),
+                             note="exact polyhedral cell search", mode="lp-cell")
+            for t, b, x, A in zip(ts, best, best_x, best_A)]
+
+
+def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float,
+                              dim: int, kind: str = "C_q_t") -> ConstantEstimate:
+    """Exact truncated-space constant at one weakness parameter: the one-t
+    case of ``exact_constant_grid``."""
+    return exact_constant_grid(space, gap, [t], dim, kind)[0]
 
 
 # ---------------------------------------------------------------------------

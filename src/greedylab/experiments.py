@@ -6,6 +6,7 @@ and the margin.
 
 from __future__ import annotations
 
+from collections import abc
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -15,8 +16,11 @@ from .coeffspace import (GapSequence, SpaceDescriptor, random_vectors,
                          space_from_key, summing_space)
 from .constants import (bounded_gap_projection_bound,
                         check_suppression_one_implies_qg,
-                        estimate_quasi_greedy_constant,
-                        exact_constant_polyhedral, transfer_bound_t_from_s)
+                        estimate_quasi_greedy_constant, exact_constant_grid,
+                        transfer_bound_t_from_s)
+# not called here: the benchmark's trace site constants.exact_constant_polyhedral
+# looks the name up in this module
+from .constants import exact_constant_polyhedral  # noqa: F401
 from .greedy import random_greedy_set
 from .perturb import (crude_bound_suite, equivalence_audit,
                       lemma_perturbation_suite, padding_suite)
@@ -77,22 +81,39 @@ def constants_table(space_key: str, kind: str, t: float, dims: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
+class _WeaknessGrid(abc.Sequence):
+    """step, 2 step, ..., 1, each rounded to 10 places and made on access, so
+    that the exact search can refuse a grid by its length before building it."""
+
+    def __init__(self, step: float):
+        self._step, self._len = step, int(round(1.0 / step))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> float:
+        if not 0 <= i < self._len:
+            raise IndexError(i)
+        return round(self._step * (i + 1), 10)
+
+
 def transfer_table(space_key: str = "summing", dims: Sequence[int] = (2, 3),
                    step: float = 0.05) -> dict:
     """Exact constants on a weakness grid, then every applicable (s, t) pair
     checked against the transfer bound.  Requires a polyhedral space."""
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must lie in (0, 1], got {step}")
     gap = GapSequence.naturals()
-    grid = [round(step * i, 10) for i in range(1, int(round(1.0 / step)) + 1)]
+    grid = _WeaknessGrid(step)
     header = ["dim", "s", "t", "C_qs", "C_qt", "bound", "applicable", "ok", "margin"]
     rows = []
     violations = 0
     for dim in dims:
         space = space_from_key(space_key, dim)
-        table = {}
-        for tau in grid:
-            table[tau] = exact_constant_polyhedral(space, gap, tau, dim, "C_q_t").value
-        for s in grid:
-            for t in grid:
+        table = {est.t: est.value
+                 for est in exact_constant_grid(space, gap, grid, dim, "C_q_t")}
+        for s in table:
+            for t in table:
                 if not t < s:
                     continue
                 bound = transfer_bound_t_from_s(table[s], s, t)

@@ -1,7 +1,10 @@
 """Constant estimation, the exact cell search, and the theorem-level bounds."""
 
+import functools
 import itertools
+import math
 import os
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -17,11 +20,34 @@ import greedylab as gl
 import greedylab.constants as constants_module
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence
-from greedylab.constants import _certified_witness
+from greedylab.constants import _snap_vertices
 from greedylab.estimates import _ratio
-from greedylab.experiments import bounded_gap_trials
+from greedylab.experiments import bounded_gap_trials, transfer_table
 
 NAT = GapSequence.naturals()
+
+
+def _certified_witness(x, A, t):
+    """One vertex snapped with Python floats, as the search did before it
+    snapped a whole batch in numpy (``_snap_vertices`` must give these bits)."""
+    vals = dict(x.pairs())
+    peak = max((abs(v) for v in vals.values()), default=0.0)
+    if peak == 0.0:
+        return x
+    vals = {i: v for i, v in vals.items() if abs(v) > 1e-11 * peak}
+    outside = {i: v for i, v in vals.items() if i not in A}
+    if outside:
+        # an A-index with a (snapped) zero coefficient forces the whole
+        # complement to zero
+        lo = min((abs(vals[i]) for i in A if i in vals), default=0.0)
+        if any(i not in vals for i in A):
+            lo = 0.0
+        hi = max(abs(v) for v in outside.values())
+        if t * hi > lo and hi > 0.0:
+            shrink = (lo / (t * hi)) * (1.0 - 1e-14) if lo > 0.0 else 0.0
+            for i in outside:
+                vals[i] = vals[i] * shrink
+    return CV.from_pairs((i, v) for i, v in vals.items() if v != 0.0)
 
 
 def reference_cell_search(space, t, dim, kind="C_q_t"):
@@ -68,6 +94,11 @@ def reference_cell_search(space, t, dim, kind="C_q_t"):
                             continue
                         best = max(best, _ratio(space, x, A, kind, nx))
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def reference_value(key, dim, t, kind="C_q_t"):
+    return reference_cell_search(gl.space_from_key(key, dim), t, dim, kind)
 
 
 class TestTransferBound:
@@ -203,7 +234,7 @@ class TestExactCellSearch:
 
 def _assert_matches_reference(space, t, dim, kind):
     est = gl.exact_constant_polyhedral(space, NAT, t, dim, kind)
-    assert est.value == reference_cell_search(space, t, dim, kind)
+    assert est.value == reference_value(space.name, dim, t, kind)
     # another optimal vertex may give another witness for the same value
     assert est.revalidate(space)
     assert gl.is_t_greedy(est.witness_x, est.witness_A, t)
@@ -221,6 +252,164 @@ class TestBatchedSearchMatchesReference:
     def test_contractive_spaces(self, key, dim, kind):
         for t in (0.35, 1.0):
             _assert_matches_reference(gl.space_from_key(key, dim), t, dim, kind)
+
+
+# the weakness grid of the grid tests, in search order
+GRID = (0.05, 0.35, 0.55, 0.6, 1.0)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _count_blocks(monkeypatch, dim):
+    """Record the number of cell LPs in every block-diagonal solve."""
+    blocks = []
+
+    def counting(c, **kwargs):
+        blocks.append(c.size // dim)
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(constants_module, "linprog", counting)
+    return blocks
+
+
+def _some_solve_spans_two_ts(blocks, n_ts):
+    """True when one solve holds cell LPs of two weakness parameters (every t
+    of a grid has the same number of cell LPs)."""
+    per_t = sum(blocks) // n_ts
+    ends = list(itertools.accumulate(blocks))
+    return any(start // per_t != (end - 1) // per_t
+               for start, end in zip([0] + ends, ends))
+
+
+def _assert_valid_witnesses(space, ts, estimates):
+    for t, est in zip(ts, estimates, strict=True):
+        assert est.t == t and est.exact and est.mode == "lp-cell"
+        assert est.revalidate(space)
+        assert gl.is_t_greedy(est.witness_x, est.witness_A, t)
+
+
+def _cell_lp_count(space, dim, kind="C_q_t"):
+    """Cell LPs with a nonzero objective, counted as ``reference_cell_search``
+    solves them: one per (index set, sign cell, functional, sign)."""
+    F = np.asarray(space.dual_functionals(dim), dtype=np.float64)
+    count = 0
+    for size in NAT.members_up_to(dim):
+        for A_tuple in itertools.combinations(range(1, dim + 1), size):
+            mask = np.isin(np.arange(1, dim + 1), A_tuple).astype(float)
+            obj_mask = mask if kind == "C_q_t" else 1.0 - mask
+            count += 2 ** (dim - 1) * 2 * sum(bool(np.any(f * obj_mask)) for f in F)
+    return count
+
+
+class TestExactGrid:
+    @pytest.mark.parametrize("key,dim,kind", [
+        *[("summing", dim, "C_q_t") for dim in (2, 3, 4)],
+        *[(key, dim, kind) for key in ("lp:1", "sup") for dim in (2, 3)
+          for kind in ("C_q_t", "C_sq_t")]])
+    def test_entries_match_single_searches_and_reference(self, key, dim, kind,
+                                                         monkeypatch):
+        space = gl.space_from_key(key, dim)
+        blocks = _count_blocks(monkeypatch, dim)
+        estimates = gl.exact_constant_grid(space, NAT, GRID, dim, kind)
+        assert _some_solve_spans_two_ts(blocks, len(GRID))
+        assert _bits(e.value for e in estimates) == _bits(
+            gl.exact_constant_polyhedral(space, NAT, t, dim, kind).value for t in GRID)
+        assert _bits(e.value for e in estimates) == _bits(
+            reference_value(key, dim, t, kind) for t in GRID)
+        _assert_valid_witnesses(space, GRID, estimates)
+
+    # 96 distinct cell LPs per t at dimension 3: a batch of 64 splits each t
+    # across two solves, and its second solve also holds the next t's first LPs
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_batch_size_does_not_change_values(self, batch, monkeypatch):
+        space = gl.summing_space(3)
+        expected = _bits(reference_value("summing", 3, t) for t in GRID)
+        monkeypatch.setattr(constants_module, "_LP_BATCH", batch)
+        blocks = _count_blocks(monkeypatch, 3)
+        estimates = gl.exact_constant_grid(space, NAT, GRID, 3)
+        assert max(blocks) == batch and sum(blocks) == 96 * len(GRID)
+        assert _bits(e.value for e in estimates) == expected
+        _assert_valid_witnesses(space, GRID, estimates)
+
+    def test_empty_grid(self):
+        assert gl.exact_constant_grid(gl.summing_space(3), NAT, [], 3) == []
+
+    def test_cap_counts_the_whole_grid(self, monkeypatch):
+        # 4,960 cell LPs per constant at dimension 5; 404 of them pass the cap
+        monkeypatch.setattr(constants_module, "linprog", None)
+        with pytest.raises(ValueError, match="2003840 linear programs, over the cap"):
+            gl.exact_constant_grid(gl.summing_space(5), NAT, [0.5] * 404, 5)
+
+    @pytest.mark.parametrize("key,dim,solved,total", [
+        ("summing", 5, 2560, 4128), ("lp:1", 3, 224, 448), ("sup", 3, 96, 96)])
+    def test_each_distinct_cell_lp_is_solved_once(self, key, dim, solved, total,
+                                                   monkeypatch):
+        space = gl.space_from_key(key, dim)
+        blocks = _count_blocks(monkeypatch, dim)
+        gl.exact_constant_polyhedral(space, NAT, 0.6, dim)
+        assert sum(blocks) == solved
+        assert _cell_lp_count(space, dim) == total
+
+
+# entries that reach every branch of the snap: exact zeros of both signs, fuzz
+# below 1e-11 of the peak, and ties
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, -3e-12, 0.5, -1.0, 1.0, 2.0]),
+                     st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _vertex_batches(draw):
+    dim = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(
+        st.lists(_ENTRIES, min_size=dim, max_size=dim),
+        st.sets(st.integers(1, dim), min_size=1),
+        st.one_of(st.sampled_from([1.0, 0.6, 0.05]), st.floats(1e-3, 1.0))),
+        min_size=1, max_size=5))
+    return dim, rows
+
+
+@given(_vertex_batches())
+@settings(max_examples=300, deadline=None)
+@example((3, [([0.0, 0.0, 0.0], {1}, 1.0)]))  # zero vertex
+@example((3, [([1e-13, 1.0, -0.5], {1, 2}, 1.0)]))  # A-index snapped: lo = 0
+@example((3, [([0.0, 1.0, -0.5], {1}, 0.6)]))  # A-index exactly zero
+@example((3, [([0.4, 1.0, -0.5], {1}, 0.6)]))  # shrink by lo / (t * hi)
+@example((2, [([1.0, -1.0], {1, 2}, 1.0), ([0.0, 2.0], {1}, 0.5)]))  # no complement
+def test_array_snap_equals_scalar_snap(batch):
+    dim, rows = batch
+    X = np.array([vertex for vertex, _, _ in rows], dtype=np.float64)
+    in_A = np.array([[i in A for i in range(1, dim + 1)] for _, A, _ in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0 * inf or 0 / 0 on any row
+        Y = _snap_vertices(X, in_A, np.array([t for _, _, t in rows]))
+    for (vertex, A, t), y in zip(rows, Y, strict=True):
+        scalar = _certified_witness(CV.from_dense(vertex), frozenset(A), t)
+        snapped = CV.from_dense(y)
+        assert snapped.support() == scalar.support()
+        assert _bits(v for _, v in snapped.pairs()) == _bits(v for _, v in scalar.pairs())
+
+
+class TestTransferTableInput:
+    @pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan])
+    def test_step_outside_unit_interval_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            transfer_table("summing", (2,), step)
+
+    def test_fine_grid_refused_before_any_solve(self, monkeypatch):
+        # 10^7 grid points: 24 cell LPs each at dimension 2
+        monkeypatch.setattr(constants_module, "linprog", None)
+        with pytest.raises(ValueError, match="240000000 linear programs, over the cap"):
+            transfer_table("summing", (2, 3), 1e-7)
+
+    def test_one_search_per_dimension(self, monkeypatch):
+        blocks = _count_blocks(monkeypatch, 3)
+        rep = transfer_table("summing", (3,), 0.25)
+        # one search: its 4 * 96 cell LPs fill the fewest solves
+        assert sum(blocks) == 4 * 96
+        assert len(blocks) == math.ceil(4 * 96 / constants_module._LP_BATCH) < 4
+        assert rep["json"]["pairs"] == 6
 
 
 def test_import_does_not_load_scipy_optimize():

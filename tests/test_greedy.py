@@ -400,6 +400,8 @@ def _t_checked_calls():
             gl.summing_space(2), nat, t, 2, 1),
         "exact_constant_polyhedral": lambda t: gl.exact_constant_polyhedral(
             gl.summing_space(2), nat, t, 2),
+        "exact_constant_grid": lambda t: gl.exact_constant_grid(
+            gl.summing_space(2), nat, [1.0, t], 2),
         "bounded_gap_projection_bound": lambda t: gl.bounded_gap_projection_bound(
             gl.summing_space(2), 1.0, 1.0, x, {1}, t, nat),
         "equivalence_audit": lambda t: equivalence_audit(gl.summing_space(2), nat, t, 2, 1),
