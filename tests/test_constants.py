@@ -1,6 +1,7 @@
 """Constant estimation, the exact cell search, and the theorem-level bounds."""
 
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -20,6 +21,7 @@ import greedylab as gl
 import greedylab.constants as constants_module
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence
+from greedylab.cli import run_experiment_set
 from greedylab.constants import _snap_vertices
 from greedylab.estimates import _ratio
 from greedylab.experiments import bounded_gap_trials, transfer_table
@@ -569,3 +571,28 @@ class TestBoundedGapPartition:
         rep = bounded_gap_trials(800, seed=21)
         assert rep["violations"] == 0
         assert rep["json"]["trials"] > 0
+
+
+class TestGoldenReport:
+    """Seed-42 reports of the sampled experiments, recorded before the
+    bounded-gap trials evaluated each partition once and the estimator read
+    one greedy order per sample: any drift in those paths fails here."""
+
+    @pytest.mark.parametrize("name,params,csv_digest,json_digest", [
+        ("bounded-gaps", {"trials": 200, "dim_lo": 8, "dim_hi": 64},
+         "ff24347d8b2c66269bbe8a5de5b864bee69ea9f035c724cbfa4551c99e28e121",
+         "b8c38135bfa88b62c51371467182d6e4715fc47597a41725c6f06793add90af8"),
+        ("suppression-one", {"budget": 112, "dim": 12},
+         "7465db9956636e638dd5518dfe6c99334c24ac1eb2e0f419afb474fa72203dc1",
+         "05455f2b7605061b39323efea10424d819c17da581ac6a6828f82125b3d7e4f0"),
+        ("constants", {"space": "summing", "kind": "C_q_t", "t": 1.0,
+                       "dims": "2..8", "budget": 40},
+         "ca0c85b7813cbe4d15419357bc55e6746b893391298da6007f49e7708f0f9871",
+         "3faf78437a418fcc3f629a16fda3512224077ecb5e799db629ae56d0ce7b8171"),
+    ])
+    def test_reports_are_byte_identical(self, tmp_path, name, params, csv_digest,
+                                        json_digest):
+        assert run_experiment_set(name, params, tmp_path, 42) == 0
+        digests = [hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
+                   for ext in ("csv", "json")]
+        assert digests == [csv_digest, json_digest]
