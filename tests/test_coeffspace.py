@@ -158,6 +158,41 @@ class TestFastPathsMatchCheckedConstructor:
         assert CV([1, 2], [1e-300, 1.0]).scale(1e-300) == CV([2], [1e-300])
 
 
+# ranges of every shape: empty, reversed, starting below 1, reaching past the
+# support, and steps other than 1 (which take the membership path)
+ranges = st.builds(range, st.integers(-4, 28), st.integers(-4, 28),
+                   st.sampled_from([1, 1, 1, 2, -1]))
+
+
+class TestRangeSelection:
+    """A ``range`` of step 1 is cut out of the support with bisect; the set
+    of the range's members is the oracle."""
+
+    @given(sparse_vectors, ranges)
+    @settings(max_examples=400)
+    def test_keep_and_drop_match_a_set(self, x, r):
+        members = set(r)
+        for got, keep in ((x.restrict(r), True), (x.drop(r), False)):
+            want = [(i, v) for i, v in x.pairs() if (i in members) == keep]
+            assert _bits(got) == _bits(CV._canonical(tuple([i for i, _ in want]),
+                                                     tuple([v for _, v in want])))
+            assert got == (x.restrict(members) if keep else x.drop(members))
+            if len(want) == len(x):
+                assert got is x
+
+    @pytest.mark.parametrize("r,kept", [
+        (range(3, 3), []), (range(6, 2), []), (range(20, 30), []),
+        (range(-5, 2), [1]), (range(2, 5), [2, 4]), (range(4, 100), [4, 5]),
+        (range(0, 6), [1, 2, 4, 5]),
+    ])
+    def test_hand_cases(self, r, kept):
+        x = CV([1, 2, 4, 5], [1.0, -2.0, 3.0, 0.5])
+        assert list(x.restrict(r).support()) == kept
+        assert list(x.drop(r).support()) == [i for i in x.support() if i not in kept]
+        assert (x.restrict(r) is x) == (len(kept) == 4)
+        assert (x.drop(r) is x) == (not kept)
+
+
 def _same_float(a, b) -> bool:
     """Bit-for-bit equality of two floats, NaN counted as equal to NaN."""
     if math.isnan(a) or math.isnan(b):

@@ -21,8 +21,10 @@ import greedylab as gl
 import greedylab.constants as constants_module
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence
+from greedylab.coeffspace import random_vectors
 from greedylab.cli import run_experiment_set
-from greedylab.constants import _snap_vertices
+from greedylab.constants import (_ENUMERATION_CAP, _pad_to_cardinality, _partition_checks,
+                                 _partition_evaluation, _snap_vertices)
 from greedylab.estimates import _ratio
 from greedylab.experiments import bounded_gap_trials, transfer_table
 
@@ -161,6 +163,69 @@ class TestEstimator:
         values = [gl.estimate_quasi_greedy_constant(space, NAT, t, 6, 60, seed=4).value
                   for t in (0.3, 0.6, 1.0)]
         assert values[0] >= values[1] >= values[2]
+
+
+def reference_estimate(space, gap, t, dim, budget, kind, seed):
+    """The estimator's search as it was before it read one greedy order per
+    sample: every candidate set comes from ``enumerate_t_greedy_sets`` (plus
+    the lowest and highest greedy sets on overflow) as a frozenset and is
+    scored by ``_ratio``; ties go to the smallest (x, sorted A) encoding."""
+    pool = list(constants_module.structured_witnesses(space, dim))
+    if space.extreme_points is not None and dim <= 8:
+        pool.extend(itertools.islice(space.extreme_points(tuple(range(1, dim + 1))), 512))
+    pool.extend(random_vectors(dim, budget, np.random.default_rng(seed)))
+    best, best_x, best_A = 0.0, None, None
+    for x in pool:
+        norm_x = space.norm(x) if x else 0.0
+        if norm_x <= 0.0:
+            continue
+        for m in gap.members_up_to(dim):
+            if m <= len(x):
+                res = gl.enumerate_t_greedy_sets(x, m, t, cap=_ENUMERATION_CAP)
+                sets = [sel.indices for sel in res.selections]
+                if res.overflow:
+                    sets += [gl.one_greedy_set(x, m, t, p).indices for p in ("lowest", "highest")]
+                candidates = list(dict.fromkeys(sets))
+            else:
+                padded = _pad_to_cardinality(x, m, dim)
+                candidates = [] if padded is None else [frozenset(padded)]
+            for A in candidates:
+                r = _ratio(space, x, A, kind, norm_x)
+                if r > best or (r == best and best_x is not None and
+                                (x.to_json(), tuple(sorted(A)))
+                                < (best_x.to_json(), tuple(sorted(best_A)))):
+                    best, best_x, best_A = r, x, A
+    return best, best_x, best_A
+
+
+class TestEstimatorMatchesReference:
+    @pytest.mark.parametrize("key", ["summing", "lp:1", "sup"])
+    @pytest.mark.parametrize("kind", ["C_q_t", "C_sq_t"])
+    @pytest.mark.parametrize("t", [1.0, 0.8, 0.5])
+    @pytest.mark.parametrize("dim,budget", [(5, 16), (12, 8)])
+    def test_same_value_bits_and_witness(self, key, kind, t, dim, budget):
+        space = gl.space_from_key(key, dim)
+        est = gl.estimate_quasi_greedy_constant(space, NAT, t, dim, budget, kind=kind, seed=3)
+        value, x, A = reference_estimate(space, NAT, t, dim, budget, kind, seed=3)
+        assert _bits([est.value]) == _bits([value])
+        assert (est.witness_x, est.witness_A) == (x, A)
+        assert isinstance(est.witness_A, frozenset)
+
+    @pytest.mark.parametrize("kind,signs", [
+        ("C_q_t", [-1.0, 1.0] * 3 + [1.0] * 6),
+        ("C_sq_t", [1.0] * 6 + [-1.0] * 5 + [1.0]),
+    ])
+    def test_overflow_witness_is_the_highest_set(self, monkeypatch, kind, signs):
+        # all 924 sets of size 6 tie at dim 12; the first 128 in lexicographic
+        # order all hold indices 1 and 2, and only the highest set {7..12}
+        # reaches the ratio 1
+        x = CV.from_dense(signs)
+        assert gl.enumerate_t_greedy_sets(x, 6, 1.0, cap=_ENUMERATION_CAP).overflow
+        monkeypatch.setattr(constants_module, "structured_witnesses", lambda space, dim: [x])
+        space, gap = gl.summing_space(12), GapSequence.explicit([6])
+        est = gl.estimate_quasi_greedy_constant(space, gap, 1.0, 12, 0, kind=kind)
+        assert (est.value, est.witness_A) == (1.0, frozenset(range(7, 13)))
+        assert reference_estimate(space, gap, 1.0, 12, 0, kind, seed=0) == (1.0, x, est.witness_A)
 
 
 class TestExactCellSearch:
@@ -566,6 +631,23 @@ class TestBoundedGapPartition:
         at_one = gl.bounded_gap_projection_bound(space, 1.0, 1.0, x, A, t, gap)
         at_C = gl.bounded_gap_projection_bound(space, C, 1.0, x, A, t, gap)
         assert (at_one.get("n_k"), at_one["branch"]) == (at_C.get("n_k"), at_C["branch"])
+
+    @given(st.integers(1, 24), st.sampled_from([2, 3, 4]), st.sampled_from([1.0, 0.8, 0.5]),
+           st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1.0, 4.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_the_check_step_on_one_evaluation(self, m, l, t, C1, C2, K, seed):
+        space, x, _ = self._setup(seed=seed)
+        A = gl.one_greedy_set(x, m, t).indices
+        gap = GapSequence.powers(l)
+        ev = _partition_evaluation(space, x, A, t, gap)
+        for C in (C1, C2):
+            rep = gl.bounded_gap_projection_bound(space, C, K, x, A, t, gap)
+            checks = _partition_checks(ev, C, K)
+            assert rep["bound_checks"] == [c.to_json() for c in checks]
+            assert rep["ok"] == (ev.in_intervals and all(c.ok for c in checks))
+            assert (rep["branch"], rep.get("n_k"), rep["cardinality"], rep["realized_ratios"]) \
+                == (ev.branch, ev.n_k, ev.cardinality, ev.realized)
 
     def test_randomized_trials_never_violate(self):
         rep = bounded_gap_trials(800, seed=21)
