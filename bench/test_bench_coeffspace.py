@@ -1,7 +1,7 @@
 """Microbenchmarks of the vector layer on one fixed 64-entry vector:
 construction from lists and from arrays, projection (restrict, drop), entry
 lookup, a full pairs() walk, addition, the four norms, and the t-greedy check,
-selection and enumeration.
+selection and enumeration, plus the enumeration of an overflowing all-tie family.
 
     PYTHONPATH=src python -m pytest bench/test_bench_coeffspace.py
 
@@ -74,3 +74,11 @@ def test_one_greedy_set(benchmark):
 def test_enumerate_t_greedy_sets(benchmark):
     result = benchmark(gl.enumerate_t_greedy_sets, X, DIM // 4, 1.0, 128)
     assert result.selections
+
+
+def test_enumerate_overflowing_family(benchmark):
+    # the suppression-one shape: 12 entries of modulus 1, so all C(12, 6) = 924
+    # sets of size 6 are greedy and the first 128 are kept
+    x = CV.from_dense([1.0 if i % 3 else -1.0 for i in range(12)])
+    result = benchmark(gl.enumerate_t_greedy_sets, x, 6, 1.0, 128)
+    assert result.overflow and len(result.selections) == 128

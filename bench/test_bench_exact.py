@@ -2,7 +2,8 @@
 one constant at dimension 3 and t = 0.6 (136 cell LPs, of which 96 are
 distinct and solved), the 20-point weakness grid t = 0.05, 0.10, ..., 1 at
 dimension 3 in one search (1,920 distinct cell LPs), and one constant at
-dimension 5 and t = 0.6 (2,560 distinct cell LPs of 4,128).
+dimension 5 and t = 0.6 (2,560 distinct cell LPs of 4,128).  Also one ``lp:1``
+constant at dimension 4 and t = 0.6 (640 distinct cell LPs of 3,840).
 
     PYTHONPATH=src python -m pytest bench/test_bench_exact.py
 
@@ -36,3 +37,10 @@ def test_exact_constant_summing_dim5(benchmark):
     est = benchmark.pedantic(gl.exact_constant_polyhedral, (space, NAT, 0.6, 5),
                              rounds=5, iterations=1)
     assert est.exact and est.value == pytest.approx(13.0 / 3.0, abs=1e-9)
+
+
+def test_exact_constant_l1_dim4(benchmark):
+    space = gl.space_from_key("lp:1", 4)
+    est = benchmark.pedantic(gl.exact_constant_polyhedral, (space, NAT, 0.6, 4),
+                             rounds=5, iterations=1)
+    assert est.exact and est.value == pytest.approx(1.0, abs=1e-9)

@@ -226,22 +226,27 @@ def summing_norm(x: CoeffVector) -> float:
     return _abs_max(list(itertools.accumulate(x._val)))
 
 
-def lp_norm(x: CoeffVector, p: float) -> float:
-    """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1.
+def _peak_factored(a: list[float], p: float, w=None) -> float:
+    """(sum w_i a_i^p)^(1/p) for moduli a_i, the peak factored out so that
+    neither huge nor tiny moduli overflow or underflow the powers.
 
-    The peak and |a_i| / peak are plain Python: IEEE division is correctly
+    The peak and a_i / peak are plain Python: IEEE division is correctly
     rounded, so the bits are numpy's.  One ``ndarray ** p`` and the pairwise
     ``np.add.reduce`` (``np.sum`` without its wrapper) fix the rest, where
     Python's ``**`` and a running sum can differ in the last bit.
     """
+    peak = max(a)
+    powers = np.array([v / peak for v in a]) ** p
+    return peak * float(np.add.reduce(powers if w is None else w * powers)) ** (1.0 / p)
+
+
+def lp_norm(x: CoeffVector, p: float) -> float:
+    """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1."""
     if p <= 0:
         raise ValueError(f"lp_norm requires p > 0, got {p}")
     if not x:
         return 0.0
-    a = [abs(v) for v in x._val]
-    peak = max(a)
-    # factor out the peak so tiny p does not underflow
-    return peak * float(np.add.reduce(np.array([v / peak for v in a]) ** p)) ** (1.0 / p)
+    return _peak_factored([abs(v) for v in x._val], p)
 
 
 def sup_norm(x: CoeffVector) -> float:
@@ -249,17 +254,14 @@ def sup_norm(x: CoeffVector) -> float:
 
 
 def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> float:
-    """(sum w_i |a_i|^p)^(1/p); weights beyond the configured table default to 1.
-
-    Raised and summed with numpy as in ``lp_norm``, for the same bits.
-    """
+    """(sum w_i |a_i|^p)^(1/p); weights beyond the configured table default to 1."""
     if p <= 0:
         raise ValueError(f"weighted_lp_norm requires p > 0, got {p}")
     if not x:
         return 0.0
     n = len(weights)
     wi = np.array([weights[i - 1] if i <= n else 1.0 for i in x._idx], dtype=np.float64)
-    return float(np.add.reduce(wi * np.array([abs(v) for v in x._val]) ** p)) ** (1.0 / p)
+    return _peak_factored([abs(v) for v in x._val], p, wi)
 
 
 def projection(x: CoeffVector, A: Iterable[int]) -> CoeffVector:

@@ -7,9 +7,11 @@ supremum.  For polyhedral norms an exact cell search is available: once a
 sign pattern is fixed, the t-greedy condition is a system of linear
 inequalities, so each (index set, sign cell, dual functional) triple is a
 small linear program and the truncated-space constant is the maximum over
-finitely many of them.  The cell programs share no variable, so those of a
-whole weakness grid are stacked, a few hundred at a time, into block-diagonal
-programs and solved together.
+finitely many of them.  The weakness t enters only the greedy rows, so the
+cells of a whole weakness grid are built once, and each cell's objectives
+are deduplicated by value.  The cell programs share no variable, so those of
+a grid are stacked, a few hundred at a time, into block-diagonal programs
+and solved together.
 """
 
 from __future__ import annotations
@@ -207,52 +209,39 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _cell_lps(F: np.ndarray, sizes: Iterable[int], dim: int, t: float, kind: str
+def _cell_lps(F: np.ndarray, sizes: Iterable[int], dim: int, kind: str
               ) -> Iterator[tuple[frozenset, np.ndarray, tuple, np.ndarray]]:
-    """Every distinct cell LP in search order, as (A, A's mask, constraints,
-    objective).
-
-    The constraints of one (index set, sign cell) pair are shared by its
-    objectives, as a sparse triple (rows, cols, values) plus the right-hand
-    side of ``A_ub x <= b_ub``.  The objectives are -sgn * f * mask over the
-    functionals f and the signs sgn, in that order, without the zero ones and
-    without repeats: in the summing space f . 1_A takes only about |A| values
-    over the d prefix functionals.
+    """Every (index set, sign cell) pair in search order, as (A, A's mask,
+    constraints at t = 1, objectives).  The constraints are a sparse triple
+    (rows, cols, values) of ``A_ub x <= b_ub``, a mask of the values that t
+    multiplies, and b_ub; the objectives are the rows -sgn * f * mask over
+    the functionals f and signs sgn, in that order, without zero ones and
+    without repeats by value (in the summing space f . 1_A takes about |A|
+    values; in lp:1, +-f can differ only in the sign of a zero).
     """
-    ball = np.vstack([F, -F])
+    ball, eye = np.vstack([F, -F]), np.eye(dim)
     for size in sizes:
         for A_tuple in itertools.combinations(range(1, dim + 1), size):
-            A = frozenset(A_tuple)
-            in_A = np.zeros(dim, dtype=bool)
+            A, in_A = frozenset(A_tuple), np.zeros(dim, dtype=bool)
             in_A[[i - 1 for i in A_tuple]] = True
-            obj_mask = (in_A if kind == "C_q_t" else ~in_A).astype(np.float64)
-            objectives = {}
-            for f in F:
-                cvec = f * obj_mask
-                if np.any(cvec):
-                    for sgn in (1.0, -1.0):
-                        c = -sgn * cvec
-                        objectives.setdefault(c.tobytes(), c)
-            outside = [j for j in range(1, dim + 1) if j not in A]
+            Fm = F * (in_A if kind == "C_q_t" else ~in_A)
+            C = np.stack([-Fm, Fm], axis=1).reshape(-1, dim)[np.repeat(np.any(Fm, axis=1), 2)]
+            keys = list(map(tuple, C.tolist()))  # by value: as Python floats, -0.0 == 0.0
+            objectives = C[[keys.index(k) for k in dict.fromkeys(keys)]]
+            # the rows at sigma = (1, ..., 1): the ball, -x_i <= 0 per entry,
+            # and x_j - x_i <= 0 (t x_j at weakness t) for i in A, j not in A
+            i_col = np.repeat(np.flatnonzero(in_A), dim - size)
+            j_col = np.tile(np.flatnonzero(~in_A), size)
+            A_ub = np.vstack([ball, -eye, eye[j_col] - eye[i_col]])
+            nz_rows, nz_cols = np.nonzero(A_ub)
+            base = A_ub[nz_rows, nz_cols]
+            signed = nz_rows >= ball.shape[0]  # sigma multiplies these
+            scaled = (nz_rows >= ball.shape[0] + dim) & ~in_A[nz_cols]  # t multiplies these
+            b_ub = np.concatenate([np.ones(ball.shape[0]), np.zeros(dim + i_col.size)])
             for signs_rest in itertools.product((1.0, -1.0), repeat=dim - 1):
                 sigma = np.array((1.0,) + signs_rest)
-                rows = [-np.diag(sigma)]  # sigma_i x_i >= 0
-                if outside:
-                    greedy = np.zeros((len(A_tuple) * len(outside), dim))
-                    r = 0
-                    for i in A_tuple:
-                        for j in outside:
-                            greedy[r, j - 1] = t * sigma[j - 1]
-                            greedy[r, i - 1] -= sigma[i - 1]
-                            r += 1
-                    rows.append(greedy)
-                A_ub = np.vstack([ball] + rows)
-                b_ub = np.concatenate([np.ones(ball.shape[0]),
-                                       np.zeros(A_ub.shape[0] - ball.shape[0])])
-                nz_rows, nz_cols = np.nonzero(A_ub)
-                cell = (nz_rows, nz_cols, A_ub[nz_rows, nz_cols], b_ub)
-                for c in objectives.values():
-                    yield A, in_A, cell, c
+                vals = np.where(signed, base * sigma[nz_cols], base)
+                yield A, in_A, (nz_rows, nz_cols, vals, scaled, b_ub), objectives
 
 
 def _solve_block_diagonal(cells: Sequence[tuple], objectives: Sequence[np.ndarray],
@@ -323,12 +312,14 @@ def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[f
     many rows f).  For each admissible index set A and sign cell, the
     constraint set {|x| <= 1, A t-greedy for x} is a polytope, and each dual
     functional gives a linear objective; the constant is the maximum ratio
-    over the optimal vertices.  The distinct cell LPs of every t stream, in
-    order, into block-diagonal programs of ``_LP_BATCH`` LPs, one HiGHS solve
-    each; a solve that does not reach optimality raises RuntimeError.  The
-    vertices of a solve are snapped and their ratios screened in numpy; only
-    a vertex that may beat its t's best so far is built as a vector and
-    normed by the space, and the first vertex with the largest ratio wins.
+    over the optimal vertices.  The cells are built once, at t = 1, and
+    their greedy rows scaled to each t; the distinct cell LPs of every t
+    stream, in order, into block-diagonal programs of ``_LP_BATCH`` LPs, one
+    HiGHS solve each; a solve that does not reach optimality raises
+    RuntimeError.  The vertices of a solve are snapped and their ratios
+    screened in numpy; only a vertex that may beat its t's best so far is
+    built as a vector and normed by the space, and the first vertex with the
+    largest ratio wins.
     """
     if space.dual_functionals is None:
         raise ValueError(f"space {space.name!r} has no dual-functional oracle")
@@ -350,7 +341,12 @@ def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[f
     best_x: list[Optional[CoeffVector]] = [None] * len(ts)
     best_A: list[Optional[frozenset]] = [None] * len(ts)
 
-    lps = ((k, t, *lp) for k, t in enumerate(ts) for lp in _cell_lps(F, sizes, dim, t, kind))
+    table = list(_cell_lps(F, sizes, dim, kind))
+    lps = ((k, t, A, in_A, cell, c)
+           for k, t in enumerate(ts)
+           for A, in_A, (rows, cols, vals, scaled, b_ub), objectives in table
+           for cell in [(rows, cols, np.where(scaled, t * vals, vals), b_ub)]
+           for c in objectives)
     while batch := list(itertools.islice(lps, _LP_BATCH)):
         ks, t_rows, As, masks, cells, objectives = zip(*batch)
         in_A = np.array(masks)

@@ -33,7 +33,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .coeffspace import CoeffVector
 from .greedy import _check_t, _class_windows, _compositions, greedy_class_counts
 
 __all__ = [
@@ -43,13 +42,10 @@ __all__ = [
     "spike_value",
     "block_value",
     "truncation_norm",
-    "spike_prefix_sums",
-    "dense_vector",
     "canonical_selection",
     "enumerate_selection_classes",
     "selection_norm",
     "selection_phi",
-    "materialize_selection",
     "greedy_sum_norm",
     "phi_lower_bound",
     "divergence_experiment",
@@ -103,33 +99,11 @@ def build_example(depth: int) -> ExampleSequence:
 # ---------------------------------------------------------------------------
 
 
-def spike_prefix_sums(ex: ExampleSequence) -> list[float]:
-    """Prefix sums through each spike index n_k (telescopes to 1/sqrt(k))."""
-    out = []
-    v = 0.0
-    for k in range(1, ex.depth + 1):
-        v += spike_value(k)
-        out.append(v)
-        v += ex.block_size(k) * block_value(k)
-    return out
-
-
 def truncation_norm(ex: ExampleSequence) -> float:
     """Summing norm of the full truncation, from run endpoints; equals 1."""
     full = SpikeBlockSelection(frozenset(range(1, ex.depth + 1)),
                                tuple(ex.block_size(k) for k in range(1, ex.depth + 1)))
     return selection_norm(ex, full)
-
-
-def dense_vector(ex: ExampleSequence) -> CoeffVector:
-    """Entrywise materialization; oracle use only, guarded to small depth."""
-    if ex.depth > 5:
-        raise ValueError("dense materialization guarded to depth <= 5")
-    vals = []
-    for k in range(1, ex.depth + 1):
-        vals.append(spike_value(k))
-        vals.extend([block_value(k)] * ex.block_size(k))
-    return CoeffVector.from_dense(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +154,6 @@ def selection_phi(ex: ExampleSequence, sel: SpikeBlockSelection) -> int:
         if k not in sel.spike_ks:
             return k
     return ex.depth + 1
-
-
-def materialize_selection(ex: ExampleSequence, sel: SpikeBlockSelection,
-                          placement: str = "first") -> frozenset:
-    """A concrete index set in the class; block positions per ``placement``."""
-    indices = [ex.spikes[k - 1] for k in sorted(sel.spike_ks)]
-    for k in range(1, ex.depth + 1):
-        c = sel.block_counts[k - 1]
-        if not c:
-            continue
-        lo, hi = ex.block_range(k)
-        if placement == "first":
-            indices.extend(range(lo, lo + c))
-        elif placement == "last":
-            indices.extend(range(hi - c + 1, hi + 1))
-        else:
-            raise ValueError(f"unknown placement {placement!r}")
-    return frozenset(indices)
 
 
 def _check_cardinality(ex: ExampleSequence, m: int) -> None:

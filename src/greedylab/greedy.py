@@ -7,6 +7,7 @@ single policy-driven selection this module enumerates every admissible set.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -214,24 +215,25 @@ class EnumerationResult(NamedTuple):
 def _t_greedy_index_sets(classes, m: int, t: float, cap: int) -> Iterator[tuple[int, ...]]:
     """The t-greedy sets of cardinality m over ``_modulus_classes`` output, as
     sorted index tuples in lexicographic order: the first ``cap`` of them,
-    then one more when the family overflows ``cap``.
+    then one more when the family overflows ``cap``; no later set is built.
 
-    A valid set takes full classes above its smallest excluded class and
-    arbitrary picks from classes whose modulus stays >= t times the excluded
-    maximum.
+    At a class modulus mu, every j with t|x_j| > mu plus picks among the
+    others with |x_j| >= mu make a t-greedy set, and each t-greedy set arises
+    so at its smallest modulus.  Over one forced part, picks of one size sort
+    as their sets do, so the streams of all mu merge into one sorted stream,
+    in which a set arising at several mu repeats in a run.
     """
-    groups = [idxs for _, idxs in classes]
-    combos = itertools.chain.from_iterable(
-        itertools.product(*[list(itertools.combinations(idxs, a))
-                            for a, idxs in zip(counts, groups) if a])
-        for counts in greedy_class_counts([len(g) for g in groups],
-                                          [mod for mod, _ in classes], m, t))
-    # generation guard: past this many sets the family overflows and the
-    # sets yielded are only a sorted sample of it
-    hard_cap = max(cap * 8, 1 << 16)
-    index_sets = sorted([tuple(sorted(itertools.chain.from_iterable(combo)))
-                         for combo in itertools.islice(combos, hard_cap)])
-    yield from index_sets[:cap + 1]
+    streams = [] if m else [[()]]  # the empty set, the one set of size 0
+    for n, (mu, _) in enumerate(classes):
+        forced, pool = [], []
+        for mod, idxs in classes[:n + 1]:
+            (forced if t * mod > mu else pool).extend(idxs)
+        k = m - len(forced)
+        if 0 < k <= len(pool):
+            streams.append(map(lambda pick, head=tuple(forced): tuple(sorted(head + pick)),
+                               itertools.combinations(sorted(pool), k)))
+    unique = (index_set for index_set, _ in itertools.groupby(heapq.merge(*streams)))
+    yield from itertools.islice(unique, cap + 1)
 
 
 def enumerate_t_greedy_sets(x: CoeffVector, m: int, t: float,

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import greedylab as gl
@@ -200,14 +200,6 @@ def _same_float(a, b) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
-def _float_or_error(call):
-    """The call's result, or the type of the arithmetic error it raised."""
-    try:
-        return call()
-    except ArithmeticError as exc:
-        return type(exc)
-
-
 def _same_vector(a: CV, b: CV) -> bool:
     return (a.support() == b.support()
             and all(_same_float(u, v) for (_, u), (_, v) in zip(a.pairs(), b.pairs())))
@@ -273,15 +265,24 @@ class TestTupleKernelsMatchNumpy:
         # both norms as whole-array numpy expressions: reports depend on their bits
         idx, val = _arrays(x)
         a = np.abs(val)
-        want = float(a.max()) * float(np.sum((a / a.max()) ** p)) ** (1.0 / p) if x else 0.0
         w = np.asarray(weights, dtype=np.float64)
         wi = np.ones(idx.size)
         inside = idx <= w.size
         wi[inside] = w[idx[inside] - 1]
-        want_w = float(np.sum(wi * a ** p)) ** (1.0 / p) if x else 0.0
+        want, want_w = 0.0, 0.0
+        if x:
+            peak = float(a.max())
+            want = peak * float(np.sum((a / peak) ** p)) ** (1.0 / p)
+            want_w = peak * float(np.sum(wi * (a / peak) ** p)) ** (1.0 / p)
         assert _same_float(gl.lp_norm(x, p), want)
         assert _same_float(gl.weighted_lp_norm(x, p, weights), want_w)
         assert _same_float(gl.weighted_lp_norm(x, p, w), want_w)
+
+    def test_weighted_norm_factors_out_the_peak(self):
+        assert gl.weighted_lp_norm(CV([1], [1e200]), 2.0, []) == 1e200
+        assert gl.weighted_lp_norm(CV([1], [1e-200]), 2.0, []) == 1e-200
+        # 598 ** (1 / 0.3) * 1e299 exceeds the largest float
+        assert gl.weighted_lp_norm(CV([1], [1e299]), 0.3, [598.0]) == math.inf
 
     @given(st.lists(st.builds(lambda mant, exp, sign: sign * mant * 10.0 ** exp,
                               st.floats(1.0, 9.99), st.integers(-300, 299),
@@ -289,24 +290,25 @@ class TestTupleKernelsMatchNumpy:
            st.sampled_from([0.3, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0]),
            st.lists(st.floats(1e-3, 1e3), max_size=40))
     @settings(max_examples=400)
+    # norms that are ordinary floats (or overflow to inf) whose unscaled
+    # powers overflow, underflow, or overflow Python's final ** (1/p)
+    @example([1e200], 2.0, [])
+    @example([1e-200], 2.0, [])
+    @example([1e299], 0.3, [598.0])
     def test_lp_norms_keep_the_numpy_bits_across_magnitudes(self, vals, p, weights):
         # from 1e-300 to 1e300, single entries included: the whole-array
-        # expressions the norms used to be are the oracle
+        # expressions with the peak factored out are the oracle
         x = CV(range(1, len(vals) + 1), vals)
         a = np.abs(np.array(vals))
         peak = float(a.max())
         w = np.ones(len(vals))
         w[:len(weights)] = weights[:len(vals)]
         with np.errstate(over="ignore", under="ignore"):
-            want = _float_or_error(
-                lambda: peak * float(np.sum((a / peak) ** p)) ** (1.0 / p))
-            want_w = _float_or_error(
-                lambda: float(np.sum(w * np.abs(np.array(vals)) ** p)) ** (1.0 / p))
-            got = _float_or_error(lambda: gl.lp_norm(x, p))
-            got_w = _float_or_error(lambda: gl.weighted_lp_norm(x, p, weights))
-        # the unscaled weighted sum can overflow Python's final ** (1/p)
+            want = peak * float(np.sum((a / peak) ** p)) ** (1.0 / p)
+            want_w = peak * float(np.sum(w * (a / peak) ** p)) ** (1.0 / p)
+            got, got_w = gl.lp_norm(x, p), gl.weighted_lp_norm(x, p, weights)
         assert type(got) is float and _same_float(got, want)
-        assert got_w == want_w if isinstance(want_w, type) else _same_float(got_w, want_w)
+        assert type(got_w) is float and _same_float(got_w, want_w)
 
     @given(edge_vectors, edge_vectors)
     @settings(max_examples=300)
@@ -353,7 +355,7 @@ class TestSummingNorm:
 
     def test_truncated_divergence_element(self):
         ex = gl.build_example(3)
-        from greedylab.counterexample import dense_vector
+        from divergence_oracles import dense_vector
         assert gl.summing_norm(dense_vector(ex)) == pytest.approx(1.0, abs=1e-10)
 
     def test_against_quadratic_oracle(self):

@@ -400,6 +400,19 @@ class TestExactGrid:
         assert _bits(e.value for e in estimates) == expected
         _assert_valid_witnesses(space, GRID, estimates)
 
+    def test_cell_table_is_built_once_per_grid(self, monkeypatch):
+        calls, build = [], constants_module._cell_lps
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(constants_module, "_cell_lps", counting)
+        estimates = gl.exact_constant_grid(gl.summing_space(3), NAT, GRID, 3)
+        assert len(calls) == 1 and len(estimates) == len(GRID)
+        assert _bits(e.value for e in estimates) == _bits(
+            reference_value("summing", 3, t) for t in GRID)
+
     def test_empty_grid(self):
         assert gl.exact_constant_grid(gl.summing_space(3), NAT, [], 3) == []
 
@@ -410,7 +423,8 @@ class TestExactGrid:
             gl.exact_constant_grid(gl.summing_space(5), NAT, [0.5] * 404, 5)
 
     @pytest.mark.parametrize("key,dim,solved,total", [
-        ("summing", 5, 2560, 4128), ("lp:1", 3, 224, 448), ("sup", 3, 96, 96)])
+        ("summing", 5, 2560, 4128), ("lp:1", 3, 104, 448), ("lp:1", 4, 640, 3840),
+        ("sup", 3, 96, 96)])
     def test_each_distinct_cell_lp_is_solved_once(self, key, dim, solved, total,
                                                    monkeypatch):
         space = gl.space_from_key(key, dim)

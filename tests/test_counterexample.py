@@ -13,6 +13,8 @@ import greedylab as gl
 from greedylab import counterexample as cx
 from greedylab import greedy
 
+from divergence_oracles import dense_vector, materialize_selection, spike_prefix_sums
+
 
 def sqrt_partial_sum(n: int) -> float:
     return math.fsum(1.0 / math.sqrt(k) for k in range(1, n + 1))
@@ -97,7 +99,7 @@ class TestConstruction:
 
     def test_depth_one_coefficients(self):
         ex = cx.build_example(1)
-        y = cx.dense_vector(ex)
+        y = dense_vector(ex)
         assert y.support() == tuple(range(1, 12))
         assert y[1] == 1.0
         assert all(y[i] == -0.1 for i in range(2, 12))
@@ -118,12 +120,12 @@ class TestTelescoping:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_prefix_sum_at_spikes(self, depth):
         ex = cx.build_example(depth)
-        for k, value in enumerate(cx.spike_prefix_sums(ex), start=1):
+        for k, value in enumerate(spike_prefix_sums(ex), start=1):
             assert abs(value - 1.0 / math.sqrt(k)) <= 1e-10
 
     def test_prefix_strictly_below_inside_blocks(self):
         ex = cx.build_example(3)
-        vec = cx.dense_vector(ex)
+        vec = dense_vector(ex)
         dense = [vec[i] for i in range(1, vec.max_index() + 1)]
         prefixes = np.cumsum(dense)
         for k in range(1, 4):
@@ -140,13 +142,13 @@ class TestRunLengthAgainstDense:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_truncation_norm_matches_dense(self, depth):
         ex = cx.build_example(depth)
-        dense = cx.dense_vector(ex)
+        dense = dense_vector(ex)
         assert cx.truncation_norm(ex) == pytest.approx(gl.summing_norm(dense), abs=1e-12)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_class_norm_matches_dense_projection(self, depth):
         ex = cx.build_example(depth)
-        dense = cx.dense_vector(ex)
+        dense = dense_vector(ex)
         rng = np.random.default_rng(depth)
         for _ in range(50):
             spikes = frozenset(int(k) for k in range(1, depth + 1)
@@ -154,7 +156,7 @@ class TestRunLengthAgainstDense:
             counts = tuple(int(rng.integers(0, ex.block_size(k) + 1))
                            for k in range(1, depth + 1))
             sel = cx.SpikeBlockSelection(spikes, counts)
-            A = cx.materialize_selection(ex, sel, "first")
+            A = materialize_selection(ex, sel, "first")
             assert cx.selection_norm(ex, sel) == pytest.approx(
                 gl.summing_norm(gl.projection(dense, A)), abs=1e-12)
 
@@ -257,7 +259,7 @@ class TestPositionIrrelevance:
 
     def test_exhaustive_depth_one(self):
         ex = cx.build_example(1)
-        dense = cx.dense_vector(ex)
+        dense = dense_vector(ex)
         support = dense.support()
         for t in (1.0, 0.5):
             seen: dict = {}
@@ -283,7 +285,7 @@ class TestPositionIrrelevance:
     @pytest.mark.parametrize("depth", [2, 3])
     def test_sampled_representatives(self, depth):
         ex = cx.build_example(depth)
-        dense = cx.dense_vector(ex)
+        dense = dense_vector(ex)
         rng = np.random.default_rng(depth)
         for _ in range(40):
             m = int(rng.integers(0, min(ex.support_size, 150) + 1))
@@ -291,7 +293,7 @@ class TestPositionIrrelevance:
             for sel in classes:
                 norms = set()
                 for placement in ("first", "last"):
-                    A = cx.materialize_selection(ex, sel, placement)
+                    A = materialize_selection(ex, sel, placement)
                     norms.add(gl.summing_norm(gl.projection(dense, A)))
                 assert len(norms) == 1
 
@@ -330,7 +332,7 @@ class TestDivergenceExperiment:
     def test_minimum_against_set_level_enumeration(self):
         # depth 1: the class minimum agrees with brute force over index sets
         ex = cx.build_example(1)
-        dense = cx.dense_vector(ex)
+        dense = dense_vector(ex)
         for t in (1.0, 0.5):
             for m in range(0, 12):
                 best = math.inf

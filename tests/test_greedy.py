@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
-from greedylab.greedy import (StaleSelectionError, _modulus_classes,
+from greedylab.greedy import (StaleSelectionError, _modulus_classes, _t_greedy_index_sets,
                               greedy_class_counts, random_greedy_set)
 
 
@@ -86,8 +86,8 @@ class TestOneGreedySet:
 
     def test_divergence_truncation_spikes(self):
         # the three spikes dominate every block coefficient of the truncation
-        from greedylab.counterexample import build_example, dense_vector
-        y = dense_vector(build_example(3))
+        from divergence_oracles import dense_vector
+        y = dense_vector(gl.build_example(3))
         sel = gl.one_greedy_set(y, 3, 1.0)
         assert sel.indices == {1, 12, 113}
         mods = sorted((abs(v) for _, v in y.pairs()), reverse=True)
@@ -276,6 +276,38 @@ class TestEnumeration:
         res = gl.enumerate_t_greedy_sets(CV.from_dense([1.0] * 5), 2, 1.0)
         keys = [tuple(sorted(s.indices)) for s in res.selections]
         assert keys == sorted(keys)
+
+    def test_lexicographic_past_a_large_family(self):
+        # 11 of 22 at t = 0.5 admits C(22, 11) sets; the first is the greedy
+        # set itself, the 11 entries of modulus 2
+        x = CV.from_dense([2.0] * 11 + [1.0] * 11)
+        res = gl.enumerate_t_greedy_sets(x, 11, 0.5, cap=5)
+        got = [tuple(sorted(s.indices)) for s in res.selections]
+        assert res.overflow
+        assert got == [tuple(range(1, 11)) + (j,) for j in range(11, 16)]
+
+    def test_capped_prefix_matches_powerset_filter(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            x = _tie_rich_vector(rng, int(rng.integers(2, 10)))
+            classes = _modulus_classes(x)
+            t = float(rng.choice([1.0, 0.75, 0.5, 0.25, 0.1]))
+            for m in range(0, len(x) + 1):
+                family = brute_force_greedy_sets(x, m, t)
+                for cap in range(1, 6):
+                    # the first cap sets, then the (cap + 1)-th when there is one
+                    assert list(_t_greedy_index_sets(classes, m, t, cap)) == family[:cap + 1]
+
+    @pytest.mark.parametrize("values,t", [
+        ([1.0] * 40, 1.0),
+        # 40 distinct moduli within a factor 2, smallest last: every set is
+        # 0.5-greedy, and most lack the smallest modulus
+        ([1.5 - i / 100 for i in range(40)], 0.5)])
+    def test_family_of_every_subset_stops_at_cap(self, values, t):
+        # C(40, 20) ~ 1.4e11 sets: only the first cap + 1 may be built
+        classes = _modulus_classes(CV.from_dense(values))
+        got = list(_t_greedy_index_sets(classes, 20, t, 128))
+        assert got == list(itertools.islice(itertools.combinations(range(1, 41), 20), 129))
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=60, deadline=None)
