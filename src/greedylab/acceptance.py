@@ -230,8 +230,7 @@ def criterion_7_suppression_one(profile: Profile) -> CriterionResult:
     budget = 112 if profile.quick else 1_117
 
     def check(details: dict) -> bool:
-        rep = suppression_rows(("lp:1", "lp:2", "sup"), (2, 3, 5), dim=12,
-                               budget=budget, seed=profile.seed)
+        rep = suppression_rows(dim=12, budget=budget, seed=profile.seed)
         total = sum(row[8] for row in rep["rows"])
         prechecks = all(row[4] for row in rep["rows"])
         bounds_ok = all(row[5] <= row[3] + 1e-9 for row in rep["rows"])
@@ -249,7 +248,7 @@ def criterion_8_quasi_banach(profile: Profile) -> CriterionResult:
     trials = 200 if profile.quick else 1_000
 
     def check(details: dict) -> bool:
-        rep = perturb_audit(trials, seed=profile.seed, space_keys=("lp:1/2", "lp:2/3"))
+        rep = perturb_audit(trials, seed=profile.seed)
         alphas = {key: space_from_key(key).alpha for key in ("lp:1/2", "lp:2/3")}
         alpha_ok = (alphas["lp:1/2"] == 2.0
                     and abs(alphas["lp:2/3"] - math.sqrt(2.0)) <= 1e-12)

@@ -21,26 +21,17 @@ from .experiments import (bounded_gap_trials, constants_table, divergence_rows,
                           perturb_audit, suppression_rows, transfer_table)
 from .reporting import write_csv, write_json
 
-EXPERIMENTS = ("divergence", "constants", "transfer", "bounded-gaps",
-               "suppression-one", "perturb-audit")
-
-_DEFAULTS: dict[str, dict] = {
-    "divergence": {"depth": 6, "t": 1.0, "adversary": True},
-    "constants": {"space": "summing", "kind": "C_q_t", "t": 1.0,
-                  "dims": "2..12", "budget": 100},
-    "transfer": {"space": "summing", "dims": "2..3", "step": 0.05},
-    "bounded-gaps": {"trials": 2000, "dim_lo": 8, "dim_hi": 64},
-    "suppression-one": {"budget": 400, "dim": 12},
-    "perturb-audit": {"trials": 400, "dim": 16},
-}
-
-_QUICK: dict[str, dict] = {
-    "divergence": {"depth": 4},
-    "constants": {"dims": "2..6", "budget": 40},
-    "transfer": {"dims": "2"},
-    "bounded-gaps": {"trials": 300, "dim_hi": 32},
-    "suppression-one": {"budget": 60},
-    "perturb-audit": {"trials": 80},
+# name -> (default parameters, the parameters --quick overrides)
+EXPERIMENTS: dict[str, tuple[dict, dict]] = {
+    "divergence": ({"depth": 6, "t": 1.0, "adversary": True}, {"depth": 4}),
+    "constants": ({"space": "summing", "kind": "C_q_t", "t": 1.0,
+                   "dims": "2..12", "budget": 100},
+                  {"dims": "2..6", "budget": 40}),
+    "transfer": ({"space": "summing", "dims": "2..3", "step": 0.05}, {"dims": "2"}),
+    "bounded-gaps": ({"trials": 2000, "dim_lo": 8, "dim_hi": 64},
+                     {"trials": 300, "dim_hi": 32}),
+    "suppression-one": ({"budget": 400, "dim": 12}, {"budget": 60}),
+    "perturb-audit": ({"trials": 400, "dim": 16}, {"trials": 80}),
 }
 
 
@@ -52,22 +43,21 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.replace(",", " ").split())
+        dims = tuple(range(int(lo), int(hi) + 1))
+    else:
+        dims = tuple(int(v) for v in text.replace(",", " ").split())
+    if not dims:
+        raise UsageError(f"dims names no dimension: {text!r}")
+    return dims
 
 
 def _coerce(default, raw: str):
     if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            raise UsageError(f"expected a boolean, got {raw!r}") from None
+    return type(default)(raw)  # int, float or str
 
 
 def load_config(path: Path) -> tuple[str, int, dict]:
@@ -83,7 +73,7 @@ def load_config(path: Path) -> tuple[str, int, dict]:
         raise UsageError(f"unknown experiment name: {name!r}; "
                          f"choose one of {', '.join(EXPERIMENTS)}")
     seed = parser.getint("experiment", "seed", fallback=0)
-    params = dict(_DEFAULTS[name])
+    params = dict(EXPERIMENTS[name][0])
     if parser.has_section(name):
         for key, raw in parser.items(name):
             if key not in params:
@@ -139,12 +129,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.seed is not None:
             seed = args.seed
         if args.quick:
-            params.update(_QUICK[name])
+            params.update(EXPERIMENTS[name][1])
         violations = run_experiment_set(name, params, Path(args.out), seed)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if violations:

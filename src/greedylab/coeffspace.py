@@ -90,15 +90,11 @@ class CoeffVector:
         return cls([p[0] for p in pairs], [p[1] for p in pairs])
 
     @classmethod
-    def from_dense(cls, values: Sequence[float], start: int = 1) -> "CoeffVector":
+    def from_dense(cls, values: Sequence[float]) -> "CoeffVector":
         vals = np.asarray(values, dtype=np.float64)
-        try:
-            start = operator.index(start)
-        except TypeError as exc:
-            raise ValueError(f"dense start must be an integer, got {start!r}") from exc
-        if vals.ndim != 1 or (start < 1 and vals.size):
-            raise ValueError("dense values must be 1-d and start at a positive index")
-        pairs = [(i, v) for i, v in enumerate(vals.tolist(), start) if v != 0.0]
+        if vals.ndim != 1:
+            raise ValueError("dense values must be 1-d")
+        pairs = [(i, v) for i, v in enumerate(vals.tolist(), 1) if v != 0.0]
         return cls._canonical(tuple([i for i, _ in pairs]), tuple([v for _, v in pairs]))
 
     @classmethod
@@ -242,7 +238,7 @@ def _peak_factored(a: list[float], p: float, w=None) -> float:
 
 def lp_norm(x: CoeffVector, p: float) -> float:
     """(sum |a_i|^p)^(1/p); a quasi-norm for 0 < p < 1."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"lp_norm requires p > 0, got {p}")
     if not x:
         return 0.0
@@ -255,7 +251,7 @@ def sup_norm(x: CoeffVector) -> float:
 
 def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> float:
     """(sum w_i |a_i|^p)^(1/p); weights beyond the configured table default to 1."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"weighted_lp_norm requires p > 0, got {p}")
     if not x:
         return 0.0
@@ -378,7 +374,7 @@ def summing_space(dim: int = 64) -> SpaceDescriptor:
 
 def lp_space(p: float) -> SpaceDescriptor:
     """l_p with the canonical basis; a quasi-norm with alpha = 2^(1/p-1) for p < 1."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"lp_space requires p > 0, got {p}")
     alpha = 1.0 if p >= 1.0 else 2.0 ** (1.0 / p - 1.0)
     extreme = _l1_extreme_points if p == 1.0 else None
@@ -411,7 +407,7 @@ def sup_space() -> SpaceDescriptor:
 
 
 def weighted_lp_space(p: float, weights: Sequence[float], dim: int = 64) -> SpaceDescriptor:
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"weighted_lp_space requires p > 0, got {p}")
     w = np.asarray(weights, dtype=np.float64)
     if w.size and w.min() <= 0:
@@ -437,6 +433,8 @@ def _parse_exponent(text: str) -> float:
     """Exponent literal, accepting fractions like "2/3"."""
     if "/" in text:
         num, den = text.split("/", 1)
+        if float(den) == 0.0:
+            raise ValueError(f"exponent {text!r} divides by zero")
         return float(num) / float(den)
     return float(text)
 
@@ -534,7 +532,7 @@ class GapSequence:
 
 def random_vectors(dim: int, count: int, rng: np.random.Generator,
                    style_offset: int = 0) -> Iterator[CoeffVector]:
-    """Mixture of dense normal, sparse and tie-rich sign/quantized samples."""
+    """Mixture of dense normal, sparse and tie-rich sign/quantized samples, none zero."""
     for j in range(count):
         style = (j + style_offset) % 4
         if style == 0:

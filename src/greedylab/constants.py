@@ -68,7 +68,7 @@ def alternating_witness_estimate(space: SpaceDescriptor, d: int) -> ConstantEsti
                             note="alternating tie witness")
 
 
-def structured_witnesses(space: SpaceDescriptor, dim: int) -> Iterator[CoeffVector]:
+def structured_witnesses(dim: int) -> Iterator[CoeffVector]:
     """Deterministic sign-cancellation shapes: spikes, plateaus, alternations."""
     yield CoeffVector.basis_vector(1)
     if dim >= 2:
@@ -120,7 +120,7 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
         raise ValueError(f"kind must be C_q_t or C_sq_t, got {kind!r}")
 
     rng = np.random.default_rng(seed)
-    pool: list[CoeffVector] = list(structured_witnesses(space, dim))
+    pool: list[CoeffVector] = list(structured_witnesses(dim))
     if space.extreme_points is not None and dim <= 8:
         pool.extend(itertools.islice(
             space.extreme_points(tuple(range(1, dim + 1))), 512))
@@ -132,8 +132,6 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
     best_key: Optional[tuple] = None  # incumbent's tie-break key, built on its first tie
 
     for x in pool:
-        if not x:
-            continue
         norm_x = space.norm(x)
         if norm_x <= 0.0:
             continue
@@ -437,8 +435,6 @@ def check_suppression_one_implies_qg(space: SpaceDescriptor, gap: GapSequence,
     violations = 0
     trials = 0
     for x in random_vectors(dim, budget, rng):
-        if not x:
-            continue
         nx = space.norm(x)
         if nx <= 0.0:
             continue

@@ -51,7 +51,7 @@ __all__ = [
     "divergence_experiment",
 ]
 
-MAX_DEPTH = 8  # n_9 - 1 is about 1.1e8; deeper truncations have no desk-scale use
+MAX_DEPTH = 8  # _two_block_candidates quotes its crossing slopes for depth <= 8 only
 SWEEP_CHUNK = 8192  # count vectors per numpy block in the adversarial sweep
 SWEEP_WALK_CAP = 200_000  # walked classes per sweep row before it is inexact
 

@@ -67,18 +67,14 @@ class ConstantEstimate:
         if self.kind not in KINDS:
             raise ValueError(f"unknown estimate kind {self.kind!r}")
 
-    def recompute_ratio(self, space: SpaceDescriptor) -> float:
-        """Recompute the witness ratio from scratch (revalidation path)."""
-        if self.witness_x is None or self.witness_A is None:
-            return 0.0
-        nx = space.norm(self.witness_x)
-        if nx == 0.0:
-            return 0.0
-        return _ratio(space, self.witness_x, self.witness_A, self.kind, nx)
-
-    def revalidate(self, space: SpaceDescriptor, tol: float = 1e-9) -> bool:
-        """True when the stored value matches the recomputed witness ratio."""
-        return abs(self.recompute_ratio(space) - self.value) <= tol * max(1.0, self.value)
+    def revalidate(self, space: SpaceDescriptor) -> bool:
+        """True when the stored value matches the witness ratio recomputed from scratch."""
+        ratio = 0.0
+        if self.witness_x is not None and self.witness_A is not None:
+            nx = space.norm(self.witness_x)
+            if nx != 0.0:
+                ratio = _ratio(space, self.witness_x, self.witness_A, self.kind, nx)
+        return abs(ratio - self.value) <= 1e-9 * max(1.0, self.value)
 
     def to_report(self) -> dict:
         report = {

@@ -7,7 +7,7 @@ and the margin.
 from __future__ import annotations
 
 from collections import abc
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +40,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def divergence_rows(depth: int, t: float, adversary: bool = True,
-                    m_grid: Optional[Iterable[int]] = None) -> dict:
-    report = cx.divergence_experiment(depth, t, adversary, m_grid)
+def divergence_rows(depth: int, t: float, adversary: bool = True) -> dict:
+    report = cx.divergence_experiment(depth, t, adversary)
     header = ["m", "t", "K", "min_norm", "phi", "lower_bound", "greedy_set_family"]
     rows = [[r["m"], r["t"], r["depth"], r["min_norm"], r["phi"],
              r["lower_bound"], r["greedy_set_family"]] for r in report["rows"]]
@@ -136,9 +135,8 @@ def transfer_table(space_key: str = "summing", dims: Sequence[int] = (2, 3),
 # ---------------------------------------------------------------------------
 
 
-def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 64),
-                       t_pool: Sequence[float] = (1.0, 0.8, 0.5),
-                       l_pool: Sequence[int] = (2, 3, 4)) -> dict:
+def bounded_gap_trials(trials: int, seed: int,
+                       dim_range: tuple[int, int] = (8, 64)) -> dict:
     """Randomized partition-bound trials in the summing space (prefix constant 1).
 
     Each trial's interval partition is evaluated once, right after the trial
@@ -148,18 +146,20 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
     partition cardinality and the alternating-witness ratio n_k.  Pass two
     checks each stored evaluation against its measured constant.
     """
+    dim_lo, dim_hi = dim_range
+    if not 1 <= dim_lo <= dim_hi:
+        raise ValueError("dim_lo and dim_hi must satisfy 1 <= dim_lo <= dim_hi, "
+                         f"got dim_lo = {dim_lo}, dim_hi = {dim_hi}")
     rng = np.random.default_rng(seed)
-    gaps = {l: GapSequence.powers(l) for l in l_pool}
+    gaps = {l: GapSequence.powers(l) for l in (2, 3, 4)}
     spaces: dict[int, SpaceDescriptor] = {}
     measured: dict[tuple[float, int], float] = {}
     evaluated = []  # (dim, t, evaluation): neither x nor A is kept
     for _ in range(trials):
-        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        dim = int(rng.integers(dim_lo, dim_hi + 1))
         x = next(iter(random_vectors(dim, 1, rng)))
-        if not x:
-            continue
-        t = float(rng.choice(np.asarray(t_pool)))
-        l = int(rng.choice(np.asarray(l_pool)))
+        t = float(rng.choice(np.asarray((1.0, 0.8, 0.5))))
+        l = int(rng.choice(np.asarray(list(gaps))))
         m = int(rng.integers(1, min(dim, len(x)) + 1))
         sel = random_greedy_set(x, m, t, rng)
         if dim not in spaces:
@@ -197,16 +197,14 @@ def bounded_gap_trials(trials: int, seed: int, dim_range: tuple[int, int] = (8, 
 # ---------------------------------------------------------------------------
 
 
-def suppression_rows(space_keys: Sequence[str] = ("lp:1", "lp:2", "sup"),
-                     n1_values: Sequence[int] = (2, 3, 5), dim: int = 12,
-                     budget: int = 400, seed: int = 0) -> dict:
+def suppression_rows(dim: int = 12, budget: int = 400, seed: int = 0) -> dict:
     header = ["space", "n1", "M", "bound", "precheck_passed", "max_ratio",
               "margin", "violations", "trials"]
     rows = []
     reports = []
     violations = 0
-    for key in space_keys:
-        for n1 in n1_values:
+    for key in ("lp:1", "lp:2", "sup"):
+        for n1 in (2, 3, 5):
             gap = GapSequence.explicit(
                 tuple(n1 * 2 ** j for j in range(4) if n1 * 2 ** j <= dim) or (n1,),
                 bound_l=2)
@@ -228,14 +226,14 @@ def suppression_rows(space_keys: Sequence[str] = ("lp:1", "lp:2", "sup"),
 # ---------------------------------------------------------------------------
 
 
-def perturb_audit(trials: int, seed: int,
-                  space_keys: Sequence[str] = ("lp:1/2", "lp:2/3"),
-                  dim: int = 16) -> dict:
+def perturb_audit(trials: int, seed: int, dim: int = 16) -> dict:
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     header = ["space", "lemma", "trials", "failures", "worst_margin"]
     rows = []
     reports = []
     failures = 0
-    for key in space_keys:
+    for key in ("lp:1/2", "lp:2/3"):
         space = space_from_key(key, dim)
         for suite in (lemma_perturbation_suite, padding_suite, crude_bound_suite):
             rep = suite(space, trials, seed=seed, dim=dim)

@@ -175,10 +175,10 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
 # ---------------------------------------------------------------------------
 
 
-def _random_greedy_pair(dim: int, rng: np.random.Generator, style: int = 0,
-                        t_pool=(1.0, 0.9, 0.7, 0.5, 0.3)) -> tuple[CoeffVector, frozenset, float]:
+def _random_greedy_pair(dim: int, rng: np.random.Generator,
+                        style: int) -> tuple[CoeffVector, frozenset, float]:
     x = next(iter(random_vectors(dim, 1, rng, style_offset=style)))
-    t = float(rng.choice(t_pool))
+    t = float(rng.choice((1.0, 0.9, 0.7, 0.5, 0.3)))
     m = int(rng.integers(1, len(x) + 1))
     policy = "lowest" if rng.integers(2) == 0 else "highest"
     sel = one_greedy_set(x, m, t, policy)
@@ -254,11 +254,11 @@ def padding_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
 
 
 def crude_bound_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
-                      dim: int = 16, max_card: int = 8) -> dict:
+                      dim: int = 16) -> dict:
     def trial(idx: int):
         rng = np.random.default_rng([seed, idx])
         x = next(iter(random_vectors(dim, 1, rng, style_offset=idx)))
-        size = int(rng.integers(1, max_card + 1))
+        size = int(rng.integers(1, 9))
         A = frozenset(rng.choice(np.arange(1, dim + 1), size=min(size, dim),
                                  replace=False).tolist())
         lhs = space.norm(projection(x, A))

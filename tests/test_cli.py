@@ -8,6 +8,12 @@ from pathlib import Path
 import pytest
 
 from greedylab import cli
+from greedylab.acceptance import Profile, criterion_9_determinism
+
+# experiment -> the cli global that run_experiment_set calls for it
+RUNNERS = {"divergence": "divergence_rows", "constants": "constants_table",
+           "transfer": "transfer_table", "bounded-gaps": "bounded_gap_trials",
+           "suppression-one": "suppression_rows", "perturb-audit": "perturb_audit"}
 
 
 def write_config(path: Path, name: str, seed: int = 7, **params) -> Path:
@@ -44,6 +50,43 @@ class TestConfig:
     def test_dims_parsing(self):
         assert cli._parse_dims("2..5") == (2, 3, 4, 5)
         assert cli._parse_dims("2, 4 ,6") == (2, 4, 6)
+        for empty in ("5..2", "", " , "):
+            with pytest.raises(cli.UsageError, match="dims names no dimension"):
+                cli._parse_dims(empty)
+
+    def test_boolean_spellings(self, tmp_path):
+        for raw, value in (("on", True), ("Yes", True), ("0", False), ("off", False)):
+            cfg = write_config(tmp_path / "c.ini", "divergence", adversary=raw)
+            assert cli.load_config(cfg)[2]["adversary"] is value
+        cfg = write_config(tmp_path / "c.ini", "divergence", adversary="maybe")
+        with pytest.raises(cli.UsageError, match="expected a boolean, got 'maybe'"):
+            cli.load_config(cfg)
+
+
+class TestExperimentTable:
+    def test_quick_overrides_name_default_keys(self):
+        for name, (defaults, quick) in cli.EXPERIMENTS.items():
+            assert quick and set(quick) <= set(defaults), name
+
+    def test_every_experiment_has_a_runner(self):
+        assert set(RUNNERS) == set(cli.EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    def test_dispatch_calls_the_runner_patched_on_cli(self, name, tmp_path, monkeypatch):
+        called = []
+        for experiment, runner in RUNNERS.items():
+            monkeypatch.setattr(cli, runner, lambda *a, _e=experiment, **k: called.append(_e)
+                                or {"header": ["x"], "rows": [], "json": {}, "violations": 0})
+        params = dict(cli.EXPERIMENTS[name][0])
+        assert cli.run_experiment_set(name, params, tmp_path, seed=0) == 0
+        assert called == [name]
+
+    def test_criterion_9_runs_every_experiment(self, monkeypatch):
+        names = []
+        monkeypatch.setattr(cli, "run_experiment_set",
+                            lambda name, params, out, seed: names.append(name) or 0)
+        criterion_9_determinism(Profile(quick=True))
+        assert names == list(cli.EXPERIMENTS) * 2
 
 
 class TestRunCommand:
@@ -99,13 +142,32 @@ class TestRunCommand:
         assert all(float(cell) == float(cell) for cell in numeric)
         assert all("." in cell for cell in numeric)
 
-    @pytest.mark.parametrize("name", ["constants", "transfer", "perturb-audit"])
+    @pytest.mark.parametrize("name", list(RUNNERS))
     def test_remaining_experiments_run_quick(self, name, tmp_path):
         cfg = write_config(tmp_path / "c.ini", name)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out),
                          "--quick"]) == 0
         assert (out / f"{name}.csv").exists() and (out / f"{name}.json").exists()
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("constants", {"space": "lp:nan", "dims": "2..3"}, "requires p > 0, got nan"),
+        ("constants", {"space": "lp:1/0", "dims": "2..3"}, "exponent '1/0' divides by zero"),
+        ("constants", {"dims": "5..2"}, "dims names no dimension: '5..2'"),
+        ("constants", {"dims": ""}, "dims names no dimension: ''"),
+        ("transfer", {"dims": "5..2"}, "dims names no dimension: '5..2'"),
+        ("transfer", {"dims": ""}, "dims names no dimension: ''"),
+        ("bounded-gaps", {"dim_lo": 9, "dim_hi": 8}, "dim_lo = 9, dim_hi = 8"),
+        ("bounded-gaps", {"dim_lo": 0, "dim_hi": 8}, "dim_lo = 0, dim_hi = 8"),
+        ("perturb-audit", {"dim": 0}, "dim must be at least 1, got 0"),
+    ])
+    def test_bad_input_exits_one(self, name, params, message, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", name, **params)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert not (out / f"{name}.csv").exists()
 
 
 class TestEntryPoint:

@@ -39,23 +39,20 @@ class TestCoeffVector:
 
     def test_rejects_malformed_input(self):
         for bad in (lambda: CV([1, 2], [1.0]), lambda: CV([[1, 2]], [[1.0, 2.0]]),
-                    lambda: CV.from_dense([1.0], start=0),
                     lambda: CV.from_dense([[1.0, 2.0]])):
             with pytest.raises(ValueError):
                 bad()
-        assert CV.from_dense([], start=0) == CV.zero()
-        assert CV.from_dense([0.0, 2.0], start=5) == CV([6], [2.0])
+        assert CV.from_dense([]) == CV.zero()
+        assert CV.from_dense([0.0, 2.0]) == CV([2], [2.0])
 
     def test_rejects_non_integral_indices(self):
         # a float or string index raises instead of being truncated
         for bad in (lambda: CV([2.7], [1.0]), lambda: CV(["3"], [1.0]),
-                    lambda: CV([np.float64(2.0)], [1.0]),
-                    lambda: CV.from_dense([1.0, 2.0], start=1.5)):
+                    lambda: CV([np.float64(2.0)], [1.0])):
             with pytest.raises(ValueError):
                 bad()
         assert CV(np.array([3, 1]), np.array([1.0, 2.0])) == CV([1, 3], [2.0, 1.0])
         assert CV([np.int32(2), True], [1.0, 1.0]).support() == (1, 2)
-        assert CV.from_dense([1.0, 2.0], start=np.int64(2)) == CV([2, 3], [1.0, 2.0])
 
     def test_iteration_strictly_increasing(self):
         v = CV([5, 2, 9], [1.0, 1.0, 1.0])
@@ -389,10 +386,13 @@ class TestLpNorms:
         assert gl.lp_norm(CV.basis_vector(4), p) == pytest.approx(1.0)
 
     def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValueError):
-            gl.lp_norm(CV.basis_vector(1), 0.0)
-        with pytest.raises(ValueError):
-            gl.lp_norm(CV.basis_vector(1), -1.0)
+        # NaN fails "p > 0" too; accepted, it made every norm of two or more entries NaN
+        for p in (0.0, -1.0, math.nan):
+            for bad in (lambda: gl.lp_norm(CV.basis_vector(1), p),
+                        lambda: gl.weighted_lp_norm(CV.basis_vector(1), p, []),
+                        lambda: gl.lp_space(p), lambda: gl.weighted_lp_space(p, [])):
+                with pytest.raises(ValueError, match="requires p > 0"):
+                    bad()
 
     def test_weighted_defaults_to_one(self):
         x = CV.from_pairs([(1, 1.0), (10, 1.0)])
@@ -451,6 +451,18 @@ class TestSpaceCatalogue:
 
     def test_fraction_exponent(self):
         assert gl.space_from_key("lp:1/2").alpha == 2.0
+
+    @pytest.mark.parametrize("key,message", [
+        ("lp:nan", "requires p > 0"), ("lp:1/0", "divides by zero"),
+        ("lp:0/0", "divides by zero"),
+    ])
+    def test_bad_exponent_key(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            gl.space_from_key(key)
+
+    def test_infinite_exponent_is_the_sup_norm(self):
+        x = CV([1, 3, 4], [0.5, -2.0, 1.5])
+        assert gl.space_from_key("lp:inf").norm(x) == gl.sup_norm(x) == 2.0
 
 
 class TestExtremePoints:

@@ -170,7 +170,7 @@ def reference_estimate(space, gap, t, dim, budget, kind, seed):
     sample: every candidate set comes from ``enumerate_t_greedy_sets`` (plus
     the lowest and highest greedy sets on overflow) as a frozenset and is
     scored by ``_ratio``; ties go to the smallest (x, sorted A) encoding."""
-    pool = list(constants_module.structured_witnesses(space, dim))
+    pool = list(constants_module.structured_witnesses(dim))
     if space.extreme_points is not None and dim <= 8:
         pool.extend(itertools.islice(space.extreme_points(tuple(range(1, dim + 1))), 512))
     pool.extend(random_vectors(dim, budget, np.random.default_rng(seed)))
@@ -221,7 +221,7 @@ class TestEstimatorMatchesReference:
         # reaches the ratio 1
         x = CV.from_dense(signs)
         assert gl.enumerate_t_greedy_sets(x, 6, 1.0, cap=_ENUMERATION_CAP).overflow
-        monkeypatch.setattr(constants_module, "structured_witnesses", lambda space, dim: [x])
+        monkeypatch.setattr(constants_module, "structured_witnesses", lambda dim: [x])
         space, gap = gl.summing_space(12), GapSequence.explicit([6])
         est = gl.estimate_quasi_greedy_constant(space, gap, 1.0, 12, 0, kind=kind)
         assert (est.value, est.witness_A) == (1.0, frozenset(range(7, 13)))
