@@ -27,6 +27,6 @@ from .greedy import (EnumerationResult, GreedySelection, StaleSelectionError,
 from .perturb import (PerturbationError, crude_bound_suite, equivalence_audit,
                       lemma_perturbation_suite, padding_set_construction,
                       padding_suite, perturb_to_finite_support,
-                      projection_crude_bound)
+                      projection_crude_bound, trial_draws)
 
 __version__ = "0.1.0"

@@ -93,9 +93,12 @@ def _echo_config(out: Path, name: str, seed: int, params: dict) -> dict:
 
 
 def run_experiment_set(name: str, params: dict, out: Path, seed: int) -> int:
-    """Execute one experiment, write its reports, return the violation count."""
+    """Execute one experiment, write its reports, return the violation count.
+
+    Nothing is written until the runner returns, so a run refused on bad
+    input leaves no file behind.
+    """
     out = Path(out)
-    effective = _echo_config(out, name, seed, params)
 
     if name == "divergence":
         rep = divergence_rows(int(params["depth"]), float(params["t"]),
@@ -118,6 +121,7 @@ def run_experiment_set(name: str, params: dict, out: Path, seed: int) -> int:
     else:
         raise UsageError(f"unknown experiment name: {name!r}")
 
+    effective = _echo_config(out, name, seed, params)
     write_csv(out / f"{name}.csv", rep["header"], rep["rows"])
     write_json(out / f"{name}.json", {"config": effective, **rep["json"]})
     return int(rep["violations"])

@@ -524,6 +524,15 @@ class GapSequence:
     def first(self) -> int:
         return self.values[0] if self.values else int(self.rule(1))
 
+    def admissible_sizes(self, dim: int) -> tuple[int, ...]:
+        """The members up to dim, the cardinalities a search in dimension dim
+        visits; a dim below the first term raises, naming both."""
+        sizes = self.members_up_to(dim)
+        if not sizes:
+            raise ValueError(f"no admissible cardinality: dim = {dim} is below "
+                             f"the gap sequence's first term {self.first()}")
+        return sizes
+
 
 # ---------------------------------------------------------------------------
 # Random samples

@@ -113,9 +113,7 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
     a lower bound unless a contractivity certificate pins it.
     """
     _check_t(t)
-    sizes = gap.members_up_to(dim)
-    if not sizes:
-        raise ValueError("no admissible cardinality: gap sequence has no member <= dim")
+    sizes = gap.admissible_sizes(dim)
     if kind not in KINDS:
         raise ValueError(f"kind must be C_q_t or C_sq_t, got {kind!r}")
 
@@ -323,9 +321,7 @@ def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[f
         raise ValueError(f"space {space.name!r} has no dual-functional oracle")
     if kind not in KINDS:
         raise ValueError(f"kind must be C_q_t or C_sq_t, got {kind!r}")
-    sizes = gap.members_up_to(dim)
-    if not sizes:
-        raise ValueError("no admissible cardinality: gap sequence has no member <= dim")
+    sizes = gap.admissible_sizes(dim)
 
     F = np.asarray(space.dual_functionals(dim), dtype=np.float64)
     n_subsets = sum(math.comb(dim, s) for s in sizes)

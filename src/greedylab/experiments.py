@@ -23,7 +23,7 @@ from .constants import (_partition_checks, _partition_evaluation,
 from .constants import bounded_gap_projection_bound, exact_constant_polyhedral  # noqa: F401
 from .greedy import random_greedy_set
 from .perturb import (crude_bound_suite, equivalence_audit,
-                      lemma_perturbation_suite, padding_suite)
+                      lemma_perturbation_suite, padding_suite, trial_draws)
 
 __all__ = [
     "divergence_rows",
@@ -33,6 +33,16 @@ __all__ = [
     "suppression_rows",
     "perturb_audit",
 ]
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +66,7 @@ def divergence_rows(depth: int, t: float, adversary: bool = True) -> dict:
 
 def constants_table(space_key: str, kind: str, t: float, dims: Sequence[int],
                     budget: int, seed: int) -> dict:
+    _check_budget(budget)
     gap = GapSequence.naturals()
     header = ["dim", "t", "kind", "value", "exact", "upper_bound", "witness_support"]
     rows = []
@@ -146,6 +157,7 @@ def bounded_gap_trials(trials: int, seed: int,
     partition cardinality and the alternating-witness ratio n_k.  Pass two
     checks each stored evaluation against its measured constant.
     """
+    _check_trials(trials)
     dim_lo, dim_hi = dim_range
     if not 1 <= dim_lo <= dim_hi:
         raise ValueError("dim_lo and dim_hi must satisfy 1 <= dim_lo <= dim_hi, "
@@ -198,6 +210,7 @@ def bounded_gap_trials(trials: int, seed: int,
 
 
 def suppression_rows(dim: int = 12, budget: int = 400, seed: int = 0) -> dict:
+    _check_budget(budget)
     header = ["space", "n1", "M", "bound", "precheck_passed", "max_ratio",
               "margin", "violations", "trials"]
     rows = []
@@ -227,22 +240,28 @@ def suppression_rows(dim: int = 12, budget: int = 400, seed: int = 0) -> dict:
 
 
 def perturb_audit(trials: int, seed: int, dim: int = 16) -> dict:
+    _check_trials(trials)
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
+    spaces = {key: space_from_key(key, dim) for key in ("lp:1/2", "lp:2/3")}
+    # the audits draw their own samples; run first, their pools and the draw
+    # table are never held at the same time
+    audits = {key: equivalence_audit(space, GapSequence.naturals(), 1.0, dim,
+                                     max(8, trials // 8), seed=seed)
+              for key, space in spaces.items()}
+    draws = trial_draws(trials, seed, dim)  # both spaces, all three suites
     header = ["space", "lemma", "trials", "failures", "worst_margin"]
     rows = []
     reports = []
     failures = 0
-    for key in ("lp:1/2", "lp:2/3"):
-        space = space_from_key(key, dim)
+    for key, space in spaces.items():
         for suite in (lemma_perturbation_suite, padding_suite, crude_bound_suite):
-            rep = suite(space, trials, seed=seed, dim=dim)
+            rep = suite(space, draws)
             reports.append(rep)
             failures += rep["failures"]
             rows.append([key, rep["lemma"], rep["trials"], rep["failures"],
                          rep["worst_margin"]])
-        audit = equivalence_audit(space, GapSequence.naturals(), 1.0, dim,
-                                  max(8, trials // 8), seed=seed)
+        audit = audits[key]
         reports.append(audit)
         if audit.get("trials") and not audit["satisfied"]:
             failures += 1

@@ -9,7 +9,7 @@ degrades to the Banach statements when alpha = 1.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "lemma_perturbation_suite",
     "padding_suite",
     "crude_bound_suite",
+    "trial_draws",
 ]
 
 
@@ -153,12 +154,15 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
         bad = max((i for i, v in y.pairs() if i not in D), key=lambda i: abs(y[i]))
         raise PerturbationError(
             f"padded spikes fail to dominate: |y_{bad}| = {outside_max} > {height}")
-    # retained A-coefficients still dominate untouched ones at level t
-    for i in A_set - B:
+    # retained A-coefficients still dominate untouched ones at level t; the
+    # bound a/t + 1e-12 max(1, a/t) grows with a, so the smallest one decides
+    retained = A_set - B
+    if retained:
+        i = min(retained, key=lambda k: abs(y[k]))
+        lim = abs(y[i]) / t
+        lim += 1e-12 * max(1.0, lim)
         for j, v in y.pairs():
-            if j in moved or j in B:
-                continue
-            if abs(v) > abs(y[i]) / t + 1e-12 * max(1.0, abs(y[i]) / t):
+            if abs(v) > lim and j not in moved and j not in B:
                 raise PerturbationError(
                     f"retained coefficient lost dominance: pair (i={i}, j={j})")
 
@@ -175,14 +179,51 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
 # ---------------------------------------------------------------------------
 
 
-def _random_greedy_pair(dim: int, rng: np.random.Generator,
-                        style: int) -> tuple[CoeffVector, frozenset, float]:
-    x = next(iter(random_vectors(dim, 1, rng, style_offset=style)))
-    t = float(rng.choice((1.0, 0.9, 0.7, 0.5, 0.3)))
-    m = int(rng.integers(1, len(x) + 1))
-    policy = "lowest" if rng.integers(2) == 0 else "highest"
-    sel = one_greedy_set(x, m, t, policy)
-    return x, sel.indices, t
+class TrialDraw(NamedTuple):
+    """One trial's random inputs; the suites read them, under every space."""
+    x: CoeffVector
+    A: tuple[int, ...]  # sorted t-greedy set of x
+    t: float
+    eps_scale: float  # perturbation: eps = eps_scale * max(|x|, 1e-6)
+    tail_len: int  # perturbation: length of the truncated tail
+    segment: int  # padding: length m of the initial segment
+    crude_A: tuple[int, ...]  # crude bound: sorted projection set
+
+
+class TrialDraws(NamedTuple):
+    seed: int
+    trials: list[TrialDraw]
+
+
+def trial_draws(trials: int, seed: int, dim: int) -> TrialDraws:
+    """The random inputs of every suite trial, drawn once per trial.
+
+    Trial idx uses one generator, ``default_rng([seed, idx])``, so an outcome
+    does not depend on the order trials run in.  After x, the crude-bound
+    suite's draws continue the stream; after x and its greedy pair (t, A),
+    the perturbation suite's draws continue it, and so do the padding
+    suite's: the generator state is saved and restored between them.
+    """
+    rows = []
+    for idx in range(trials):
+        rng = np.random.default_rng([seed, idx])
+        x = next(iter(random_vectors(dim, 1, rng, style_offset=idx)))
+        after_x = rng.bit_generator.state
+        size = int(rng.integers(1, 9))
+        crude_A = rng.choice(np.arange(1, dim + 1), size=min(size, dim), replace=False)
+        rng.bit_generator.state = after_x
+        t = float(rng.choice((1.0, 0.9, 0.7, 0.5, 0.3)))
+        m = int(rng.integers(1, len(x) + 1))
+        policy = "lowest" if rng.integers(2) == 0 else "highest"
+        A = tuple(sorted(one_greedy_set(x, m, t, policy).indices))
+        after_pair = rng.bit_generator.state
+        eps_scale = float(rng.uniform(0.01, 1.0))
+        tail_len = int(rng.integers(0, 5))
+        rng.bit_generator.state = after_pair
+        segment = int(rng.integers(0, dim + 1))
+        rows.append(TrialDraw(x, A, t, eps_scale, tail_len, segment,
+                              tuple(sorted(crude_A.tolist()))))
+    return TrialDraws(seed, rows)
 
 
 def _suite_report(lemma: str, space: SpaceDescriptor, outcomes, seed: int) -> dict:
@@ -194,21 +235,14 @@ def _suite_report(lemma: str, space: SpaceDescriptor, outcomes, seed: int) -> di
             "seed": seed}
 
 
-def lemma_perturbation_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
-                             dim: int = 16) -> dict:
-    """Randomized perturbation trials with a tail-truncating picker.
+def lemma_perturbation_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
+    """Randomized perturbation trials with a tail-truncating picker."""
 
-    Each trial derives its own generator from the master seed and its index,
-    so the outcome does not depend on the order trials run in.
-    """
-
-    def trial(idx: int):
-        rng = np.random.default_rng([seed, idx])
-        x, A, t = _random_greedy_pair(dim, rng, style=idx)
-        eps = float(rng.uniform(0.01, 1.0)) * max(space.norm(x), 1e-6)
+    def trial(draw: TrialDraw):
+        x, A, t, tail_len = draw.x, draw.A, draw.t, draw.tail_len
+        eps = draw.eps_scale * max(space.norm(x), 1e-6)
         # stand-in for an infinite tail: x carries extra decaying mass that the
         # picker truncates back off
-        tail_len = int(rng.integers(0, 5))
         base = x
         picker = lambda vec, d: vec
         if tail_len:
@@ -230,43 +264,35 @@ def lemma_perturbation_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
             return False, None
         return True, eps - space.norm(base - y)
 
-    outcomes = parallel_map(trial, range(trials))
-    return _suite_report("finite-support perturbation", space, outcomes, seed)
+    outcomes = parallel_map(trial, draws.trials)
+    return _suite_report("finite-support perturbation", space, outcomes, draws.seed)
 
 
-def padding_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
-                  dim: int = 16) -> dict:
-    def trial(idx: int):
-        rng = np.random.default_rng([seed, idx])
-        x, A, t = _random_greedy_pair(dim, rng, style=idx)
-        m = int(rng.integers(0, dim + 1))
+def padding_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
+    def trial(draw: TrialDraw):
+        x, A, t, m = draw.x, draw.A, draw.t, draw.segment
         try:
             y, D = padding_set_construction(space, x, A, t, m)
         except PerturbationError:
             return False, None
-        moved = (A - frozenset(range(1, m + 1))) | D
+        moved = frozenset([i for i in A if i > m]) | D
         margin = min((abs(y[i]) for i in moved), default=0.0) - \
             t * max((abs(v) for i, v in y.pairs() if i not in moved), default=0.0)
         return True, margin
 
-    outcomes = parallel_map(trial, range(trials))
-    return _suite_report("padding-set construction", space, outcomes, seed)
+    outcomes = parallel_map(trial, draws.trials)
+    return _suite_report("padding-set construction", space, outcomes, draws.seed)
 
 
-def crude_bound_suite(space: SpaceDescriptor, trials: int, seed: int = 0,
-                      dim: int = 16) -> dict:
-    def trial(idx: int):
-        rng = np.random.default_rng([seed, idx])
-        x = next(iter(random_vectors(dim, 1, rng, style_offset=idx)))
-        size = int(rng.integers(1, 9))
-        A = frozenset(rng.choice(np.arange(1, dim + 1), size=min(size, dim),
-                                 replace=False).tolist())
+def crude_bound_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
+    def trial(draw: TrialDraw):
+        x, A = draw.x, draw.crude_A
         lhs = space.norm(projection(x, A))
         rhs = projection_crude_bound(space, A) * space.norm(x)
         return lhs <= rhs * (1.0 + 1e-9), rhs - lhs
 
-    outcomes = parallel_map(trial, range(trials))
-    return _suite_report("crude projection bound", space, outcomes, seed)
+    outcomes = parallel_map(trial, draws.trials)
+    return _suite_report("crude projection bound", space, outcomes, draws.seed)
 
 
 def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
@@ -280,9 +306,7 @@ def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
         return {"lemma": "finite-support amplification", "space": space.name,
                 "trials": 0, "seed": seed}
     rng = np.random.default_rng(seed)
-    sizes = gap.members_up_to(dim)
-    if not sizes:
-        raise ValueError("no admissible cardinality: gap sequence has no member <= dim")
+    sizes = gap.admissible_sizes(dim)
 
     def best_ratio(samples) -> float:
         best = 0.0

@@ -160,6 +160,12 @@ class TestRunCommand:
         ("bounded-gaps", {"dim_lo": 9, "dim_hi": 8}, "dim_lo = 9, dim_hi = 8"),
         ("bounded-gaps", {"dim_lo": 0, "dim_hi": 8}, "dim_lo = 0, dim_hi = 8"),
         ("perturb-audit", {"dim": 0}, "dim must be at least 1, got 0"),
+        ("perturb-audit", {"trials": 0}, "trials must be at least 1, got 0"),
+        ("bounded-gaps", {"trials": -3}, "trials must be at least 1, got -3"),
+        ("constants", {"budget": -1}, "budget must be nonnegative, got -1"),
+        ("suppression-one", {"budget": -1}, "budget must be nonnegative, got -1"),
+        ("constants", {"dims": "0..2"}, "dim = 0 is below the gap sequence's first term 1"),
+        ("suppression-one", {"dim": 1}, "dim = 1 is below the gap sequence's first term 2"),
     ])
     def test_bad_input_exits_one(self, name, params, message, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", name, **params)
@@ -168,6 +174,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
         assert not (out / f"{name}.csv").exists()
+        assert not (out / "effective_config.ini").exists()
 
 
 class TestEntryPoint:

@@ -149,6 +149,17 @@ class TestEstimator:
             gl.estimate_quasi_greedy_constant(gl.lp_space(2.0),
                                               GapSequence.explicit([9]), 1.0, 4, 10)
 
+    @pytest.mark.parametrize("search", [
+        lambda gap: gl.estimate_quasi_greedy_constant(gl.lp_space(2.0), gap, 1.0, 4, 10),
+        lambda gap: gl.check_suppression_one_implies_qg(gl.lp_space(2.0), gap, 4, 10),
+        lambda gap: gl.equivalence_audit(gl.lp_space(2.0), gap, 1.0, 4, 10),
+        lambda gap: gl.exact_constant_grid(gl.summing_space(4), gap, [1.0], 4, "C_q_t"),
+    ], ids=["estimate", "suppression", "equivalence", "exact"])
+    def test_empty_gap_window_names_dim_and_first_term(self, search):
+        with pytest.raises(ValueError, match="no admissible cardinality: dim = 4 is "
+                                             "below the gap sequence's first term 9"):
+            search(GapSequence.explicit([9]))
+
     def test_witnesses_revalidate(self):
         for key in ("summing", "lp:1", "lp:2", "sup"):
             space = gl.space_from_key(key, 6)

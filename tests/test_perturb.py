@@ -1,6 +1,7 @@
 """Quasi-Banach toolkit: crude bound, perturbation, padding, amplification."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import greedylab as gl
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence, perturb
 from greedylab.cli import run_experiment_set
+from greedylab.coeffspace import random_vectors
+from greedylab.experiments import perturb_audit
 from greedylab.perturb import PerturbationError
 
 L_HALF = gl.lp_space(0.5)
@@ -40,7 +43,7 @@ class TestCrudeBound:
     def test_suite_over_catalogue(self):
         for space in (L_HALF, L_TWO_THIRDS, gl.lp_space(1.0),
                       gl.summing_space(16)):
-            rep = gl.crude_bound_suite(space, 400, seed=5)
+            rep = gl.crude_bound_suite(space, gl.trial_draws(400, 5, 16))
             assert rep["failures"] == 0
             assert rep["worst_margin"] >= 0.0
 
@@ -100,7 +103,7 @@ class TestPerturbation:
 
     @pytest.mark.parametrize("space", [L_HALF, L_TWO_THIRDS, gl.lp_space(1.0)])
     def test_randomized_suite(self, space):
-        rep = gl.lemma_perturbation_suite(space, 1000, seed=23)
+        rep = gl.lemma_perturbation_suite(space, gl.trial_draws(1000, 23, 16))
         assert rep["failures"] == 0
         assert rep["trials"] == 1000
 
@@ -161,10 +164,156 @@ class TestPaddingConstruction:
             y, D = gl.padding_set_construction(L_TWO_THIRDS, x, A, 1.0, m)
             assert len((A - frozenset(range(1, m + 1))) | D) == len(A)
 
+    @staticmethod
+    def _old_dominance_failures(y, A, m, moved, t):
+        """The retained-dominance check as a nested loop over (i, j): every
+        failing pair."""
+        B = frozenset(range(1, m + 1))
+        return [(i, j) for i in frozenset(A) - B for j, v in y.pairs()
+                if j not in moved and j not in B
+                and abs(v) > abs(y[i]) / t + 1e-12 * max(1.0, abs(y[i]) / t)]
+
+    def test_dominance_check_matches_the_pairwise_loop(self, monkeypatch):
+        # with the greedy checks switched off, arbitrary sets reach the
+        # dominance check; it must raise exactly when some pair fails
+        monkeypatch.setattr(perturb, "is_t_greedy", lambda x, A, t: True)
+        rng = np.random.default_rng(53)
+        raised = passed = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 12))
+            vals = np.round(rng.standard_normal(n) * 4.0) / 4.0
+            if not vals.any():
+                continue
+            m = int(rng.integers(1, n + 1))
+            B = frozenset(range(1, m + 1))
+            support = [i for i in range(1, n + 1) if vals[i - 1]]
+            A = frozenset(rng.choice(support, size=int(rng.integers(1, len(support) + 1)),
+                                     replace=False).tolist())
+            if not A & B:
+                continue  # no padding, so no dominance check
+            t = float(rng.choice((1.0, 0.7, 0.3)))
+            others = [j for j in range(1, n + 1) if j not in A | B]
+            if A - B and others and rng.integers(2):
+                # one untouched entry just above or below the tolerance line
+                a = min(abs(vals[i - 1]) for i in A - B) / t
+                vals[int(rng.choice(others)) - 1] = a + float(rng.choice(
+                    (-1e-3, -1e-13, 1e-13, 2e-12, 1e-3))) * max(1.0, a)
+            x = CV.from_dense(vals)
+            space = L_HALF if rng.integers(2) else L_TWO_THIRDS
+            top = max(x.max_index(), max(A), m)
+            D = frozenset(range(top + 1, top + 1 + len(A & B)))
+            y = x - gl.projection(x, B) + CV.indicator(D, 2.0 * space.c_param * space.norm(x))
+            failing = self._old_dominance_failures(y, A, m, (A - B) | D, t)
+            try:
+                gl.padding_set_construction(space, x, A, t, m)
+            except PerturbationError as exc:
+                assert "lost dominance" in str(exc) and failing, str(exc)
+                i, j = (int(v) for v in re.findall(r"=(\d+)", str(exc)))
+                assert (i, j) in failing
+                raised += 1
+            else:
+                assert not failing
+                passed += 1
+        assert raised >= 20 and passed >= 20
+
     @pytest.mark.parametrize("space", [L_HALF, L_TWO_THIRDS])
     def test_randomized_suite(self, space):
-        rep = gl.padding_suite(space, 300, seed=37)
+        rep = gl.padding_suite(space, gl.trial_draws(300, 37, 16))
         assert rep["failures"] == 0
+
+
+def _old_greedy_pair(dim, rng, style):
+    x = next(iter(random_vectors(dim, 1, rng, style_offset=style)))
+    t = float(rng.choice((1.0, 0.9, 0.7, 0.5, 0.3)))
+    m = int(rng.integers(1, len(x) + 1))
+    policy = "lowest" if rng.integers(2) == 0 else "highest"
+    return x, gl.one_greedy_set(x, m, t, policy).indices, t
+
+
+def _old_lemma_trial(space, seed, idx, dim):
+    rng = np.random.default_rng([seed, idx])
+    x, A, t = _old_greedy_pair(dim, rng, idx)
+    eps = float(rng.uniform(0.01, 1.0)) * max(space.norm(x), 1e-6)
+    tail_len = int(rng.integers(0, 5))
+    base, picker = x, (lambda vec, d: vec)
+    if tail_len:
+        start = x.max_index() + 1
+        delta = perturb._delta(space, eps, len(A)) if A else eps
+        beta = min((abs(x[i]) for i in A), default=1.0)
+        tail_scale = 0.25 * min(delta / (space.alpha ** tail_len * tail_len + 1), t * beta)
+        base = x + CV(range(start, start + tail_len),
+                      [tail_scale * 0.5 ** j for j in range(tail_len)])
+        picker = lambda vec, d, _cut=start: vec.restrict(range(1, _cut))
+    if not gl.is_t_greedy(base, A, t):
+        return True, None
+    try:
+        y = gl.perturb_to_finite_support(space, base, A, t, eps, picker)
+    except PerturbationError:
+        return False, None
+    return True, eps - space.norm(base - y)
+
+
+def _old_padding_trial(space, seed, idx, dim):
+    rng = np.random.default_rng([seed, idx])
+    x, A, t = _old_greedy_pair(dim, rng, idx)
+    m = int(rng.integers(0, dim + 1))
+    try:
+        y, D = gl.padding_set_construction(space, x, A, t, m)
+    except PerturbationError:
+        return False, None
+    moved = (A - frozenset(range(1, m + 1))) | D
+    return True, min((abs(y[i]) for i in moved), default=0.0) - \
+        t * max((abs(v) for i, v in y.pairs() if i not in moved), default=0.0)
+
+
+def _old_crude_trial(space, seed, idx, dim):
+    rng = np.random.default_rng([seed, idx])
+    x = next(iter(random_vectors(dim, 1, rng, style_offset=idx)))
+    size = int(rng.integers(1, 9))
+    A = frozenset(rng.choice(np.arange(1, dim + 1), size=min(size, dim),
+                             replace=False).tolist())
+    lhs = space.norm(gl.projection(x, A))
+    rhs = gl.projection_crude_bound(space, A) * space.norm(x)
+    return lhs <= rhs * (1.0 + 1e-9), rhs - lhs
+
+
+class TestTrialDraws:
+    """The shared draw table against a reference copy of the per-suite
+    drawing, where every suite built its own generator per trial."""
+
+    OLD = {"finite-support perturbation": (gl.lemma_perturbation_suite, _old_lemma_trial),
+           "padding-set construction": (gl.padding_suite, _old_padding_trial),
+           "crude projection bound": (gl.crude_bound_suite, _old_crude_trial)}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 12, 16])
+    @pytest.mark.parametrize("seed", [0, 42, 1234])
+    def test_suites_equal_the_per_suite_drawing(self, dim, seed):
+        draws = gl.trial_draws(60, seed, dim)
+        for space in (L_HALF, L_TWO_THIRDS, gl.lp_space(1.0)):
+            for lemma, (suite, old_trial) in self.OLD.items():
+                old = perturb._suite_report(
+                    lemma, space, [old_trial(space, seed, idx, dim) for idx in range(60)],
+                    seed)
+                assert suite(space, draws) == old, (lemma, space.name)
+
+    def test_index_sets_are_sorted_tuples(self):
+        for draw in gl.trial_draws(50, 3, 16).trials:
+            assert draw.A == tuple(sorted(set(draw.A)))
+            assert draw.crude_A == tuple(sorted(set(draw.crude_A)))
+            assert gl.is_t_greedy(draw.x, draw.A, draw.t)
+
+    def test_one_generator_per_trial(self, monkeypatch):
+        # one per trial for the table, one per space for the equivalence audit
+        made = []
+        original = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        perturb_audit(25, 42, dim=8)
+        assert len(made) == 25 + 2
 
 
 class TestEquivalenceAudit:
