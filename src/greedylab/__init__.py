@@ -17,9 +17,8 @@ from .constants import (alternating_witness, alternating_witness_estimate,
                         estimate_quasi_greedy_constant, exact_constant_grid,
                         exact_constant_polyhedral,
                         transfer_bound_t_from_s)
-from .counterexample import (ExampleSequence, SpikeBlockSelection, build_example,
-                             divergence_experiment, greedy_sum_norm,
-                             phi_lower_bound, truncation_norm)
+from .counterexample import (ExampleSequence, build_example, divergence_experiment,
+                             greedy_sum_norm, phi_lower_bound, truncation_norm)
 from .estimates import BoundCheck, ConstantEstimate
 from .greedy import (EnumerationResult, GreedySelection, StaleSelectionError,
                      enumerate_t_greedy_sets, greedy_sum, is_t_greedy,

@@ -5,7 +5,8 @@ suite.
 writes CSV + JSON reports plus an echo of the effective configuration.
 ``greedylab verify`` runs the acceptance suite and prints one line per
 criterion.  Exit codes: 0 success, 1 usage or configuration error, 2 any
-invariant violation or failed criterion.
+invariant violation or failed criterion, 3 a run with no violation but an
+inexact row (a divergence row whose minimum is not exact).
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def _echo_config(out: Path, name: str, seed: int, params: dict) -> dict:
     return effective
 
 
-def run_experiment_set(name: str, params: dict, out: Path, seed: int) -> int:
-    """Execute one experiment, write its reports, return the violation count.
+def _run_and_write(name: str, params: dict, out: Path, seed: int) -> dict:
+    """Execute one experiment, write its reports, return the runner's result.
 
     Nothing is written until the runner returns, so a run refused on bad
     input leaves no file behind.
@@ -124,7 +125,12 @@ def run_experiment_set(name: str, params: dict, out: Path, seed: int) -> int:
     effective = _echo_config(out, name, seed, params)
     write_csv(out / f"{name}.csv", rep["header"], rep["rows"])
     write_json(out / f"{name}.json", {"config": effective, **rep["json"]})
-    return int(rep["violations"])
+    return rep
+
+
+def run_experiment_set(name: str, params: dict, out: Path, seed: int) -> int:
+    """Execute one experiment, write its reports, return the violation count."""
+    return int(_run_and_write(name, params, out, seed)["violations"])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -134,14 +140,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             seed = args.seed
         if args.quick:
             params.update(EXPERIMENTS[name][1])
-        violations = run_experiment_set(name, params, Path(args.out), seed)
+        rep = _run_and_write(name, params, Path(args.out), seed)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if violations:
-        print(f"{name}: {violations} invariant violation(s); see {args.out}",
-              file=sys.stderr)
-        return 2
+    violations, inexact = int(rep["violations"]), rep.get("inexact", [])
+    found = [f"{violations} invariant violation(s)"] if violations else []
+    if inexact:
+        found.append(f"inexact rows at m = {', '.join(str(m) for m in inexact)}")
+    if found:
+        print(f"{name}: {'; '.join(found)}; see {args.out}", file=sys.stderr)
+        return 2 if violations else 3
     print(f"{name}: ok; reports in {args.out}")
     return 0
 

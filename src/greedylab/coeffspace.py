@@ -410,8 +410,11 @@ def weighted_lp_space(p: float, weights: Sequence[float], dim: int = 64) -> Spac
     if not p > 0:
         raise ValueError(f"weighted_lp_space requires p > 0, got {p}")
     w = np.asarray(weights, dtype=np.float64)
-    if w.size and w.min() <= 0:
-        raise ValueError("weights must be positive")
+    # NaN fails every comparison, so test for the good weights, not the bad
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        raise ValueError(f"weights must be finite and positive: weight {bad[0] + 1} "
+                         f"is {float(w[bad[0]])!r}")
     alpha = 1.0 if p >= 1.0 else 2.0 ** (1.0 / p - 1.0)
     w_at = lambda i: float(w[i - 1]) if i <= w.size else 1.0
     span = range(1, max(dim, 1) + 1)

@@ -8,10 +8,11 @@ passing to any cardinality subsequence.
 
 Blocks are stored as (start, length, value) runs; within a block the prefix
 sum is monotone, so summing norms of projections only need the run
-endpoints.  Greedy sets are therefore handled as equivalence classes
-(selected spikes, per-block selection counts): positions inside a block
-never change the norm, a fact the test suite checks by exhaustive
-enumeration at small depth.  The adversarial sweep reads the class walk
+endpoints.  Greedy sets are therefore handled as equivalence classes, each
+one a count vector: a 0 or 1 per spike, then the count taken from each
+block.  Positions inside a block never change the norm, a fact the test
+suite checks by exhaustive enumeration at small depth.  The adversarial
+sweep, one plain loop over the cardinality grid, reads the class walk
 window by window.  A window in the blocks that holds two classes, block k and
 block k + 1, is a one-parameter family whose norm is piecewise affine in the
 count taken from block k, so only the counts next to its breakpoints and
@@ -37,12 +38,12 @@ from .greedy import _check_t, _class_windows, _compositions, greedy_class_counts
 
 __all__ = [
     "ExampleSequence",
-    "SpikeBlockSelection",
     "build_example",
     "spike_value",
     "block_value",
     "truncation_norm",
     "canonical_selection",
+    "family_label",
     "enumerate_selection_classes",
     "selection_norm",
     "selection_phi",
@@ -101,8 +102,7 @@ def build_example(depth: int) -> ExampleSequence:
 
 def truncation_norm(ex: ExampleSequence) -> float:
     """Summing norm of the full truncation, from run endpoints; equals 1."""
-    full = SpikeBlockSelection(frozenset(range(1, ex.depth + 1)),
-                               tuple(ex.block_size(k) for k in range(1, ex.depth + 1)))
+    full = (1,) * ex.depth + tuple(ex.block_size(k) for k in range(1, ex.depth + 1))
     return selection_norm(ex, full)
 
 
@@ -111,47 +111,33 @@ def truncation_norm(ex: ExampleSequence) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpikeBlockSelection:
-    """A family of greedy sets: chosen spikes plus a selection count per block.
-
-    All coefficients within a block tie, and the summing norm of a projection
-    is insensitive to which block positions carry the count, so one class
-    stands for every concrete index set realizing it.
-    """
-
-    spike_ks: frozenset
-    block_counts: tuple[int, ...]
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.spike_ks) + sum(self.block_counts)
-
-    def family_label(self) -> str:
-        spikes = ",".join(str(k) for k in sorted(self.spike_ks))
-        counts = ",".join(str(c) for c in self.block_counts)
-        return f"spikes[{spikes}]+blocks[{counts}]"
+def family_label(counts: Sequence[int]) -> str:
+    """Report label of a class: its selected spikes, then its block counts."""
+    depth = len(counts) // 2
+    spikes = ",".join(str(k) for k in range(1, depth + 1) if counts[k - 1])
+    blocks = ",".join(str(c) for c in counts[depth:])
+    return f"spikes[{spikes}]+blocks[{blocks}]"
 
 
-def selection_norm(ex: ExampleSequence, sel: SpikeBlockSelection) -> float:
-    """Summing norm of the projection, walking run endpoints once."""
+def selection_norm(ex: ExampleSequence, counts: Sequence[int]) -> float:
+    """Summing norm of the class's projection, walking run endpoints once."""
     v = 0.0
     best = 0.0
     for k in range(1, ex.depth + 1):
-        if k in sel.spike_ks:
+        if counts[k - 1]:
             v += spike_value(k)
             best = max(best, abs(v))
-        c = sel.block_counts[k - 1]
+        c = counts[ex.depth + k - 1]
         if c:
             v += c * block_value(k)
             best = max(best, abs(v))
     return best
 
 
-def selection_phi(ex: ExampleSequence, sel: SpikeBlockSelection) -> int:
-    """Least k whose spike the selection omits; depth + 1 when none is."""
+def selection_phi(ex: ExampleSequence, counts: Sequence[int]) -> int:
+    """Least k whose spike the class omits; depth + 1 when none is."""
     for k in range(1, ex.depth + 1):
-        if k not in sel.spike_ks:
+        if not counts[k - 1]:
             return k
     return ex.depth + 1
 
@@ -178,23 +164,15 @@ def _class_table(ex: ExampleSequence, m: int, t: float
             [spike_value(k) for k in ks] + [-block_value(k) for k in ks])
 
 
-def _selection_of(counts: Sequence[int]) -> SpikeBlockSelection:
-    depth = len(counts) // 2
-    # spikes go through a set: a frozenset copied from a set is sized to fit,
-    # one filled from a list can take over half again as much memory
-    return SpikeBlockSelection(frozenset({k for k in range(1, depth + 1) if counts[k - 1]}),
-                               tuple(counts[depth:]))
-
-
-def canonical_selection(ex: ExampleSequence, m: int) -> SpikeBlockSelection:
+def canonical_selection(ex: ExampleSequence, m: int) -> tuple[int, ...]:
     """The class filling modulus classes in descending order: the one 1-greedy
     class of cardinality m, hence t-greedy for every t in (0, 1]."""
     sizes, moduli = _class_table(ex, m, 1.0)
-    return _selection_of(next(greedy_class_counts(sizes, moduli, m, 1.0)))
+    return next(greedy_class_counts(sizes, moduli, m, 1.0))
 
 
 def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
-                                cap: int = 200_000) -> tuple[list[SpikeBlockSelection], bool]:
+                                cap: int = 200_000) -> tuple[list[tuple[int, ...]], bool]:
     """Every t-greedy class of cardinality m; (classes, exact) with exact False
     only when the walk has more than ``cap`` classes, of which the first ``cap``
     are returned.
@@ -207,8 +185,7 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
     sizes, moduli = _class_table(ex, m, t)
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    walk = greedy_class_counts(sizes, moduli, m, t)
-    out = [_selection_of(counts) for counts in itertools.islice(walk, cap + 1)]
+    out = list(itertools.islice(greedy_class_counts(sizes, moduli, m, t), cap + 1))
     if len(out) > cap:
         return out[:cap], False
     return out, True
@@ -249,7 +226,7 @@ def _two_block_candidates(head: tuple[int, ...], rest: int, tail: tuple[int, ...
 
 
 def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
-                         ) -> tuple[SpikeBlockSelection, float, bool, list[dict]]:
+                         ) -> tuple[tuple[int, ...], float, bool, list[dict]]:
     """(first minimiser, its norm, exact, floor violations) over the t-greedy
     classes of cardinality m, in walk order.
 
@@ -300,7 +277,7 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
 
     stream = rows()
     best_norm = math.inf
-    best_counts: list[int] = []
+    best_counts: tuple[int, ...] = ()
     violations: list[dict] = []
     while True:
         counts = np.fromiter(
@@ -312,13 +289,13 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
         omitted = counts[:, :ex.depth] == 0
         phis = np.where(omitted.any(axis=1), omitted.argmax(axis=1) + 1, ex.depth + 1)
         for i in np.flatnonzero(norms < floors[phis] - 1e-9):
-            family = _selection_of(counts[i].tolist()).family_label()
-            violations.append({"m": m, "family": family, "norm": float(norms[i]),
+            violations.append({"m": m, "family": family_label(counts[i].tolist()),
+                               "norm": float(norms[i]),
                                "phi": int(phis[i]), "lower_bound": float(floors[phis[i]])})
         i = int(np.argmin(norms))  # first minimiser in the block; strict < across
         if norms[i] < best_norm:
-            best_norm, best_counts = float(norms[i]), counts[i].tolist()
-    return _selection_of(best_counts), best_norm, exact, violations
+            best_norm, best_counts = float(norms[i]), tuple(counts[i].tolist())
+    return best_counts, best_norm, exact, violations
 
 
 # ---------------------------------------------------------------------------
@@ -369,36 +346,28 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
     it, and any row where a spike inside the truncation is omitted is checked
     against that floor.
     """
-    from .reporting import parallel_map
-
     _check_t(t)
     ex = build_example(depth)
-    grid = tuple(m_grid) if m_grid is not None else default_m_grid(ex)
-
-    def sweep_row(m: int) -> tuple[dict, list[dict]]:
+    rows: list[dict] = []
+    violations: list[dict] = []
+    for m in (m_grid if m_grid is not None else default_m_grid(ex)):
         if adversary:
-            sel, norm, exact, row_violations = _adversarial_minimum(ex, m, t)
+            counts, norm, exact, row_violations = _adversarial_minimum(ex, m, t)
+            violations += row_violations
         else:
-            sel = canonical_selection(ex, m)
-            norm = selection_norm(ex, sel)
-            exact = False
-            row_violations = []
-        phi = selection_phi(ex, sel)
+            counts = canonical_selection(ex, m)
+            norm, exact = selection_norm(ex, counts), False
+        phi = selection_phi(ex, counts)
         floor = phi_lower_bound(phi, t) if phi <= ex.depth else None
-        row = {
+        rows.append({
             "m": int(m),
             "t": float(t),
             "depth": int(depth),
             "min_norm": float(norm),
             "phi": int(phi),
             "lower_bound": float(floor) if floor is not None else None,
-            "greedy_set_family": sel.family_label(),
+            "greedy_set_family": family_label(counts),
             "exact": bool(exact),
-        }
-        return row, row_violations
-
-    swept = parallel_map(sweep_row, grid)  # rows come back in m-order
-    rows = [row for row, _ in swept]
-    violations = [v for _, vs in swept for v in vs]
+        })
     return {"depth": int(depth), "t": float(t), "adversary": bool(adversary),
             "rows": rows, "violations": violations}

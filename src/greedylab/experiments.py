@@ -51,12 +51,16 @@ def _check_budget(budget: int) -> None:
 
 
 def divergence_rows(depth: int, t: float, adversary: bool = True) -> dict:
+    """The sweep's rows; ``inexact`` lists the m of every row whose norm is
+    not an exact minimum over the t-greedy classes."""
     report = cx.divergence_experiment(depth, t, adversary)
-    header = ["m", "t", "K", "min_norm", "phi", "lower_bound", "greedy_set_family"]
+    header = ["m", "t", "K", "min_norm", "phi", "lower_bound", "greedy_set_family",
+              "exact"]
     rows = [[r["m"], r["t"], r["depth"], r["min_norm"], r["phi"],
-             r["lower_bound"], r["greedy_set_family"]] for r in report["rows"]]
+             r["lower_bound"], r["greedy_set_family"], r["exact"]] for r in report["rows"]]
     return {"header": header, "rows": rows, "json": report,
-            "violations": len(report["violations"])}
+            "violations": len(report["violations"]),
+            "inexact": [r["m"] for r in report["rows"] if not r["exact"]]}
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +222,7 @@ def suppression_rows(dim: int = 12, budget: int = 400, seed: int = 0) -> dict:
     violations = 0
     for key in ("lp:1", "lp:2", "sup"):
         for n1 in (2, 3, 5):
-            gap = GapSequence.explicit(
-                tuple(n1 * 2 ** j for j in range(4) if n1 * 2 ** j <= dim) or (n1,),
-                bound_l=2)
+            gap = GapSequence.powers(2, n1)  # n1 * 2^j, 2-bounded gaps
             space = space_from_key(key, dim)
             rep = check_suppression_one_implies_qg(space, gap, dim, budget,
                                                    seed=seed + n1)

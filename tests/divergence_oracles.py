@@ -5,8 +5,7 @@ run endpoints and never materializes either; the tests check it against these.
 """
 
 from greedylab import CoeffVector
-from greedylab.counterexample import (ExampleSequence, SpikeBlockSelection, block_value,
-                                      spike_value)
+from greedylab.counterexample import ExampleSequence, block_value, spike_value
 
 
 def spike_prefix_sums(ex: ExampleSequence) -> list[float]:
@@ -31,12 +30,13 @@ def dense_vector(ex: ExampleSequence) -> CoeffVector:
     return CoeffVector.from_dense(vals)
 
 
-def materialize_selection(ex: ExampleSequence, sel: SpikeBlockSelection,
+def materialize_selection(ex: ExampleSequence, sel: tuple,
                           placement: str = "first") -> frozenset:
-    """A concrete index set in the class; block positions per ``placement``."""
-    indices = [ex.spikes[k - 1] for k in sorted(sel.spike_ks)]
+    """A concrete index set in the class (a count vector: spikes, then block
+    counts); block positions per ``placement``."""
+    indices = [ex.spikes[k - 1] for k in range(1, ex.depth + 1) if sel[k - 1]]
     for k in range(1, ex.depth + 1):
-        c = sel.block_counts[k - 1]
+        c = sel[ex.depth + k - 1]
         if not c:
             continue
         lo, hi = ex.block_range(k)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from greedylab import cli
+from greedylab import counterexample as cx
 from greedylab.acceptance import Profile, criterion_9_determinism
 
 # experiment -> the cli global that run_experiment_set calls for it
@@ -96,7 +97,7 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         csv_text = (out / "divergence.csv").read_text()
         header = csv_text.splitlines()[0]
-        assert header == "m,t,K,min_norm,phi,lower_bound,greedy_set_family"
+        assert header == "m,t,K,min_norm,phi,lower_bound,greedy_set_family,exact"
         payload = json.loads((out / "divergence.json").read_text())
         assert payload["config"]["experiment"] == "divergence"
         assert payload["config"]["depth"] == 3
@@ -116,6 +117,35 @@ class TestRunCommand:
                                              "json": {}, "violations": 3})
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_inexact_rows_map_to_exit_three(self, tmp_path, monkeypatch, capsys):
+        # every window is walked at t = 0.1, so a budget of two classes per
+        # row leaves every larger row inexact
+        monkeypatch.setattr(cx, "SWEEP_WALK_CAP", 2)
+        cfg = write_config(tmp_path / "c.ini", "divergence", depth=4, t=0.1)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        rows = json.loads((out / "divergence.json").read_text())["rows"]
+        inexact = [r["m"] for r in rows if not r["exact"]]
+        assert inexact and len(inexact) < len(rows)
+        err = capsys.readouterr().err
+        assert f"divergence: inexact rows at m = {', '.join(map(str, inexact))}; " in err
+        lines = (out / "divergence.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines
+                if line.endswith(",false")] == inexact
+        assert [line.endswith(",true") for line in lines] == [r["exact"] for r in rows]
+        # the violation count is all that run_experiment_set reports
+        assert cli.run_experiment_set("divergence", cli.load_config(cfg)[2], out, 7) == 0
+
+    def test_violations_outrank_inexact_rows(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path / "c.ini", "divergence", depth=2)
+        monkeypatch.setattr(cli, "divergence_rows",
+                            lambda *a, **k: {"header": ["x"], "rows": [[1]], "json": {},
+                                             "violations": 1, "inexact": [5, 8]})
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("divergence: 1 invariant violation(s); inexact rows at m = 5, 8; "
+                in capsys.readouterr().err)
 
     def test_seed_override_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "bounded-gaps", trials=30,
@@ -175,6 +205,17 @@ class TestRunCommand:
         assert err.startswith("error: ") and message in err, err
         assert not (out / f"{name}.csv").exists()
         assert not (out / "effective_config.ini").exists()
+
+
+    def test_non_finite_weight_exits_one(self, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        wfile.write_text("[1.0, NaN, Infinity]")
+        cfg = write_config(tmp_path / "c.ini", "constants", space=f"weighted-lp:2:{wfile}",
+                           dims="2..3")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: weights must be finite and positive: weight 2 is nan\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoint:

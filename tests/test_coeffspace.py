@@ -444,6 +444,21 @@ class TestSpaceCatalogue:
         assert space.norm(CV.basis_vector(1)) == pytest.approx(2.0)
         assert space.norm(CV.basis_vector(2)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("weights,message", [
+        ([1.0, math.nan, math.inf], "weight 2 is nan"),
+        ([1.0, 2.0, math.inf], "weight 3 is inf"),
+        ([0.0], "weight 1 is 0.0"),
+        ([3.0, -1.5], "weight 2 is -1.5"),
+    ])
+    def test_weighted_lp_rejects_bad_weights(self, tmp_path, weights, message):
+        # NaN and inf once built a space with alpha1 = c_param = inf and NaN norms
+        with pytest.raises(ValueError, match=f"finite and positive: {message}"):
+            gl.weighted_lp_space(2.0, weights, 8)
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(weights))  # NaN and Infinity as JSON literals
+        with pytest.raises(ValueError, match=f"finite and positive: {message}"):
+            gl.space_from_key(f"weighted-lp:2:{wfile}", 8)
+
     def test_summing_parameters(self):
         space = gl.summing_space(8)
         assert space.alpha1 == 1.0 and space.alpha2 == 2.0

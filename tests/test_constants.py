@@ -26,6 +26,7 @@ from greedylab.cli import run_experiment_set
 from greedylab.constants import (_ENUMERATION_CAP, _pad_to_cardinality, _partition_checks,
                                  _partition_evaluation, _snap_vertices)
 from greedylab.estimates import _ratio
+from greedylab import experiments
 from greedylab.experiments import bounded_gap_trials, transfer_table
 
 NAT = GapSequence.naturals()
@@ -563,6 +564,21 @@ class TestSuppressionOneTheorem:
         assert not rep["precheck_passed"] and not rep["theorem_applicable"]
         assert rep["precheck_max_suppression_ratio"] > 1.0
         assert "precheck_witness" in rep
+
+    def test_runner_checks_the_whole_gap_sequence(self, monkeypatch):
+        # suppression_rows once cut n1 * 2^j at j = 3, skipping 64 for n1 = 2
+        seen = []
+
+        def record(space, gap, dim, budget, seed):
+            seen.append((space.name, gap.members_up_to(dim)))
+            return {"theorem_applicable": False, "M": 1.0, "bound": 1.0,
+                    "precheck_passed": True, "max_ratio": 0.0, "margin": 0.0,
+                    "violations": 0, "trials": 0}
+
+        monkeypatch.setattr(experiments, "check_suppression_one_implies_qg", record)
+        experiments.suppression_rows(dim=64, budget=0, seed=0)
+        members = {(2, 4, 8, 16, 32, 64), (3, 6, 12, 24, 48), (5, 10, 20, 40)}
+        assert len(seen) == 9 and {gaps for _, gaps in seen} == members
 
     def test_handwritten_suppression_violation(self):
         # (1,-1,1) with the middle coordinate removed doubles the norm

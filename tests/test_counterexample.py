@@ -39,14 +39,14 @@ def reference_sweep(depth: int, t: float, m_grid=None) -> dict:
             if phi_c <= ex.depth:
                 floor_c = cx.phi_lower_bound(phi_c, t)
                 if val < floor_c - 1e-9:
-                    violations.append({"m": m, "family": cand.family_label(),
+                    violations.append({"m": m, "family": cx.family_label(cand),
                                        "norm": val, "phi": phi_c, "lower_bound": floor_c})
             if norm is None or val < norm:
                 norm, sel = val, cand
         phi = cx.selection_phi(ex, sel)
         rows.append({"m": m, "t": t, "depth": depth, "min_norm": norm, "phi": phi,
                      "lower_bound": cx.phi_lower_bound(phi, t) if phi <= depth else None,
-                     "greedy_set_family": sel.family_label(), "exact": exact})
+                     "greedy_set_family": cx.family_label(sel), "exact": exact})
     return {"depth": depth, "t": t, "adversary": True, "rows": rows,
             "violations": violations}
 
@@ -72,10 +72,10 @@ def sorted_classes(ex) -> list:
     return sorted(classes, key=lambda c: -c[0])
 
 
-def fill_selection(ex, m: int) -> cx.SpikeBlockSelection:
+def fill_selection(ex, m: int) -> tuple:
     """The class made by filling the modulus classes in descending order, one
     after another: ``canonical_selection``'s own loop before it read the walk."""
-    spike_ks = set()
+    spikes = [0] * ex.depth
     counts = [0] * ex.depth
     left = m
     for _, mult, kind, k in sorted_classes(ex):
@@ -83,11 +83,11 @@ def fill_selection(ex, m: int) -> cx.SpikeBlockSelection:
             break
         take = min(mult, left)
         if kind == "spike":
-            spike_ks.add(k)
+            spikes[k - 1] = 1
         else:
             counts[k - 1] = take
         left -= take
-    return cx.SpikeBlockSelection(frozenset(spike_ks), tuple(counts))
+    return tuple(spikes + counts)
 
 
 class TestConstruction:
@@ -155,7 +155,7 @@ class TestRunLengthAgainstDense:
                                if rng.random() < 0.5)
             counts = tuple(int(rng.integers(0, ex.block_size(k) + 1))
                            for k in range(1, depth + 1))
-            sel = cx.SpikeBlockSelection(spikes, counts)
+            sel = tuple(int(k in spikes) for k in range(1, depth + 1)) + counts
             A = materialize_selection(ex, sel, "first")
             assert cx.selection_norm(ex, sel) == pytest.approx(
                 gl.summing_norm(gl.projection(dense, A)), abs=1e-12)
@@ -169,8 +169,8 @@ class TestGreedyClasses:
             classes, exact = cx.enumerate_selection_classes(ex, m, 1.0)
             assert exact and len(classes) == 1
             sel = classes[0]
-            assert sel.spike_ks == frozenset(range(1, m + 1))
-            assert all(c == 0 for c in sel.block_counts)
+            assert [k for k in range(1, 6) if sel[k - 1]] == list(range(1, m + 1))
+            assert all(c == 0 for c in sel[ex.depth:])
 
     def test_cap_keeps_a_prefix_of_the_walk(self):
         ex = cx.build_example(3)
@@ -243,11 +243,11 @@ class TestGreedyClasses:
         for m in (*cx.default_m_grid(ex), ex.support_size,
                   *rng.integers(0, ex.support_size + 1, 20).tolist()):
             sel = cx.canonical_selection(ex, m)
-            assert sel == fill_selection(ex, m) and sel.cardinality == m
+            assert sel == fill_selection(ex, m) and sum(sel) == m
 
     def test_selection_phi(self):
         ex = cx.build_example(4)
-        sel = cx.SpikeBlockSelection(frozenset({1, 2, 4}), (0, 0, 0, 0))
+        sel = (1, 1, 0, 1, 0, 0, 0, 0)  # spikes 1, 2 and 4, no block entries
         assert cx.selection_phi(ex, sel) == 3
         full = cx.canonical_selection(ex, 4)
         assert cx.selection_phi(ex, full) == 5
@@ -270,15 +270,14 @@ class TestPositionIrrelevance:
                     key = (1 in A, len([i for i in A if i >= 2]))
                     norm = gl.summing_norm(gl.projection(dense, A))
                     seen.setdefault(key, set()).add(round(norm, 14))
-                    sel = cx.SpikeBlockSelection(
-                        frozenset({1} if 1 in A else set()), (key[1],))
+                    sel = (int(key[0]), key[1])
                     assert norm == pytest.approx(cx.selection_norm(ex, sel), abs=1e-12)
             assert all(len(norms) == 1 for norms in seen.values())
             # the class walk finds exactly the classes the powerset filter saw
             for m in range(len(support) + 1):
                 classes, exact = cx.enumerate_selection_classes(ex, m, t)
                 assert exact
-                got = {(1 in c.spike_ks, c.block_counts[0]) for c in classes}
+                got = {(bool(c[0]), c[1]) for c in classes}
                 want = {k for k in seen if (1 if k[0] else 0) + k[1] == m}
                 assert got == want
 
@@ -391,7 +390,7 @@ class TestBatchedSweepMatchesReference:
         # 1.0 sit 5e-10 under this floor, inside the 1e-9 margin
         monkeypatch.setattr(cx, "phi_lower_bound", lambda phi, t: 1.0 + 5e-10)
         ex = cx.build_example(3)
-        on_floor = {c.family_label() for m in cx.default_m_grid(ex)
+        on_floor = {cx.family_label(c) for m in cx.default_m_grid(ex)
                     for c in cx.enumerate_selection_classes(ex, m, 0.01)[0]
                     if cx.selection_norm(ex, c) == 1.0 and cx.selection_phi(ex, c) <= 3}
         got = assert_sweep_matches_reference(3, 0.01)
@@ -437,7 +436,7 @@ class TestBatchedSweepMatchesReference:
         assert cx.selection_norm(ex, classes[cx.SWEEP_CHUNK]) == cx.selection_norm(
             ex, classes[0])
         row, = assert_sweep_matches_reference(depth, t, grid)["rows"]
-        assert row["exact"] and row["greedy_set_family"] == classes[0].family_label()
+        assert row["exact"] and row["greedy_set_family"] == cx.family_label(classes[0])
 
 
 def window_spans(ex, m, t):
