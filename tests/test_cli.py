@@ -206,7 +206,6 @@ class TestRunCommand:
         assert not (out / f"{name}.csv").exists()
         assert not (out / "effective_config.ini").exists()
 
-
     def test_non_finite_weight_exits_one(self, tmp_path, capsys):
         wfile = tmp_path / "w.json"
         wfile.write_text("[1.0, NaN, Infinity]")
