@@ -2,11 +2,12 @@
 t = 0.05 default-grid row with the most classes.  That is m = 111,116 with
 100,001 classes, the first of the two rows of that size (m = 611,116 is the
 other).  The sweep's row no longer walks those classes: almost all of them
-lie in one window of block 5 and block 6, which the sweep solves in closed
-form.  The class list and ``selection_norm`` over it are its per-class
-oracles.  ``test_sweep_depth8`` times the whole depth-8, t = 0.05 sweep,
-whose largest row has 10,000,001 classes; its two-block windows do not count
-against the sweep's walk budget, so every row is exact.
+lie in one window of block 5 and block 6, whose first minimiser the sweep
+finds by bisection.  The class list and ``selection_norm`` over it are its
+per-class oracles.  ``test_sweep_depth8`` times the whole depth-8,
+t = 0.001 sweep, whose block windows hold up to three blocks and whose
+largest row holds about 10^13 classes; block windows do not count against
+the sweep's walk budget, so every row is exact.
 
     PYTHONPATH=src python -m pytest bench/test_bench_counterexample.py
 
@@ -28,7 +29,7 @@ def test_sweep_row(benchmark):
 
 
 def test_sweep_depth8(benchmark):
-    rep = benchmark(cx.divergence_experiment, 8, T, True)
+    rep = benchmark(cx.divergence_experiment, 8, 0.001, True)
     assert all(row["exact"] for row in rep["rows"]) and not rep["violations"]
 
 

@@ -53,7 +53,8 @@ class CoeffVector:
     and ``float``: vectors here hold tens of entries, where numpy's per-call
     overhead costs more than the arithmetic.  Indices go through
     ``operator.index``, so a float or string index raises instead of being
-    truncated.  Instances are immutable; every operation returns a new vector.
+    truncated, and a NaN or infinite coefficient raises too.  Instances are
+    immutable; every operation returns a new vector.
     """
 
     __slots__ = ("_idx", "_val")
@@ -70,6 +71,8 @@ class CoeffVector:
         if idx and min(idx) < 1:
             raise ValueError("indices must be positive integers")
         self._idx, self._val = _summed(zip(idx, val))
+        if not all(map(math.isfinite, self._val)):  # NaN, +-inf, or a sum overflowed
+            raise ValueError("coefficients must be finite")
 
     @classmethod
     def _canonical(cls, idx: tuple, val: tuple) -> "CoeffVector":
@@ -94,7 +97,10 @@ class CoeffVector:
         vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("dense values must be 1-d")
-        pairs = [(i, v) for i, v in enumerate(vals.tolist(), 1) if v != 0.0]
+        dense = vals.tolist()
+        if not all(map(math.isfinite, dense)):
+            raise ValueError("coefficients must be finite")
+        pairs = [(i, v) for i, v in enumerate(dense, 1) if v != 0.0]
         return cls._canonical(tuple([i for i, _ in pairs]), tuple([v for _, v in pairs]))
 
     @classmethod
@@ -257,7 +263,18 @@ def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> floa
         return 0.0
     n = len(weights)
     wi = np.array([weights[i - 1] if i <= n else 1.0 for i in x._idx], dtype=np.float64)
+    _check_weights(wi, x._idx)
     return _peak_factored([abs(v) for v in x._val], p, wi)
+
+
+def _check_weights(w: np.ndarray, numbers: Sequence[int]) -> None:
+    """Refuse a weight that is not finite and positive; numbers[j] is the
+    place of w[j] in the weight table, counted from 1."""
+    # NaN fails every comparison, so test for the good weights, not the bad
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        raise ValueError(f"weights must be finite and positive: weight "
+                         f"{numbers[bad[0]]} is {float(w[bad[0]])!r}")
 
 
 def projection(x: CoeffVector, A: Iterable[int]) -> CoeffVector:
@@ -410,11 +427,7 @@ def weighted_lp_space(p: float, weights: Sequence[float], dim: int = 64) -> Spac
     if not p > 0:
         raise ValueError(f"weighted_lp_space requires p > 0, got {p}")
     w = np.asarray(weights, dtype=np.float64)
-    # NaN fails every comparison, so test for the good weights, not the bad
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
-    if bad.size:
-        raise ValueError(f"weights must be finite and positive: weight {bad[0] + 1} "
-                         f"is {float(w[bad[0]])!r}")
+    _check_weights(w, range(1, w.size + 1))
     alpha = 1.0 if p >= 1.0 else 2.0 ** (1.0 / p - 1.0)
     w_at = lambda i: float(w[i - 1]) if i <= w.size else 1.0
     span = range(1, max(dim, 1) + 1)

@@ -12,16 +12,14 @@ endpoints.  Greedy sets are therefore handled as equivalence classes, each
 one a count vector: a 0 or 1 per spike, then the count taken from each
 block.  Positions inside a block never change the norm, a fact the test
 suite checks by exhaustive enumeration at small depth.  The adversarial
-sweep, one plain loop over the cardinality grid, reads the class walk
-window by window.  A window in the blocks that holds two classes, block k and
-block k + 1, is a one-parameter family whose norm is piecewise affine in the
-count taken from block k, so only the counts next to its breakpoints and
-ends are evaluated, however many classes it holds.  The other windows are
-walked, up to SWEEP_WALK_CAP classes per row; a row whose walked windows hold
+sweep is one per-class loop over the class walk, read window by window.  A
+window wholly in the blocks takes every spike, so its first minimiser is
+found count by count by bisection (``_block_window_minimiser``), however
+many classes and block columns it holds.  The windows holding spikes are
+walked, up to SWEEP_WALK_CAP classes per row; a row whose spike windows hold
 more is marked inexact, its minimum taken only over the classes before the
-budget ran out.  Both are evaluated as blocks of count vectors with numpy;
-``selection_norm`` and ``enumerate_selection_classes`` stay as its per-class
-oracles.
+budget ran out.  ``enumerate_selection_classes`` is the sweep's per-class
+oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +28,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from .greedy import _check_t, _class_windows, _compositions, greedy_class_counts
 
@@ -52,9 +48,11 @@ __all__ = [
     "divergence_experiment",
 ]
 
-MAX_DEPTH = 8  # _two_block_candidates quotes its crossing slopes for depth <= 8 only
-SWEEP_CHUNK = 8192  # count vectors per numpy block in the adversarial sweep
-SWEEP_WALK_CAP = 200_000  # walked classes per sweep row before it is inexact
+# In a block window one count moves a prefix by at least b_7 - b_8 ~ 3.4e-8, far
+# above the rounding of the running sum, so the float norms keep the order that
+# _block_window_minimiser relies on; at depth 14-15 that step (~2.4e-15) is the rounding.
+MAX_DEPTH = 8
+SWEEP_WALK_CAP = 200_000  # walked spike-window classes per sweep row before it is inexact
 
 
 def spike_value(k: int) -> float:
@@ -179,8 +177,9 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
 
     Valid classes take every modulus class above the largest unsaturated one,
     and spread the remainder over classes whose modulus stays >= t times it;
-    ``greedy.greedy_class_counts`` walks them.  The divergence sweep evaluates
-    the same walk in count-matrix blocks instead; this list is its oracle.
+    ``greedy.greedy_class_counts`` walks them.  The divergence sweep reads
+    the same walk, solving its block windows instead of walking them; this
+    list is its oracle.
     """
     sizes, moduli = _class_table(ex, m, t)
     if cap < 1:
@@ -191,38 +190,41 @@ def enumerate_selection_classes(ex: ExampleSequence, m: int, t: float,
     return out, True
 
 
-def _two_block_candidates(head: tuple[int, ...], rest: int, tail: tuple[int, ...],
-                          lo: int, hi: int, runs: list[int], steps: np.ndarray
-                          ) -> list[int]:
-    """Counts c in [lo, hi], ascending, among which the window taking c from
-    block k and rest - c from block k + 1 has its first minimiser in walk
-    order, under the sweep's own float evaluation.
+def _block_window_minimiser(ex: ExampleSequence, head: tuple[int, ...], rest: int,
+                            caps: list[int], tail: tuple[int, ...]
+                            ) -> tuple[tuple[int, ...], float]:
+    """(first minimiser in walk order, its norm) of a window wholly in the
+    blocks: the head, counts of at most ``caps`` summing to ``rest``, the tail.
 
-    Every run-endpoint prefix is affine in c: constant before block k, slope
-    b_k up to spike k + 1 and b_k - b_{k+1} after it.  In exact arithmetic the
-    norm is the largest of the pieces +prefix and -prefix, so between two
-    crossings of pieces it follows one piece: strictly monotone, or constant.
-    Non-zero slopes are at least |b_k - b_{k+1}|, about 3.4e-8 per unit of c at
-    depth <= 8, and two pieces of different slope part by at least |b_{k+1}|,
-    about 3.5e-9, per unit of distance from their crossing.  Rounding moves a
-    prefix by a few ulps of values below 5, under 1e-13, so it can reorder
-    pieces or neighbouring integers only within 1 of a crossing, and a
-    constant piece is the same float at every c.  Hence an integer more than
-    2 from every crossing, other than lo and hi, has a neighbour with a lower
-    norm or the same norm one step earlier, and is never the first
-    minimiser: the candidates are lo, hi and the integers floor(x) - 2 ..
-    floor(x) + 3 around every crossing x, clipped to [lo, hi].
+    The head takes every spike, and no block gives more than its size, so no
+    run-endpoint prefix is negative.  Moving one count to an earlier block
+    lowers every later prefix, as b_k > b_{k+1}, so the descending fill is a
+    minimiser.  With the leading counts fixed, the norm of the descending fill
+    of the rest does not rise as the next count rises, so each count of the
+    first minimiser is the least one whose completion still reaches the
+    minimum, and bisection finds it.  The floats keep this order (MAX_DEPTH).
     """
-    at_zero = np.cumsum(np.array([*head, 0, rest, *tail])[runs] * steps)
-    slope = np.cumsum(np.array([*(0,) * len(head), 1, -1, *tail])[runs] * steps)
-    a = np.concatenate([at_zero, -at_zero])
-    s = np.concatenate([slope, -slope])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossings = (a[None, :] - a[:, None]) / (s[:, None] - s[None, :])
-    # pieces of equal slope never cross
-    near = np.floor(crossings[np.isfinite(crossings)])[:, None] + np.arange(-2, 4)
-    near = near[(near >= lo) & (near <= hi)]
-    return np.unique(np.concatenate([near, [lo, hi]])).astype(np.int64).tolist()
+    def filled(lead: list[int]) -> tuple[int, ...]:
+        # the leading counts, then the rest of the remainder in descending fill
+        out, left = list(lead), rest - sum(lead)
+        for cap in caps[len(lead):]:
+            out.append(min(cap, left))
+            left -= out[-1]
+        return head + tuple(out) + tail
+
+    least = selection_norm(ex, filled([]))
+    lead: list[int] = []
+    for i, cap in enumerate(caps):
+        left = rest - sum(lead)
+        lo, hi = max(0, left - sum(caps[i + 1:])), min(cap, left)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if selection_norm(ex, filled(lead + [mid])) > least:
+                lo = mid + 1
+            else:
+                hi = mid
+        lead.append(lo)
+    return filled(lead), least
 
 
 def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
@@ -230,72 +232,38 @@ def _adversarial_minimum(ex: ExampleSequence, m: int, t: float
     """(first minimiser, its norm, exact, floor violations) over the t-greedy
     classes of cardinality m, in walk order.
 
-    The walk is read window by window (``greedy._class_windows``).  A window
-    wholly in the blocks that holds two classes, block k and block k + 1, is
-    solved in closed form: its classes take c from block k for c from lo to
-    hi, and only ``_two_block_candidates`` of them are evaluated.  Every
-    spike sits in such a window's head, so phi is depth + 1 there and no
-    floor can be broken.  Every other window is walked, and only walked
-    classes count against SWEEP_WALK_CAP: the sweep stops at the first walked
-    class past it, with exact False and the minimum and violations of the
-    classes before it.  The count vectors are evaluated SWEEP_CHUNK at a
-    time.  With the columns in run-endpoint order (spike 1, block 1, spike 2,
-    ...) and scaled by the step values, a row's cumsum is ``selection_norm``'s
-    running sum to the bit: both add left to right, an unselected run adds a
-    zero, and count times value is exact at these counts.
+    The walk is read window by window (``greedy._class_windows``).  The spike
+    windows come first and are walked class by class, up to SWEEP_WALK_CAP
+    classes: past it the sweep stops, with exact False and the minimum and
+    violations of the classes before.  Every later window lies wholly in the
+    blocks and is solved by ``_block_window_minimiser``; every spike sits in
+    its head, so phi is depth + 1 there and no floor can be broken.
     """
     sizes, moduli = _class_table(ex, m, t)
-    runs = [pos for k in range(ex.depth) for pos in (k, ex.depth + k)]
-    steps = np.array([v for k in range(1, ex.depth + 1)
-                      for v in (spike_value(k), block_value(k))])
     # floors[phi]; phi = depth + 1 omits no spike and has no floor to break
-    floors = np.array([-math.inf,
-                       *(phi_lower_bound(phi, t) for phi in range(1, ex.depth + 1)),
-                       -math.inf])
-    left = SWEEP_WALK_CAP
-    exact = True
-
-    def rows() -> Iterator[tuple[int, ...]]:
-        # the count vectors to evaluate, in walk order, until the walked
-        # windows use up SWEEP_WALK_CAP
-        nonlocal left, exact
-        for i_max, end, rest, caps in _class_windows(sizes, moduli, m, t):
-            if rest > sum(caps):
-                continue  # the window holds no class
-            head, tail = tuple(sizes[:i_max]), (0,) * (len(sizes) - end)
-            if i_max >= ex.depth and end == i_max + 2:  # two block columns
-                lo, hi = max(0, rest - caps[1]), min(caps[0], rest)
-                for c in _two_block_candidates(head, rest, tail, lo, hi, runs, steps):
-                    yield head + (c, rest - c) + tail
-            else:
-                for window in _compositions(rest, caps):
-                    if not left:
-                        exact = False
-                        return
-                    left -= 1
-                    yield head + window + tail
-
-    stream = rows()
-    best_norm = math.inf
-    best_counts: tuple[int, ...] = ()
-    violations: list[dict] = []
-    while True:
-        counts = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(stream, SWEEP_CHUNK)),
-            dtype=np.int64).reshape(-1, len(runs))
-        if not len(counts):
-            break
-        norms = np.abs(np.cumsum(counts[:, runs] * steps, axis=1)).max(axis=1)
-        omitted = counts[:, :ex.depth] == 0
-        phis = np.where(omitted.any(axis=1), omitted.argmax(axis=1) + 1, ex.depth + 1)
-        for i in np.flatnonzero(norms < floors[phis] - 1e-9):
-            violations.append({"m": m, "family": family_label(counts[i].tolist()),
-                               "norm": float(norms[i]),
-                               "phi": int(phis[i]), "lower_bound": float(floors[phis[i]])})
-        i = int(np.argmin(norms))  # first minimiser in the block; strict < across
-        if norms[i] < best_norm:
-            best_norm, best_counts = float(norms[i]), tuple(counts[i].tolist())
-    return best_counts, best_norm, exact, violations
+    floors = [-math.inf, *(phi_lower_bound(phi, t) for phi in range(1, ex.depth + 1)),
+              -math.inf]
+    # window i has i_max = i: the first depth of them hold spikes
+    windows = [(tuple(sizes[:i_max]), rest, caps, (0,) * (len(sizes) - end))
+               for i_max, end, rest, caps in _class_windows(sizes, moduli, m, t)]
+    walked = (head + window + tail for head, rest, caps, tail in windows[:ex.depth]
+              for window in _compositions(rest, caps))
+    best_norm, best_counts, violations = math.inf, (), []
+    for counts in itertools.islice(walked, SWEEP_WALK_CAP):
+        norm, phi = selection_norm(ex, counts), selection_phi(ex, counts)
+        if norm < floors[phi] - 1e-9:
+            violations.append({"m": m, "family": family_label(counts), "norm": norm,
+                               "phi": phi, "lower_bound": floors[phi]})
+        if norm < best_norm:
+            best_norm, best_counts = norm, counts
+    if next(walked, None) is not None:
+        return best_counts, best_norm, False, violations
+    for head, rest, caps, tail in windows[ex.depth:]:
+        if rest <= sum(caps):  # else the window holds no class
+            counts, norm = _block_window_minimiser(ex, head, rest, caps, tail)
+            if norm < best_norm:
+                best_norm, best_counts = norm, counts
+    return best_counts, best_norm, True, violations
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +308,8 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
     """Sweep greedy-sum norms over a cardinality grid.
 
     With ``adversary`` the minimum over the t-greedy classes is taken (exact
-    unless the walked windows of a row hold more than SWEEP_WALK_CAP
-    classes); otherwise the canonical class.
+    unless the spike windows of a row hold more than SWEEP_WALK_CAP classes);
+    otherwise the canonical class, exact only when it is the row's one class.
     Each row records the first omitted spike phi and the analytic floor for
     it, and any row where a spike inside the truncation is omitted is checked
     against that floor.
@@ -356,7 +324,8 @@ def divergence_experiment(depth: int, t: float, adversary: bool = True,
             violations += row_violations
         else:
             counts = canonical_selection(ex, m)
-            norm, exact = selection_norm(ex, counts), False
+            norm = selection_norm(ex, counts)
+            exact = enumerate_selection_classes(ex, m, t, cap=1)[1]
         phi = selection_phi(ex, counts)
         floor = phi_lower_bound(phi, t) if phi <= ex.depth else None
         rows.append({

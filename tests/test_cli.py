@@ -119,8 +119,8 @@ class TestRunCommand:
         assert code == 2
 
     def test_inexact_rows_map_to_exit_three(self, tmp_path, monkeypatch, capsys):
-        # every window is walked at t = 0.1, so a budget of two classes per
-        # row leaves every larger row inexact
+        # a budget of two walked classes per row leaves inexact every row
+        # whose spike windows hold more
         monkeypatch.setattr(cx, "SWEEP_WALK_CAP", 2)
         cfg = write_config(tmp_path / "c.ini", "divergence", depth=4, t=0.1)
         out = tmp_path / "out"
@@ -136,6 +136,18 @@ class TestRunCommand:
         assert [line.endswith(",true") for line in lines] == [r["exact"] for r in rows]
         # the violation count is all that run_experiment_set reports
         assert cli.run_experiment_set("divergence", cli.load_config(cfg)[2], out, 7) == 0
+
+    def test_canonical_rows_are_exact_when_their_class_is_the_only_one(self, tmp_path):
+        # at t = 1 the canonical class is every row's one greedy class
+        ex = cx.build_example(3)
+        for t, code in ((1.0, 0), (0.5, 3)):
+            cfg = write_config(tmp_path / "c.ini", "divergence", depth=3, t=t,
+                               adversary="false")
+            out = tmp_path / f"out-{t}"
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+            rows = json.loads((out / "divergence.json").read_text())["rows"]
+            assert [r["exact"] for r in rows] == [
+                len(cx.enumerate_selection_classes(ex, r["m"], t)[0]) == 1 for r in rows]
 
     def test_violations_outrank_inexact_rows(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path / "c.ini", "divergence", depth=2)

@@ -45,6 +45,16 @@ class TestCoeffVector:
         assert CV.from_dense([]) == CV.zero()
         assert CV.from_dense([0.0, 2.0]) == CV([2], [2.0])
 
+    def test_rejects_non_finite_coefficients(self):
+        # NaN once put a vector's moduli out of order for the greedy selection
+        for bad in (lambda: CV([1, 2], [math.inf, 1.0]), lambda: CV([3], [math.nan]),
+                    lambda: CV([1, 1], [1e308, 1e308]),  # the sum overflows
+                    lambda: CV.from_pairs([(2, -math.inf)]),
+                    lambda: CV.from_dense([1.0, math.nan, 3.0, 2.0]),
+                    lambda: CV.from_dense(np.array([0.0, -math.inf]))):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                bad()
+
     def test_rejects_non_integral_indices(self):
         # a float or string index raises instead of being truncated
         for bad in (lambda: CV([2.7], [1.0]), lambda: CV(["3"], [1.0]),
@@ -144,7 +154,7 @@ class TestFastPathsMatchCheckedConstructor:
     def test_scale(self, x, c):
         idx, val = _arrays(x)
         with np.errstate(over="ignore"):  # an overflow to inf is kept, like any nonzero
-            got, want = x.scale(c), CV(idx, val * c)
+            got, want = x.scale(c), _numpy_canonical(idx, val * c)
         assert _bits(got) == _bits(want)
 
     def test_scale_by_zero_is_the_canonical_zero(self):
@@ -202,12 +212,16 @@ def _same_vector(a: CV, b: CV) -> bool:
             and all(_same_float(u, v) for (_, u), (_, v) in zip(a.pairs(), b.pairs())))
 
 
-# through the checked constructor, from values that include NaN, +-inf, -0.0
-# and tiny magnitudes, with repeated indices
+# pairs for the checked constructor, from values that include NaN, +-inf,
+# -0.0 and tiny magnitudes, with repeated indices
 edge_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300,
                                -1e-300, 1.0, -1.0, 2.5]) | st.floats()
 edge_pairs = st.lists(st.tuples(st.integers(1, 12), edge_floats), max_size=16)
-edge_vectors = edge_pairs.map(lambda pairs: CV([i for i, _ in pairs], [v for _, v in pairs]))
+# vectors it builds: finite values, below 1e300 so that no sum of them overflows
+finite_edge_floats = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1.0, -1.0, 2.5]) | \
+    st.floats(-1e300, 1e300)
+edge_vectors = st.lists(st.tuples(st.integers(1, 12), finite_edge_floats), max_size=16).map(
+    lambda pairs: CV([i for i, _ in pairs], [v for _, v in pairs]))
 
 
 def _numpy_canonical(idx: np.ndarray, val: np.ndarray) -> CV:
@@ -241,9 +255,11 @@ class TestTupleKernelsMatchNumpy:
         assert _same_float(got_sup, want_sup)
 
     def test_nan_propagates(self):
-        assert math.isnan(gl.summing_norm(CV([1, 2], [math.nan, 1.0])))
-        assert math.isnan(gl.sup_norm(CV([1, 2], [1.0, math.nan])))
-        assert math.isnan(gl.summing_norm(CV([1, 2], [math.inf, -math.inf])))
+        # the constructors refuse NaN and inf, but scale does not check
+        ones = CV([1, 2], [1.0, 1.0])
+        assert math.isnan(gl.summing_norm(ones.scale(math.nan)))
+        assert math.isnan(gl.sup_norm(ones.scale(math.nan)))
+        assert math.isnan(gl.summing_norm(CV([1, 2], [1.0, -1.0]).scale(math.inf)))
 
     @given(edge_pairs)
     @settings(max_examples=300)
@@ -252,8 +268,14 @@ class TestTupleKernelsMatchNumpy:
         val = np.array([v for _, v in pairs], dtype=np.float64)
         with np.errstate(invalid="ignore", over="ignore"):
             want = _numpy_canonical(idx, val)
-        assert _same_vector(CV(idx, val), want)
-        assert _same_vector(CV.from_pairs(pairs), want)
+        if all(math.isfinite(v) for _, v in want.pairs()):
+            assert _same_vector(CV(idx, val), want)
+            assert _same_vector(CV.from_pairs(pairs), want)
+            return
+        # a NaN or inf value, or a sum that overflows, is refused
+        for build in (lambda: CV(idx, val), lambda: CV.from_pairs(pairs)):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                build()
 
     @given(sparse_vectors, st.sampled_from([0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 7.3]),
            st.lists(st.floats(0.1, 10.0), max_size=20))
@@ -454,6 +476,10 @@ class TestSpaceCatalogue:
         # NaN and inf once built a space with alpha1 = c_param = inf and NaN norms
         with pytest.raises(ValueError, match=f"finite and positive: {message}"):
             gl.weighted_lp_space(2.0, weights, 8)
+        # the norm checks the weights it reads, and only those
+        with pytest.raises(ValueError, match=f"finite and positive: {message}"):
+            gl.weighted_lp_norm(CV.from_dense([1.0] * len(weights)), 2.0, weights)
+        assert gl.weighted_lp_norm(CV.basis_vector(len(weights) + 1), 2.0, weights) == 1.0
         wfile = tmp_path / "w.json"
         wfile.write_text(json.dumps(weights))  # NaN and Infinity as JSON literals
         with pytest.raises(ValueError, match=f"finite and positive: {message}"):

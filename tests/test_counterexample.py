@@ -21,13 +21,15 @@ def sqrt_partial_sum(n: int) -> float:
 
 
 def reference_sweep(depth: int, t: float, m_grid=None) -> dict:
-    """The adversarial sweep as a per-class loop over the class list: the
-    oracle for ``divergence_experiment``'s count-matrix blocks.
+    """The adversarial sweep as a per-class loop over the whole class list:
+    the oracle for ``divergence_experiment``, which solves block windows
+    instead of walking them.
 
-    The list is cut at SWEEP_WALK_CAP classes.  No row at depth <= 6 reaches
-    the default, so there this is the uncapped sweep.  The sweep counts only
-    walked classes, so a smaller budget cuts both at the same class only on
-    rows with no two-block window, as at t in {1, 0.5, 0.1}."""
+    The list is cut at SWEEP_WALK_CAP classes.  No default-grid row at
+    depth <= 6 and t >= 0.0095, or at depth <= 4 and t >= 0.001, reaches the
+    default, so there this is the uncapped sweep.  The sweep counts only
+    spike-window classes, so a smaller budget cuts both at the same class
+    only on rows whose walk holds no block window."""
     ex = cx.build_example(depth)
     rows, violations = [], []
     for m in (m_grid if m_grid is not None else cx.default_m_grid(ex)):
@@ -360,13 +362,47 @@ class TestDivergenceExperiment:
                 assert row["lower_bound"] is None
 
 
-class TestBatchedSweepMatchesReference:
-    """``divergence_experiment`` evaluates the class walk SWEEP_CHUNK count
-    vectors at a time; every field must equal the per-class loop's."""
+
+
+def window_spans(ex, m, t):
+    """(i_max, end, first walk position, class count) of every window of the
+    row's walk, counted by walking it."""
+    sizes, moduli = cx._class_table(ex, m, t)
+    spans, start = [], 0
+    for i_max, end, rest, caps in greedy._class_windows(sizes, moduli, m, t):
+        count = sum(1 for _ in greedy._compositions(rest, caps))
+        spans.append((i_max, end, start, count))
+        start += count
+    return spans
+
+
+def is_block_window(ex, i_max):
+    """Whether a window lies wholly in the blocks: every spike is in its head."""
+    return i_max >= ex.depth
+
+
+def walked_count(ex, spans):
+    """Classes the sweep walks: those of the spike windows."""
+    return sum(count for i_max, _, _, count in spans if not is_block_window(ex, i_max))
+
+
+def holds_block_window(ex, spans):
+    return any(is_block_window(ex, i_max) and count for i_max, _, _, count in spans)
+
+
+class TestSweepMatchesReference:
+    """``divergence_experiment`` walks the spike windows class by class and
+    solves each block window; every field must equal the per-class loop's."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05, 0.01])
     def test_default_grid(self, depth, t):
+        assert_sweep_matches_reference(depth, t)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [0.007, 0.0065, 0.005, 0.001])
+    def test_default_grid_below_three_block_threshold(self, depth, t):
+        # below t ~ 0.0088 block windows hold three or more blocks
         assert_sweep_matches_reference(depth, t)
 
     @given(st.integers(1, 5), st.floats(0.01, 1.0))
@@ -397,73 +433,92 @@ class TestBatchedSweepMatchesReference:
         assert on_floor and got["violations"]
         assert not on_floor & {v["family"] for v in got["violations"]}
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    def test_small_chunks_with_violations(self, monkeypatch, chunk):
-        # blocks far smaller than the rows: every minimum, tie and violation
-        # crosses block boundaries
-        monkeypatch.setattr(cx, "SWEEP_CHUNK", chunk)
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 62])
+    def test_small_budgets_with_violations(self, monkeypatch, budget):
+        # a budget far below the rows' walks, with every minimum, tie and
+        # violation inside the walked part
         floor = cx.phi_lower_bound
         monkeypatch.setattr(cx, "phi_lower_bound", lambda phi, t: floor(phi, t) + 1.2)
-        for depth, t in ((3, 0.05), (4, 0.05)):
-            assert_sweep_matches_reference(depth, t)
-        # every window is walked at t = 0.1, so the budget cuts the walk
-        # itself; the largest rows hold 16 and 64 classes
+        monkeypatch.setattr(cx, "SWEEP_WALK_CAP", budget)
         cut = False
-        for budget in (chunk - 1, chunk, chunk + 1, 3 * chunk):
-            if budget >= 1:
-                monkeypatch.setattr(cx, "SWEEP_WALK_CAP", budget)
-                for depth in (4, 6):
-                    rows = assert_sweep_matches_reference(depth, 0.1)["rows"]
-                    cut |= not all(row["exact"] for row in rows)
+        for depth in (4, 6):
+            ex = cx.build_example(depth)
+            for m in cx.default_m_grid(ex):
+                # the reference cuts the whole class list, the sweep only the
+                # spike windows: they cut alike on rows with no block window
+                if holds_block_window(ex, window_spans(ex, m, 0.1)):
+                    continue
+                row, = assert_sweep_matches_reference(depth, 0.1, [m])["rows"]
+                cut |= not row["exact"]
         assert cut
 
-    # depth 5, t = 0.05, m = 11,115: 10,001 classes, every one of norm 1.0
-    BIG = (5, 0.05, [11_115])
-
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_caps_at_the_chunk_boundary(self, monkeypatch, offset):
-        # depth 6, t = 0.1, m = 6: 64 classes, all walked
-        monkeypatch.setattr(cx, "SWEEP_CHUNK", 32)
-        monkeypatch.setattr(cx, "SWEEP_WALK_CAP", 32 + offset)
+    @pytest.mark.parametrize("budget", [1, 32, 62])
+    def test_cap_cuts_the_spike_windows(self, monkeypatch, budget):
+        # depth 6, t = 0.1, m = 6: 63 classes in the spike windows, then the
+        # all-spike class in block 1's window, which the cut never reaches
+        ex = cx.build_example(6)
+        spans = window_spans(ex, 6, 0.1)
+        assert walked_count(ex, spans) == 63 and holds_block_window(ex, spans)
+        monkeypatch.setattr(cx, "SWEEP_WALK_CAP", budget)
         row, = assert_sweep_matches_reference(6, 0.1, [6])["rows"]
         assert not row["exact"]
 
-    def test_minimum_tied_across_chunks_keeps_the_first(self):
-        depth, t, grid = self.BIG
-        ex = cx.build_example(depth)
-        classes, exact = cx.enumerate_selection_classes(ex, grid[0], t)
-        assert exact and len(classes) > cx.SWEEP_CHUNK
-        assert cx.selection_norm(ex, classes[cx.SWEEP_CHUNK]) == cx.selection_norm(
-            ex, classes[0])
-        row, = assert_sweep_matches_reference(depth, t, grid)["rows"]
+    def test_minimum_tied_keeps_the_first(self):
+        # depth 5, t = 0.05, m = 11,115: 10,001 classes, every one of norm 1.0
+        ex = cx.build_example(5)
+        classes, exact = cx.enumerate_selection_classes(ex, 11_115, 0.05)
+        assert exact and len(classes) == 10_001
+        assert {cx.selection_norm(ex, c) for c in classes} == {1.0}
+        row, = assert_sweep_matches_reference(5, 0.05, [11_115])["rows"]
         assert row["exact"] and row["greedy_set_family"] == cx.family_label(classes[0])
 
 
-def window_spans(ex, m, t):
-    """(i_max, end, first walk position, class count) of every window of the
-    row's walk, counted by walking it."""
-    sizes, moduli = cx._class_table(ex, m, t)
-    spans, start = [], 0
-    for i_max, end, rest, caps in greedy._class_windows(sizes, moduli, m, t):
-        count = sum(1 for _ in greedy._compositions(rest, caps))
-        spans.append((i_max, end, start, count))
-        start += count
-    return spans
+def class_count(rest, caps):
+    """Vectors of counts at most ``caps`` summing to ``rest``, by
+    inclusion-exclusion over the counts that exceed their cap."""
+    r = len(caps)
+    if not r:
+        return int(rest == 0)
+    total = 0
+    for over in itertools.product((0, 1), repeat=r):
+        left = rest - sum(c + 1 for c, o in zip(caps, over) if o)
+        if left >= 0:
+            total += (-1) ** sum(over) * math.comb(left + r - 1, r - 1)
+    return total
 
 
-def is_two_block(ex, i_max, end):
-    return i_max >= ex.depth and end == i_max + 2
+def window_count_blocks(rest, caps):
+    """A window's classes in walk order, as blocks of count rows: one block
+    per choice of all counts but the last two, of at most 10^5 rows."""
+    if len(caps) < 2:  # one class: the take-everything one, or one block's count
+        yield np.full((1, len(caps)), rest, dtype=np.int64)
+        return
+    for lead in leading_counts(rest, caps):
+        left = rest - sum(lead)
+        c = np.arange(max(0, left - caps[-1]), min(caps[-2], left) + 1)
+        for part in np.array_split(c, len(c) // 10**5 + 1):
+            block = np.empty((len(part), len(caps)), dtype=np.int64)
+            block[:, :-2], block[:, -2], block[:, -1] = lead, part, left - part
+            yield block
 
 
-def walked_count(ex, spans):
-    """Classes the sweep walks: those outside the two-block windows."""
-    return sum(count for i_max, end, _, count in spans if not is_two_block(ex, i_max, end))
+def leading_counts(rest, caps):
+    """All counts but the last two, in lexicographic order, that leave the
+    last two a remainder they can hold."""
+    if len(caps) == 2:
+        yield ()
+        return
+    room = sum(caps[1:])
+    for c in range(max(0, rest - room), min(caps[0], rest) + 1):
+        for tail in leading_counts(rest - c, caps[1:]):
+            yield (c, *tail)
 
 
-class TestTwoBlockWindowsMatchReference:
-    """A window in the blocks that holds block k and block k + 1 is solved in
-    closed form, not walked; every field must still equal the per-class
-    loop's, and none of its classes counts against SWEEP_WALK_CAP."""
+class TestBlockWindowsMatchReference:
+    """Every window in the blocks, of one, two or more block columns, is
+    solved by ``_block_window_minimiser``, not walked; every field must still
+    equal the per-class loop's, and none of its classes counts against
+    SWEEP_WALK_CAP."""
 
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05])
     def test_depth_six_default_grid(self, t):
@@ -488,14 +543,12 @@ class TestTwoBlockWindowsMatchReference:
             full = reference_sweep(depth, t, [m])
             spans = window_spans(ex, m, t)
             n = walked_count(ex, spans)
-            closed = any(is_two_block(ex, i_max, end) and count
-                         for i_max, end, _, count in spans)
             for budget in (n - 1, n, n + 1):
                 if budget < 1:
                     continue
                 with monkeypatch.context() as patch:
                     patch.setattr(cx, "SWEEP_WALK_CAP", budget)
-                    if not closed:
+                    if not holds_block_window(ex, spans):
                         got = assert_sweep_matches_reference(depth, t, [m])
                     else:
                         got = cx.divergence_experiment(depth, t, True, [m])
@@ -504,15 +557,15 @@ class TestTwoBlockWindowsMatchReference:
                 assert got["rows"][0]["exact"] == (budget >= n)
 
     @pytest.mark.parametrize("depth, t", [(4, 0.05), (5, 0.05), (5, 0.02)])
-    def test_walk_budget_skips_two_block_windows(self, monkeypatch, depth, t):
+    def test_walk_budget_skips_block_windows(self, monkeypatch, depth, t):
         # a budget of just the walked classes, none at all on some rows, keeps
-        # exact the rows whose two-block windows hold up to 10,000 classes
+        # exact the rows whose block windows hold up to 10,000 classes
         ex = cx.build_example(depth)
         checked = 0
         for m in cx.default_m_grid(ex):
             spans = window_spans(ex, m, t)
-            if not any(is_two_block(ex, i_max, end) and count >= 3
-                       for i_max, end, _, count in spans):
+            if not any(is_block_window(ex, i_max) and count >= 3
+                       for i_max, _, _, count in spans):
                 continue
             full = reference_sweep(depth, t, [m])
             n = walked_count(ex, spans)
@@ -529,40 +582,61 @@ class TestTwoBlockWindowsMatchReference:
         assert checked
 
     @pytest.mark.parametrize("depth", [7, 8])
-    @pytest.mark.parametrize("t", [0.05, 0.01])
+    @pytest.mark.parametrize("t", [0.05, 0.01, 0.007, 0.001])
     def test_candidates_hold_every_first_minimiser(self, depth, t):
-        # beyond the per-class loop's reach: every count of each two-block
-        # window of up to 10^6 classes, evaluated with the sweep's expression
+        # beyond the per-class loop's reach: every class of each block window
+        # of up to 10^6 classes, of one, two or more block columns, evaluated
+        # as count rows whose cumsum in run-endpoint order, scaled by the
+        # step values, is selection_norm's running sum to the bit
         ex = cx.build_example(depth)
+        runs = [pos for k in range(depth) for pos in (k, depth + k)]
         steps = np.array([v for k in range(1, depth + 1)
                           for v in (cx.spike_value(k), cx.block_value(k))])
-        checked = 0
+        checked, three = 0, 0
         for m in cx.default_m_grid(ex):
             sizes, moduli = cx._class_table(ex, m, t)
-            runs = [pos for k in range(depth) for pos in (k, depth + k)]
             for i_max, end, rest, caps in greedy._class_windows(sizes, moduli, m, t):
-                if not is_two_block(ex, i_max, end):
+                if not is_block_window(ex, i_max) or not 0 < class_count(rest, caps) <= 10**6:
                     continue
-                lo, hi = max(0, rest - caps[1]), min(caps[0], rest)
-                if not lo <= hi < lo + 10**6:
-                    continue
-                norms = []
-                for c in np.array_split(np.arange(lo, hi + 1), (hi - lo) // 10**5 + 1):
-                    counts = np.zeros((len(c), len(sizes)), dtype=np.int64)
-                    counts[:, :i_max] = sizes[:i_max]
-                    counts[:, i_max], counts[:, i_max + 1] = c, rest - c
-                    norms.append(np.abs(np.cumsum(counts[:, runs] * steps, axis=1)).max(axis=1))
-                first = lo + int(np.argmin(np.concatenate(norms)))
                 head, tail = tuple(sizes[:i_max]), (0,) * (len(sizes) - end)
-                assert first in cx._two_block_candidates(head, rest, tail, lo, hi, runs, steps)
+                best, first = math.inf, None
+                for window in window_count_blocks(rest, caps):
+                    counts = np.zeros((len(window), len(sizes)), dtype=np.int64)
+                    counts[:, :i_max], counts[:, i_max:end] = head, window
+                    norms = np.abs(np.cumsum(counts[:, runs] * steps, axis=1)).max(axis=1)
+                    i = int(np.argmin(norms))
+                    if norms[i] < best:
+                        best, first = norms[i], head + tuple(window[i].tolist()) + tail
+                got, norm = cx._block_window_minimiser(ex, head, rest, caps, tail)
+                assert got == first and norm == cx.selection_norm(ex, got) == best
                 checked += 1
-        assert checked
+                three += end - i_max >= 3
+        # windows of three or more blocks appear below t ~ 0.0088
+        assert checked and (three > 0) == (t < 0.0088)
 
-    def test_three_block_windows_are_walked(self):
+    def test_three_block_windows_are_solved(self, monkeypatch):
         # at t = 0.007 block 2 over block 4 is 0.01 * sqrt(2 / 4) > t, so
-        # depth 4 has a block window of three classes
+        # depth 4 has block windows of three classes: they are solved, and a
+        # budget of just the spike-window classes keeps their rows exact
         ex = cx.build_example(4)
-        assert any(i_max >= ex.depth and end - i_max == 3 and count > 1
-                   for m in cx.default_m_grid(ex)
-                   for i_max, end, _, count in window_spans(ex, m, 0.007))
-        assert_sweep_matches_reference(4, 0.007)
+        rows = []
+        for m in cx.default_m_grid(ex):
+            spans = window_spans(ex, m, 0.007)
+            if any(is_block_window(ex, i_max) and end - i_max == 3 and count > 1
+                   for i_max, end, _, count in spans):
+                rows.append((m, walked_count(ex, spans)))
+        assert rows
+        for m, n in rows:
+            full = reference_sweep(4, 0.007, [m])
+            with monkeypatch.context() as patch:
+                patch.setattr(cx, "SWEEP_WALK_CAP", max(n, 1))
+                got = cx.divergence_experiment(4, 0.007, True, [m])
+            assert_sweep_equals(got, full)
+            assert got["rows"][0]["exact"]
+
+
+@pytest.mark.parametrize("depth", range(1, cx.MAX_DEPTH + 1))
+@pytest.mark.parametrize("t", [1.0, 0.5, 0.1, 0.05, 0.01, 0.005, 0.001])
+def test_every_default_grid_row_is_exact(depth, t):
+    rep = cx.divergence_experiment(depth, t, True)
+    assert all(row["exact"] for row in rep["rows"]) and not rep["violations"]
