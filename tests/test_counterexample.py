@@ -629,7 +629,7 @@ class TestBlockWindowsMatchReference:
         for m, n in rows:
             full = reference_sweep(4, 0.007, [m])
             with monkeypatch.context() as patch:
-                patch.setattr(cx, "SWEEP_WALK_CAP", max(n, 1))
+                patch.setattr(cx, "SWEEP_WALK_CAP", n)
                 got = cx.divergence_experiment(4, 0.007, True, [m])
             assert_sweep_equals(got, full)
             assert got["rows"][0]["exact"]
