@@ -196,7 +196,7 @@ class CoeffVector:
         c = float(c)
         val = [v * c for v in self._val]
         if not all(val):  # c == 0, or an underflow, left zeros to drop
-            return CoeffVector(self._idx, val)
+            return CoeffVector._canonical(*_summed(zip(self._idx, val)))
         return CoeffVector._canonical(self._idx, tuple(val))
 
     # -- serialization ------------------------------------------------
@@ -262,19 +262,21 @@ def weighted_lp_norm(x: CoeffVector, p: float, weights: Sequence[float]) -> floa
     if not x:
         return 0.0
     n = len(weights)
-    wi = np.array([weights[i - 1] if i <= n else 1.0 for i in x._idx], dtype=np.float64)
+    wi = [weights[i - 1] if i <= n else 1.0 for i in x._idx]
     _check_weights(wi, x._idx)
-    return _peak_factored([abs(v) for v in x._val], p, wi)
+    return _peak_factored([abs(v) for v in x._val], p, np.array(wi, dtype=np.float64))
 
 
-def _check_weights(w: np.ndarray, numbers: Sequence[int]) -> None:
+def _check_weights(w: list, numbers: Sequence[int]) -> None:
     """Refuse a weight that is not finite and positive; numbers[j] is the
-    place of w[j] in the weight table, counted from 1."""
+    place of w[j] in the weight table, counted from 1.  Two passes of C
+    builtins, so a norm call pays well under a microsecond for it."""
+    if all(map(math.isfinite, w)) and min(w, default=1.0) > 0.0:
+        return
     # NaN fails every comparison, so test for the good weights, not the bad
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
-    if bad.size:
-        raise ValueError(f"weights must be finite and positive: weight "
-                         f"{numbers[bad[0]]} is {float(w[bad[0]])!r}")
+    j = next(j for j, v in enumerate(w) if not 0.0 < v < math.inf)
+    raise ValueError(f"weights must be finite and positive: weight {numbers[j]} "
+                     f"is {float(w[j])!r}")
 
 
 def projection(x: CoeffVector, A: Iterable[int]) -> CoeffVector:
@@ -427,7 +429,7 @@ def weighted_lp_space(p: float, weights: Sequence[float], dim: int = 64) -> Spac
     if not p > 0:
         raise ValueError(f"weighted_lp_space requires p > 0, got {p}")
     w = np.asarray(weights, dtype=np.float64)
-    _check_weights(w, range(1, w.size + 1))
+    _check_weights(w.tolist(), range(1, w.size + 1))
     alpha = 1.0 if p >= 1.0 else 2.0 ** (1.0 / p - 1.0)
     w_at = lambda i: float(w[i - 1]) if i <= w.size else 1.0
     span = range(1, max(dim, 1) + 1)
@@ -436,7 +438,7 @@ def weighted_lp_space(p: float, weights: Sequence[float], dim: int = 64) -> Spac
     c = max((1.0 + w_at(i) ** (1.0 / p)) * (1.0 + w_at(i) ** (-1.0 / p)) for i in span)
     return SpaceDescriptor(
         name=f"weighted-lp:{p:g}",
-        norm=lambda x, _p=p, _w=w: weighted_lp_norm(x, _p, _w),
+        norm=lambda x, _p=p, _w=w.tolist(): weighted_lp_norm(x, _p, _w),
         alpha=alpha,
         alpha1=alpha1,
         alpha2=alpha2,

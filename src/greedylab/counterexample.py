@@ -64,6 +64,10 @@ def block_value(k: int) -> float:
     return -1.0 / (10 ** k * math.sqrt(k))
 
 
+_SPIKES = tuple(spike_value(k) for k in range(1, MAX_DEPTH + 1))
+_BLOCKS = tuple(block_value(k) for k in range(1, MAX_DEPTH + 1))
+
+
 @dataclass(frozen=True)
 class ExampleSequence:
     """Truncation at depth K: spikes n_1..n_K plus the complete blocks
@@ -118,26 +122,23 @@ def family_label(counts: Sequence[int]) -> str:
 
 
 def selection_norm(ex: ExampleSequence, counts: Sequence[int]) -> float:
-    """Summing norm of the class's projection, walking run endpoints once."""
-    v = 0.0
-    best = 0.0
-    for k in range(1, ex.depth + 1):
-        if counts[k - 1]:
-            v += spike_value(k)
-            best = max(best, abs(v))
-        c = counts[ex.depth + k - 1]
+    """Summing norm of the class's projection, walking the run endpoints of
+    spike k, then block k, for k = 1..depth, once.  A spike raises the sum and
+    a block lowers it, so only a spike sets a new high and only a block a new low."""
+    v = high = low = 0.0
+    for spike, block, taken, c in zip(_SPIKES, _BLOCKS, counts[:ex.depth], counts[ex.depth:]):
+        if taken:
+            v += spike
+            high = v if v > high else high
         if c:
-            v += c * block_value(k)
-            best = max(best, abs(v))
-    return best
+            v += c * block
+            low = v if v < low else low
+    return max(high, -low)
 
 
 def selection_phi(ex: ExampleSequence, counts: Sequence[int]) -> int:
     """Least k whose spike the class omits; depth + 1 when none is."""
-    for k in range(1, ex.depth + 1):
-        if not counts[k - 1]:
-            return k
-    return ex.depth + 1
+    return [*counts[:ex.depth], 0].index(0) + 1
 
 
 def _check_cardinality(ex: ExampleSequence, m: int) -> None:

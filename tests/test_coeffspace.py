@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import greedylab as gl
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence
+from greedylab.coeffspace import _summed
 
 
 def summing_norm_quadratic_oracle(x: CV) -> float:
@@ -212,16 +213,18 @@ def _same_vector(a: CV, b: CV) -> bool:
             and all(_same_float(u, v) for (_, u), (_, v) in zip(a.pairs(), b.pairs())))
 
 
-# pairs for the checked constructor, from values that include NaN, +-inf,
-# -0.0 and tiny magnitudes, with repeated indices
+# values that include NaN, +-inf, -0.0 and tiny magnitudes, with repeated
+# indices; the vectors are summed as the checked constructor sums them but
+# skip its finiteness check, so that NaN, inf and overflowed sums, which
+# scale, + and - can still make, reach the kernels
 edge_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300,
                                -1e-300, 1.0, -1.0, 2.5]) | st.floats()
 edge_pairs = st.lists(st.tuples(st.integers(1, 12), edge_floats), max_size=16)
-# vectors it builds: finite values, below 1e300 so that no sum of them overflows
-finite_edge_floats = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1.0, -1.0, 2.5]) | \
-    st.floats(-1e300, 1e300)
-edge_vectors = st.lists(st.tuples(st.integers(1, 12), finite_edge_floats), max_size=16).map(
-    lambda pairs: CV([i for i, _ in pairs], [v for _, v in pairs]))
+edge_vectors = edge_pairs.map(lambda pairs: CV._canonical(*_summed(pairs)))
+
+
+def _finite(x: CV) -> bool:
+    return all(math.isfinite(v) for _, v in x.pairs())
 
 
 def _numpy_canonical(idx: np.ndarray, val: np.ndarray) -> CV:
@@ -260,6 +263,9 @@ class TestTupleKernelsMatchNumpy:
         assert math.isnan(gl.summing_norm(ones.scale(math.nan)))
         assert math.isnan(gl.sup_norm(ones.scale(math.nan)))
         assert math.isnan(gl.summing_norm(CV([1, 2], [1.0, -1.0]).scale(math.inf)))
+        # scaling by zero drops the zero products and keeps NaN, without raising
+        assert list(ones.scale(math.nan).scale(0.0).support()) == [1, 2]
+        assert list(CV._canonical((1, 2), (math.inf, 1.0)).scale(0.0).support()) == [1]
 
     @given(edge_pairs)
     @settings(max_examples=300)
@@ -268,7 +274,7 @@ class TestTupleKernelsMatchNumpy:
         val = np.array([v for _, v in pairs], dtype=np.float64)
         with np.errstate(invalid="ignore", over="ignore"):
             want = _numpy_canonical(idx, val)
-        if all(math.isfinite(v) for _, v in want.pairs()):
+        if _finite(want):
             assert _same_vector(CV(idx, val), want)
             assert _same_vector(CV.from_pairs(pairs), want)
             return
@@ -338,8 +344,11 @@ class TestTupleKernelsMatchNumpy:
             plus = np.concatenate([xv, yv])
             minus = np.concatenate([xv, -yv])
             plus_ref, minus_ref = _numpy_canonical(idx, plus), _numpy_canonical(idx, minus)
-        assert _same_vector(x + y, CV(idx, plus)) and _same_vector(x + y, plus_ref)
-        assert _same_vector(x - y, CV(idx, minus)) and _same_vector(x - y, minus_ref)
+        assert _same_vector(x + y, plus_ref) and _same_vector(x - y, minus_ref)
+        # the checked constructor builds the same vector where it is finite
+        for got, vals in ((x + y, plus), (x - y, minus)):
+            if _finite(got):
+                assert _same_vector(got, CV(idx, vals))
 
     @given(edge_vectors)
     @settings(max_examples=200)
@@ -354,9 +363,11 @@ class TestTupleKernelsMatchNumpy:
     @given(edge_vectors, index_sets, st.floats(-4, 4))
     @settings(max_examples=200)
     def test_only_builtin_numbers_reach_json(self, x, A, c):
-        made = [x, x.restrict(A), x.drop(A), x.scale(c), x + x, x - x.restrict(A),
-                CV.from_dense([x[i] for i in range(1, x.max_index() + 1)]), CV(*_arrays(x)),
-                CV.from_pairs([(np.int64(i), np.float64(v)) for i, v in x.pairs()])]
+        made = [x, x.restrict(A), x.drop(A), x.scale(c), x + x, x - x.restrict(A)]
+        if _finite(x):  # the checked constructors refuse the others
+            made += [CV.from_dense([x[i] for i in range(1, x.max_index() + 1)]),
+                     CV(*_arrays(x)),
+                     CV.from_pairs([(np.int64(i), np.float64(v)) for i, v in x.pairs()])]
         for v in made:
             assert all(type(i) is int for i in v.support())
             assert all(type(i) is int and type(a) is float for i, a in v.pairs())
