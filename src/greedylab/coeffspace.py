@@ -45,6 +45,12 @@ def _summed(pairs: Iterable[tuple[int, float]]) -> tuple[tuple, tuple]:
     return tuple(keep), tuple([acc[i] for i in keep])
 
 
+def _all_finite(vals: Sequence[float]) -> bool:
+    # a NaN or inf value makes the sum NaN or inf, so a finite sum settles it
+    # in one C loop; only a sum that overflowed is checked value by value
+    return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
+
+
 class CoeffVector:
     """Finitely supported coefficient sequence, canonical form.
 
@@ -71,7 +77,7 @@ class CoeffVector:
         if idx and min(idx) < 1:
             raise ValueError("indices must be positive integers")
         self._idx, self._val = _summed(zip(idx, val))
-        if not all(map(math.isfinite, self._val)):  # NaN, +-inf, or a sum overflowed
+        if not _all_finite(self._val):  # NaN, +-inf, or a sum overflowed
             raise ValueError("coefficients must be finite")
 
     @classmethod
@@ -98,7 +104,7 @@ class CoeffVector:
         if vals.ndim != 1:
             raise ValueError("dense values must be 1-d")
         dense = vals.tolist()
-        if not all(map(math.isfinite, dense)):
+        if not _all_finite(dense):
             raise ValueError("coefficients must be finite")
         pairs = [(i, v) for i, v in enumerate(dense, 1) if v != 0.0]
         return cls._canonical(tuple([i for i, _ in pairs]), tuple([v for _, v in pairs]))

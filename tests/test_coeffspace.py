@@ -55,6 +55,8 @@ class TestCoeffVector:
                     lambda: CV.from_dense(np.array([0.0, -math.inf]))):
             with pytest.raises(ValueError, match="coefficients must be finite"):
                 bad()
+        # finite coefficients whose sum overflows are kept
+        assert len(CV([1, 2], [1e308, 1e308])) == 2 and len(CV.from_dense([1e308, 1e308])) == 2
 
     def test_rejects_non_integral_indices(self):
         # a float or string index raises instead of being truncated
