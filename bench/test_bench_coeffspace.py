@@ -1,6 +1,7 @@
 """Microbenchmarks of the vector layer on one fixed 64-entry vector:
 construction from lists and from arrays, projection (restrict, drop), entry
-lookup, a full pairs() walk, addition, the four norms, and the t-greedy check,
+lookup, a full pairs() walk, addition and subtraction (shared supports, and
+a tail after the support), the four norms, and the t-greedy check,
 selection and enumeration, plus the enumeration of an overflowing all-tie family.
 
     PYTHONPATH=src python -m pytest bench/test_bench_coeffspace.py
@@ -49,7 +50,18 @@ def test_pairs_walk(benchmark):
 
 
 def test_add(benchmark):
+    # every index shared, so every entry takes the merge's summing branch
     assert len(benchmark(X.__add__, Y)) <= DIM
+
+
+def test_sub(benchmark):
+    assert len(benchmark(X.__sub__, Y)) <= DIM
+
+
+def test_add_tail(benchmark):
+    # a support wholly after x's, as the perturbation trial's x + tail
+    tail = CV(range(DIM + 1, DIM + 5), [0.5 ** j for j in range(4)])
+    assert len(benchmark(X.__add__, tail)) == DIM + 4
 
 
 @pytest.mark.parametrize("norm", [

@@ -51,6 +51,38 @@ def _all_finite(vals: Sequence[float]) -> bool:
     return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
 
 
+def _merged(ai: tuple, av: tuple, bi: tuple, bv: tuple) -> "CoeffVector":
+    """The canonical vectors (ai, av) and (bi, bv) added in one pass over both
+    sorted supports: a shared index sums a + b in that order, as ``_summed``
+    would, and a zero sum is dropped.  A support wholly after the other is
+    concatenated.  A non-finite result raises, as the constructors do."""
+    if not bi or (ai and ai[-1] < bi[0]):
+        idx, val = ai + bi, av + bv
+    elif not ai or bi[-1] < ai[0]:
+        idx, val = bi + ai, bv + av
+    else:
+        idx, val = [], []
+        j, nb, b = 0, len(bi), bi[0]  # b: the next index of bi, inf past its end
+        for i, a in zip(ai, av):
+            while b < i:
+                idx.append(b)
+                val.append(bv[j])
+                j += 1
+                b = bi[j] if j < nb else math.inf
+            if b == i:
+                a += bv[j]
+                j += 1
+                b = bi[j] if j < nb else math.inf
+                if a == 0.0:
+                    continue
+            idx.append(i)
+            val.append(a)
+        idx, val = tuple(idx + list(bi[j:])), tuple(val + list(bv[j:]))
+    if not _all_finite(val):  # NaN, +-inf, or a sum overflowed
+        raise ValueError("coefficients must be finite")
+    return CoeffVector._canonical(idx, val)
+
+
 class CoeffVector:
     """Finitely supported coefficient sequence, canonical form.
 
@@ -59,7 +91,8 @@ class CoeffVector:
     and ``float``: vectors here hold tens of entries, where numpy's per-call
     overhead costs more than the arithmetic.  Indices go through
     ``operator.index``, so a float or string index raises instead of being
-    truncated, and a NaN or infinite coefficient raises too.  Instances are
+    truncated, and a NaN or infinite coefficient raises too, whether given to
+    a constructor or made by ``scale``, ``+`` or ``-``.  Instances are
     immutable; every operation returns a new vector.
     """
 
@@ -189,11 +222,11 @@ class CoeffVector:
         return self._select(A, False)
 
     def __add__(self, other: "CoeffVector") -> "CoeffVector":
-        return CoeffVector._canonical(*_summed(itertools.chain(self.pairs(), other.pairs())))
+        return _merged(self._idx, self._val, other._idx, other._val)
 
     def __sub__(self, other: "CoeffVector") -> "CoeffVector":
-        negated = [(i, -v) for i, v in other.pairs()]  # a + (-b) has a - b's bits
-        return CoeffVector._canonical(*_summed(itertools.chain(self.pairs(), negated)))
+        # a + (-b) has a - b's bits
+        return _merged(self._idx, self._val, other._idx, tuple([-v for v in other._val]))
 
     def __neg__(self) -> "CoeffVector":
         return self.scale(-1.0)
@@ -201,6 +234,8 @@ class CoeffVector:
     def scale(self, c: float) -> "CoeffVector":
         c = float(c)
         val = [v * c for v in self._val]
+        if not (math.isfinite(c) and _all_finite(val)):  # or a product overflowed
+            raise ValueError("coefficients must be finite")
         if not all(val):  # c == 0, or an underflow, left zeros to drop
             return CoeffVector._canonical(*_summed(zip(self._idx, val)))
         return CoeffVector._canonical(self._idx, tuple(val))

@@ -73,34 +73,46 @@ def perturb_to_finite_support(space: SpaceDescriptor, x: CoeffVector,
     if not is_t_greedy(x, A_set, t):
         raise ValueError("A is not a t-greedy set for x")
     picker = z_picker if z_picker is not None else (lambda vec, d: vec)
+    return _perturbed(space, x, A_set, t, eps, picker)[0]
 
+
+def _perturbed(space: SpaceDescriptor, x: CoeffVector, A_set: frozenset, t: float,
+               eps: float, picker: Callable[[CoeffVector, float], CoeffVector]
+               ) -> tuple[CoeffVector, float]:
+    """perturb_to_finite_support's construction and checks, for valid input
+    (eps > 0, A_set t-greedy for x): the perturbed y and its distance |x - y|."""
     if not A_set:
         # degenerate branch: nothing to protect, any close finite z works
         z = picker(x, eps)
-        if space.norm(x - z) > eps + 1e-12:
+        dist = 0.0 if z is x else space.norm(x - z)
+        if dist > eps + 1e-12:
             raise PerturbationError("picker violated |x - z| <= eps")
-        return z
+        return z, dist
 
     c = space.c_param
     delta = _delta(space, eps, len(A_set))
     z = picker(x, delta)
-    dist_z = space.norm(x - z)
+    dist_z = 0.0 if z is x else space.norm(x - z)
     if dist_z > delta * (1.0 + 1e-9):
         raise PerturbationError(f"picker violated |x - z| <= delta: {dist_z} > {delta}")
 
-    bump = CoeffVector(sorted(A_set), [2.0 * c * delta * _sign(x[i]) for i in sorted(A_set)])
-    y = z + bump
+    kept = sorted(A_set)
+    x_at = dict(x.pairs())
+    x_kept = [x_at.get(i, 0.0) for i in kept]
+    y = z + CoeffVector(kept, [2.0 * c * delta * _sign(v) for v in x_kept])
 
-    beta = min(abs(x[i]) for i in A_set)
+    beta = min(map(abs, x_kept))
     floor = beta + c * delta
     ceiling = (beta + c * delta) / t
     scale = max(1.0, abs(floor))
+    y_at = dict(y.pairs())
     for i in A_set:
-        if abs(y[i]) < floor - 1e-12 * scale:
+        v = y_at.get(i, 0.0)
+        if abs(v) < floor - 1e-12 * scale:
             raise PerturbationError(
                 f"kept coefficient dropped below beta + c*delta at index {i}: "
-                f"|{y[i]}| < {floor}")
-    for i, v in y.pairs():
+                f"|{v}| < {floor}")
+    for i, v in y_at.items():
         if i not in A_set and abs(v) > ceiling + 1e-12 * max(1.0, ceiling):
             raise PerturbationError(
                 f"discarded coefficient exceeded (beta + c*delta)/t at index {i}: "
@@ -110,7 +122,7 @@ def perturb_to_finite_support(space: SpaceDescriptor, x: CoeffVector,
         raise PerturbationError(f"|x - y| = {dist} exceeds eps = {eps}")
     if not is_t_greedy(y, A_set, t):
         raise PerturbationError("A is not a t-greedy set for the perturbed vector")
-    return y
+    return y, dist
 
 
 def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
@@ -128,7 +140,12 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
         raise ValueError("x must be nonzero")
     if m < 0:
         raise ValueError(f"segment length must be nonnegative, got {m}")
-    A_set = _index_set(A)
+    return _padded(space, x, space.norm(x), _index_set(A), t, m)
+
+
+def _padded(space: SpaceDescriptor, x: CoeffVector, norm_x: float, A_set: frozenset,
+            t: float, m: int) -> tuple[CoeffVector, frozenset]:
+    """padding_set_construction for a nonzero x, given its norm, and m >= 0."""
     if not is_t_greedy(x, A_set, t):
         raise ValueError("A is not a t-greedy set for x")
     B = frozenset(range(1, m + 1))
@@ -144,7 +161,7 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
 
     top = max((x.max_index(), max(A_set), m))
     D = frozenset(range(top + 1, top + 1 + len(overlap)))
-    height = 2.0 * space.c_param * space.norm(x)
+    height = 2.0 * space.c_param * norm_x
     y = y + CoeffVector.indicator(D, height)
     moved = (A_set - B) | D
 
@@ -158,8 +175,9 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
     # bound a/t + 1e-12 max(1, a/t) grows with a, so the smallest one decides
     retained = A_set - B
     if retained:
-        i = min(retained, key=lambda k: abs(y[k]))
-        lim = abs(y[i]) / t
+        y_at = dict(y.pairs())
+        i = min(retained, key=lambda k: abs(y_at.get(k, 0.0)))
+        lim = abs(y_at.get(i, 0.0)) / t
         lim += 1e-12 * max(1.0, lim)
         for j, v in y.pairs():
             if abs(v) > lim and j not in moved and j not in B:
@@ -193,6 +211,17 @@ class TrialDraw(NamedTuple):
 class TrialDraws(NamedTuple):
     seed: int
     trials: list[TrialDraw]
+    # |x| of every trial under a space's norm, keyed by that norm callable
+    # (two lp spaces can share a name), filled by the first suite to ask
+    x_norms: dict[Callable[[CoeffVector], float], list[float]]
+
+
+def _x_norms(space: SpaceDescriptor, draws: TrialDraws) -> list[float]:
+    """Every trial's |x| under the space, computed once per draw table."""
+    norms = draws.x_norms.get(space.norm)
+    if norms is None:
+        norms = draws.x_norms[space.norm] = [space.norm(d.x) for d in draws.trials]
+    return norms
 
 
 def trial_draws(trials: int, seed: int, dim: int) -> TrialDraws:
@@ -223,7 +252,7 @@ def trial_draws(trials: int, seed: int, dim: int) -> TrialDraws:
         segment = int(rng.integers(0, dim + 1))
         rows.append(TrialDraw(x, A, t, eps_scale, tail_len, segment,
                               tuple(sorted(crude_A.tolist()))))
-    return TrialDraws(seed, rows)
+    return TrialDraws(seed, rows, {})
 
 
 def _suite_report(lemma: str, space: SpaceDescriptor, outcomes, seed: int) -> dict:
@@ -238,9 +267,10 @@ def _suite_report(lemma: str, space: SpaceDescriptor, outcomes, seed: int) -> di
 def lemma_perturbation_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
     """Randomized perturbation trials with a tail-truncating picker."""
 
-    def trial(draw: TrialDraw):
+    def trial(item):
+        draw, norm_x = item
         x, A, t, tail_len = draw.x, draw.A, draw.t, draw.tail_len
-        eps = draw.eps_scale * max(space.norm(x), 1e-6)
+        eps = draw.eps_scale * max(norm_x, 1e-6)
         # stand-in for an infinite tail: x carries extra decaying mass that the
         # picker truncates back off
         base = x
@@ -256,23 +286,25 @@ def lemma_perturbation_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
                                [tail_scale * 0.5 ** j for j in range(tail_len)])
             base = x + tail
             picker = lambda vec, d, _cut=start: vec.restrict(range(1, _cut))
-        if not is_t_greedy(base, A, t):
+        A_set = frozenset(A)
+        if not is_t_greedy(base, A_set, t):
             return True, None
         try:
-            y = perturb_to_finite_support(space, base, A, t, eps, picker)
+            _, dist = _perturbed(space, base, A_set, t, eps, picker)
         except PerturbationError:
             return False, None
-        return True, eps - space.norm(base - y)
+        return True, eps - dist
 
-    outcomes = parallel_map(trial, draws.trials)
+    outcomes = parallel_map(trial, zip(draws.trials, _x_norms(space, draws)))
     return _suite_report("finite-support perturbation", space, outcomes, draws.seed)
 
 
 def padding_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
-    def trial(draw: TrialDraw):
+    def trial(item):
+        draw, norm_x = item
         x, A, t, m = draw.x, draw.A, draw.t, draw.segment
         try:
-            y, D = padding_set_construction(space, x, A, t, m)
+            y, D = _padded(space, x, norm_x, frozenset(A), t, m)
         except PerturbationError:
             return False, None
         moved = frozenset([i for i in A if i > m]) | D
@@ -280,18 +312,20 @@ def padding_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
             t * max((abs(v) for i, v in y.pairs() if i not in moved), default=0.0)
         return True, margin
 
-    outcomes = parallel_map(trial, draws.trials)
+    outcomes = parallel_map(trial, zip(draws.trials, _x_norms(space, draws)))
     return _suite_report("padding-set construction", space, outcomes, draws.seed)
 
 
 def crude_bound_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
-    def trial(draw: TrialDraw):
+    def trial(item):
+        draw, norm_x = item
         x, A = draw.x, draw.crude_A
-        lhs = space.norm(projection(x, A))
-        rhs = projection_crude_bound(space, A) * space.norm(x)
+        part = projection(x, A)
+        lhs = norm_x if part is x else space.norm(part)
+        rhs = projection_crude_bound(space, A) * norm_x
         return lhs <= rhs * (1.0 + 1e-9), rhs - lhs
 
-    outcomes = parallel_map(trial, draws.trials)
+    outcomes = parallel_map(trial, zip(draws.trials, _x_norms(space, draws)))
     return _suite_report("crude projection bound", space, outcomes, draws.seed)
 
 
@@ -314,10 +348,11 @@ def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
             nx = space.norm(x)
             if nx <= 0.0:
                 continue
-            # one sort per vector: its "lowest" greedy sets, for any t, are prefixes
+            # one sort per vector: its "lowest" greedy sets, for any t, are prefixes;
+            # the whole support projects to x itself, whose norm is nx
             order = [i for _, i in _greedy_order(x)]
-            best = max([best] + [space.norm(projection(x, order[:m])) / nx
-                                 for m in sizes if m <= len(x)])
+            parts = [projection(x, order[:m]) for m in sizes if m <= len(x)]
+            best = max([best] + [(nx if p is x else space.norm(p)) / nx for p in parts])
         return best
 
     finite_pool = [CoeffVector.basis_vector(1), CoeffVector.from_dense([1.0] * dim)]

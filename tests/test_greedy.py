@@ -158,7 +158,7 @@ def _recording_policy(log):
 
 def unchecked_vector(entries: dict) -> CV:
     """The vector of {index: value} without the constructor's finiteness
-    check, so that inf and NaN, which ``scale`` can still make, reach the
+    check, so that inf and NaN, which no public path makes, still reach the
     kernels."""
     keep = sorted(i for i, v in entries.items() if v != 0.0)
     return CV._canonical(tuple(keep), tuple(entries[i] for i in keep))

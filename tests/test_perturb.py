@@ -2,13 +2,16 @@
 
 import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
-from greedylab import GapSequence, perturb
+from greedylab import GapSequence, coeffspace, experiments, perturb
 from greedylab.cli import run_experiment_set
 from greedylab.coeffspace import random_vectors
 from greedylab.experiments import perturb_audit
@@ -314,6 +317,69 @@ class TestTrialDraws:
         monkeypatch.setattr(np.random, "default_rng", counting)
         perturb_audit(25, 42, dim=8)
         assert len(made) == 25 + 2
+
+
+class TestNormReuse:
+    """Each trial's |x| is computed once per space and draw table, and the
+    constructions hand back the distances they have already computed."""
+
+    def test_each_x_is_normed_once_per_space(self, monkeypatch):
+        calls, tables = [], []
+        original_norm, original_draws = coeffspace.lp_norm, experiments.trial_draws
+
+        def counting_norm(x, p):
+            calls.append((x, p))
+            return original_norm(x, p)
+
+        def keeping_draws(*args):
+            tables.append(original_draws(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(coeffspace, "lp_norm", counting_norm)
+        monkeypatch.setattr(experiments, "trial_draws", keeping_draws)
+        perturb_audit(25, 42, dim=8)
+        # 616 before |x| was shared by the suites and each distance computed once
+        assert len(calls) == 440
+        xs = {id(d.x): k for k, d in enumerate(tables[0].trials)}
+        normed = [(xs[id(x)], p) for x, p in calls if id(x) in xs]
+        assert sorted(normed) == sorted((k, p) for p in (0.5, 2.0 / 3.0) for k in range(25))
+
+    @pytest.mark.parametrize("suite", [gl.lemma_perturbation_suite, gl.padding_suite,
+                                       gl.crude_bound_suite])
+    def test_stored_norms_are_keyed_by_norm_not_name(self, suite):
+        # both spaces are named lp:0.666667, but their norms differ in the last bits
+        spaces = (gl.lp_space(0.6666666), gl.lp_space(0.66666666))
+        assert spaces[0].name == spaces[1].name
+        shared = gl.trial_draws(60, 42, 16)
+        reports = [suite(space, shared) for space in spaces]
+        assert reports == [suite(space, gl.trial_draws(60, 42, 16)) for space in spaces]
+        assert len(shared.x_norms) == 2
+        assert shared.x_norms[spaces[0].norm] != shared.x_norms[spaces[1].norm]
+
+    @given(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=10),
+           st.integers(1, 10), st.sampled_from([1.0, 0.7, 0.3]),
+           st.floats(0.01, 1.0), st.integers(0, 4),
+           st.sampled_from([0.5, 2.0 / 3.0, 1.0, 2.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_distance_is_the_norm_bit_for_bit(self, dense, m, t, scale,
+                                                        tail_len, p):
+        x = CV.from_dense(dense)
+        assume(x)
+        space = gl.lp_space(p)
+        A = gl.one_greedy_set(x, min(m, len(x)) if m < 10 else 0, t).indices
+        eps = scale * space.norm(x)
+        base, picker = x, (lambda vec, d: vec)
+        if tail_len:
+            start = x.max_index() + 1
+            base = x + CV(range(start, start + tail_len),
+                          [1e-4 * eps * 0.5 ** j for j in range(tail_len)])
+            picker = lambda vec, d: vec.restrict(range(1, start))
+        assume(gl.is_t_greedy(base, A, t))
+        try:
+            y, dist = perturb._perturbed(space, base, A, t, eps, picker)
+        except PerturbationError:
+            return
+        assert struct.pack("<d", dist) == struct.pack("<d", space.norm(base - y))
 
 
 class TestEquivalenceAudit:
