@@ -349,6 +349,9 @@ class SpaceDescriptor:
         contractive_projections: True when every coordinate projection
             satisfies |P_A x| <= |x| (1-suppression-unconditional catalogue
             entries).
+        spreading: True when the norm of sum a_k e_{n_k} is the same for
+            every increasing n_1 < n_2 < ..., so the norm reads only the
+            values in index order (set by the catalogue factories).
     """
 
     name: str
@@ -360,6 +363,7 @@ class SpaceDescriptor:
     extreme_points: Optional[Callable[[tuple[int, ...]], Iterator[CoeffVector]]] = None
     dual_functionals: Optional[Callable[[int], np.ndarray]] = None
     contractive_projections: bool = False
+    spreading: bool = False
 
     def __post_init__(self):
         if self.alpha < 1.0:
@@ -429,6 +433,7 @@ def summing_space(dim: int = 64) -> SpaceDescriptor:
         extreme_points=_summing_extreme_points,
         dual_functionals=_summing_dual_functionals,
         contractive_projections=False,
+        spreading=True,
     )
 
 
@@ -449,6 +454,7 @@ def lp_space(p: float) -> SpaceDescriptor:
         extreme_points=extreme,
         dual_functionals=duals,
         contractive_projections=True,
+        spreading=True,
     )
 
 
@@ -463,6 +469,7 @@ def sup_space() -> SpaceDescriptor:
         extreme_points=_sup_extreme_points,
         dual_functionals=_sup_dual_functionals,
         contractive_projections=True,
+        spreading=True,
     )
 
 

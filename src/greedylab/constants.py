@@ -128,12 +128,15 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
     best_x: Optional[CoeffVector] = None
     best_A: Optional[tuple[int, ...]] = None  # sorted
     best_key: Optional[tuple] = None  # incumbent's tie-break key, built on its first tie
+    # a spreading norm reads only the values in index order, so each distinct
+    # part is normed once: value tuple -> norm
+    spreading, norms = space.spreading, {}
 
     for x in pool:
         norm_x = space.norm(x)
         if norm_x <= 0.0:
             continue
-        nnz = len(x)
+        nnz, supp = len(x), x.support()
         classes = _modulus_classes(x)
         value_at = dict(x.pairs())
         x_json: Optional[str] = None  # x's tie-break encoding, built on its first tie
@@ -149,10 +152,20 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
                 padded = _pad_to_cardinality(x, m, dim)
                 candidates = [padded] if padded is not None else []
             for A in candidates:
-                if kind == "C_q_t" and m <= nnz:
-                    # A lies in x's support, so gathering keeps P_A x canonical
-                    r = space.norm(CoeffVector._canonical(
-                        A, tuple([value_at[i] for i in A]))) / norm_x
+                if m <= nnz:
+                    # A lies in x's support, so gathering keeps either part canonical
+                    if kind == "C_q_t":
+                        idx = A
+                    else:
+                        in_A = set(A)
+                        idx = tuple([i for i in supp if i not in in_A])
+                    vals = tuple([value_at[i] for i in idx])
+                    part_norm = norms.get(vals)  # never filled unless spreading
+                    if part_norm is None:
+                        part_norm = space.norm(CoeffVector._canonical(idx, vals))
+                        if spreading:
+                            norms[vals] = part_norm
+                    r = part_norm / norm_x
                 else:
                     r = _ratio(space, x, A, kind, norm_x)
                 if r > best:

@@ -149,7 +149,7 @@ def _padded(space: SpaceDescriptor, x: CoeffVector, norm_x: float, A_set: frozen
     if not is_t_greedy(x, A_set, t):
         raise ValueError("A is not a t-greedy set for x")
     B = frozenset(range(1, m + 1))
-    y = x - projection(x, B)
+    y = x - projection(x, range(1, m + 1))  # a range takes two bisections
     if y and y.support()[0] <= m:
         raise PerturbationError(f"segment coefficient not cleared at j={y.support()[0]}")
     overlap = A_set & B

@@ -563,6 +563,54 @@ class TestSpaceCatalogue:
         assert gl.space_from_key("lp:inf").norm(x) == gl.sup_norm(x) == 2.0
 
 
+# every catalogue factory, with whether its norm is spreading
+UNEQUAL_WEIGHTS = [1.0, 3.0, 0.5, 2.0, 1.5, 0.25, 4.0]
+FACTORIES = [
+    ("summing", lambda: gl.summing_space(16), True),
+    ("summing dim 1", lambda: gl.summing_space(1), True),
+    *[(f"lp:{p:g}", lambda p=p: gl.lp_space(p), True) for p in (0.5, 2.0 / 3.0, 1.0, 2.0, 3.0)],
+    ("lp:inf", lambda: gl.space_from_key("lp:inf"), True),
+    ("sup", gl.sup_space, True),
+    *[(f"weighted-lp:{p:g}", lambda p=p: gl.weighted_lp_space(p, UNEQUAL_WEIGHTS, 16), False)
+      for p in (0.5, 1.0, 2.0)],
+]
+
+
+class TestSpreadingFlag:
+    """A factory sets ``spreading`` exactly when its norm reads only the
+    values in index order; the sampled estimator memoises norms on that."""
+
+    @pytest.mark.parametrize("name,factory,spreading", FACTORIES,
+                             ids=[f[0] for f in FACTORIES])
+    def test_factories_set_the_flag(self, name, factory, spreading):
+        assert factory().spreading is spreading
+
+    @given(st.sampled_from([f for f in FACTORIES if f[2]]),
+           st.lists(st.sampled_from([1.0, -1.0, 0.5, -2.25, 1e-300, 1e300]) |
+                    st.floats(-10, 10).filter(bool), max_size=16),
+           st.data())
+    @settings(max_examples=300)
+    def test_norm_ignores_an_increasing_relabelling(self, entry, vals, data):
+        space = entry[1]()
+        idx = sorted(data.draw(st.sets(st.integers(1, 200), min_size=len(vals),
+                                       max_size=len(vals))))
+        x = CV(range(1, len(vals) + 1), vals)
+        y = CV(idx, vals)
+        assert struct.pack("<d", space.norm(x)) == struct.pack("<d", space.norm(y))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_unequal_weights_change_under_a_shift(self, p):
+        space = gl.weighted_lp_space(p, UNEQUAL_WEIGHTS, 16)
+        x = CV([1, 2, 4], [1.0, -2.0, 0.5])
+        shifted = CV([2, 3, 5], [1.0, -2.0, 0.5])
+        assert space.norm(x) != space.norm(shifted)
+
+    def test_hand_built_descriptor_is_not_spreading(self):
+        space = gl.SpaceDescriptor(name="hand", norm=gl.sup_norm, alpha=1.0, alpha1=1.0,
+                                   alpha2=1.0, c_param=4.0)
+        assert space.spreading is False
+
+
 class TestExtremePoints:
     def test_summing_dim2_vertices(self):
         space = gl.summing_space(2)

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import os
 import warnings
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -25,7 +26,8 @@ from greedylab.coeffspace import random_vectors
 from greedylab.cli import run_experiment_set
 from greedylab.constants import (_ENUMERATION_CAP, _pad_to_cardinality, _partition_checks,
                                  _partition_evaluation, _snap_vertices)
-from greedylab.estimates import _ratio
+from greedylab.estimates import KINDS, ConstantEstimate, _ratio
+from greedylab.greedy import _modulus_classes, _t_greedy_index_sets
 from greedylab import experiments
 from greedylab.experiments import bounded_gap_trials, transfer_table
 
@@ -238,6 +240,95 @@ class TestEstimatorMatchesReference:
         est = gl.estimate_quasi_greedy_constant(space, gap, 1.0, 12, 0, kind=kind)
         assert (est.value, est.witness_A) == (1.0, frozenset(range(7, 13)))
         assert reference_estimate(space, gap, 1.0, 12, 0, kind, seed=0) == (1.0, x, est.witness_A)
+
+
+def per_candidate_estimate(space, gap, t, dim, budget, kind, seed):
+    """The estimator as it was before it gathered both kinds from x's support
+    and memoised norms in spreading spaces: every candidate set is scored by
+    ``_ratio`` (a fresh projection or drop, and a fresh norm), with the same
+    pool, candidates, tie-break and report fields."""
+    rng = np.random.default_rng(seed)
+    pool = list(constants_module.structured_witnesses(dim))
+    if space.extreme_points is not None and dim <= 8:
+        pool.extend(itertools.islice(space.extreme_points(tuple(range(1, dim + 1))), 512))
+    pool.extend(random_vectors(dim, budget, rng))
+    best, best_x, best_A = 0.0, None, None
+    for x in pool:
+        norm_x = space.norm(x)
+        if norm_x <= 0.0:
+            continue
+        classes = _modulus_classes(x)
+        for m in gap.admissible_sizes(dim):
+            if m <= len(x):
+                candidates = list(_t_greedy_index_sets(classes, m, t, _ENUMERATION_CAP))
+                if len(candidates) > _ENUMERATION_CAP:
+                    candidates[_ENUMERATION_CAP:] = [
+                        tuple(sorted(gl.one_greedy_set(x, m, t, policy).indices))
+                        for policy in ("lowest", "highest")]
+                    candidates = list(dict.fromkeys(candidates))
+            else:
+                padded = _pad_to_cardinality(x, m, dim)
+                candidates = [padded] if padded is not None else []
+            for A in candidates:
+                r = _ratio(space, x, A, kind, norm_x)
+                if r > best or (r == best and best_x is not None and
+                                (x.to_json(), A) < (best_x.to_json(), best_A)):
+                    best, best_x, best_A = r, x, A
+    upper = 1.0 if space.contractive_projections else None
+    exact = bool(upper is not None and abs(best - upper) <= 1e-12)
+    note = "LOWER_BOUND"
+    if upper is not None:
+        note = ("attains the contractive-projection bound" if exact
+                else "upper bound 1 from contractive projections; "
+                     "finite-dimensional maximum lies strictly below")
+    return ConstantEstimate(kind=kind, value=float(best), witness_x=best_x,
+                            witness_A=None if best_A is None else frozenset(best_A),
+                            exact=exact, t=t, upper_bound=upper, note=note, mode="sampled")
+
+
+# unequal weights, so that the weighted space is not spreading
+WEIGHTS = [1.0, 3.0, 0.5, 2.0, 1.5, 0.25, 4.0, 1.0, 0.75, 2.5]
+ORACLE_SPACES = {
+    "summing": lambda dim: gl.summing_space(dim),
+    "lp:1": lambda dim: gl.lp_space(1.0),
+    "lp:2": lambda dim: gl.lp_space(2.0),
+    "lp:1/2": lambda dim: gl.lp_space(0.5),
+    "sup": lambda dim: gl.sup_space(),
+    "weighted-lp:1": lambda dim: gl.weighted_lp_space(1.0, WEIGHTS, dim),
+}
+ORACLE_GAPS = {"naturals": NAT, "powers(2)": GapSequence.powers(2),
+               "powers(2, 3)": GapSequence.powers(2, 3)}
+
+
+def _assert_matches_per_candidate(key, gap_name, kind, t, dim, budget, seed):
+    space, gap = ORACLE_SPACES[key](dim), ORACLE_GAPS[gap_name]
+    est = gl.estimate_quasi_greedy_constant(space, gap, t, dim, budget, kind=kind, seed=seed)
+    ref = per_candidate_estimate(space, gap, t, dim, budget, kind, seed)
+    assert json.dumps(est.to_report()).encode() == json.dumps(ref.to_report()).encode()
+    assert (est.witness_x, est.witness_A) == (ref.witness_x, ref.witness_A)
+
+
+class TestEstimatorMatchesPerCandidateSearch:
+    """Gathering both kinds from x's support, and norming each distinct part
+    once in a spreading space, give the reports of scoring every candidate
+    on its own."""
+
+    @given(st.sampled_from(sorted(ORACLE_SPACES)), st.sampled_from(sorted(ORACLE_GAPS)),
+           st.sampled_from(KINDS), st.sampled_from([1.0, 0.8, 0.5, 0.3]),
+           st.integers(1, 10), st.integers(0, 16), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_report_bytes_and_witness(self, key, gap_name, kind, t, dim, budget, seed):
+        assume(dim >= ORACLE_GAPS[gap_name].first())
+        _assert_matches_per_candidate(key, gap_name, kind, t, dim, budget, seed)
+
+    @pytest.mark.parametrize("key", sorted(ORACLE_SPACES))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_all_tie_overflow(self, key, kind):
+        # the all-ones witness and the sign samples tie at every entry, so at
+        # dim 10 the 210 sets of size 4 overflow the cap of 128
+        assert gl.enumerate_t_greedy_sets(CV.from_dense(np.ones(10)), 4, 1.0,
+                                          cap=_ENUMERATION_CAP).overflow
+        _assert_matches_per_candidate(key, "naturals", kind, 1.0, 10, 16, 5)
 
 
 class TestExactCellSearch:
