@@ -9,9 +9,11 @@ inequalities, so each (index set, sign cell, dual functional) triple is a
 small linear program and the truncated-space constant is the maximum over
 finitely many of them.  The weakness t enters only the greedy rows, so the
 cells of a whole weakness grid are built once, and each cell's objectives
-are deduplicated by value.  The cell programs share no variable, so those of
-a grid are stacked, a few hundred at a time, into block-diagonal programs
-and solved together.
+are deduplicated by value.  A larger t only shrinks a cell, so each cell
+program is solved at the grid's smallest t, and again at a larger t only
+where that optimum is not t-greedy.  The cell programs share no variable, so
+they are stacked, a few hundred at a time, into block-diagonal programs and
+solved together.
 """
 
 from __future__ import annotations
@@ -199,7 +201,9 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
 
 
 # cell LPs per block-diagonal solve; HiGHS time and memory grow with the size
-# of the block program, so many small solves beat one large one
+# of the block program, so many small solves beat one large one.  A grid's LPs
+# at its smallest t fill the first solves, and its re-solves at the other ts
+# the rest, each solve across t boundaries
 _LP_BATCH = 200
 # cell LPs one search may need, summed over its weakness grid; a larger search
 # is refused before any solve
@@ -281,9 +285,10 @@ def _solve_block_diagonal(cells: Sequence[tuple], objectives: Sequence[np.ndarra
     return res.x.reshape(len(cells), dim)
 
 
-def _snap_vertices(X: np.ndarray, in_A: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _snap_vertices(X: np.ndarray, in_A: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cell vertices (rows of X) with the solver fuzz snapped off, so that the
-    nonempty index set of row k (``in_A[k]``) is exactly ``t[k]``-greedy.
+    nonempty index set of row k (``in_A[k]``) is exactly ``t[k]``-greedy, and
+    the lo and hi of each row before the shrink.
 
     Entries up to 1e-11 times the row's peak become zero.  If the largest
     entry outside the set, hi, then has t * hi > lo, the smallest entry of the
@@ -296,10 +301,11 @@ def _snap_vertices(X: np.ndarray, in_A: np.ndarray, t: np.ndarray) -> np.ndarray
     Y = np.where(absX > 1e-11 * absX.max(axis=1, keepdims=True), X, 0.0)
     absY = np.abs(Y)
     lo = np.where(in_A, absY, np.inf).min(axis=1)
-    t_hi = t * np.where(in_A, 0.0, absY).max(axis=1)
+    hi = np.where(in_A, 0.0, absY).max(axis=1)
+    t_hi = t * hi
     shrink = np.divide(lo, t_hi, out=np.zeros_like(lo), where=(t_hi > lo) & (lo > 0.0))
     shrink *= 1.0 - 1e-14
-    return np.where((t_hi > lo)[:, None] & ~in_A, Y * shrink[:, None], Y)
+    return np.where((t_hi > lo)[:, None] & ~in_A, Y * shrink[:, None], Y), lo, hi
 
 
 def _screened_ratios(Y: np.ndarray, in_A: np.ndarray, F: np.ndarray,
@@ -322,13 +328,17 @@ def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[f
     constraint set {|x| <= 1, A t-greedy for x} is a polytope, and each dual
     functional gives a linear objective; the constant is the maximum ratio
     over the optimal vertices.  The cells are built once, at t = 1, and
-    their greedy rows scaled to each t; the distinct cell LPs of every t
-    stream, in order, into block-diagonal programs of ``_LP_BATCH`` LPs, one
-    HiGHS solve each; a solve that does not reach optimality raises
-    RuntimeError.  The vertices of a solve are snapped and their ratios
-    screened in numpy; only a vertex that may beat its t's best so far is
-    built as a vector and normed by the space, and the first vertex with the
-    largest ratio wins.
+    their greedy rows t sigma_j x_j - sigma_i x_i <= 0 scaled to each t.
+    A larger t only tightens those rows, so an optimum at t0 = min(ts) that
+    is t-greedy is an optimum at t, under the same dual bound.  So every
+    distinct cell LP is solved at t0, and at each other distinct t only
+    where its snapped t0 vertex has t * hi > lo (``_snap_vertices``); a
+    vertex with t * hi <= lo snaps at t as at t0.  The LPs solved stream, in
+    order, into block-diagonal programs of ``_LP_BATCH`` LPs, one HiGHS
+    solve each; a solve that does not reach optimality raises RuntimeError.
+    The vertices are screened in numpy in search order per t; only a vertex
+    that may beat its t's best so far is built as a vector and normed by the
+    space, and the first vertex with the largest ratio wins.
     """
     if space.dual_functionals is None:
         raise ValueError(f"space {space.name!r} has no dual-functional oracle")
@@ -343,40 +353,60 @@ def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[f
         raise ValueError(f"cell search needs {n_lp} linear programs, over the cap {_LP_CAP}")
     for t in ts:
         _check_t(t)
+    if not ts:
+        return []
 
-    best = [0.0] * len(ts)
-    best_x: list[Optional[CoeffVector]] = [None] * len(ts)
-    best_A: list[Optional[frozenset]] = [None] * len(ts)
+    lps = [(A, in_A, cell, c) for A, in_A, cell, objectives in _cell_lps(F, sizes, dim, kind)
+           for c in objectives]
+    masks = np.array([in_A for _, in_A, _, _ in lps], dtype=bool).reshape(len(lps), dim)
+    best = {t: (0.0, None, None) for t in ts}  # t -> (ratio, x, A)
 
-    table = list(_cell_lps(F, sizes, dim, kind))
-    lps = ((k, t, A, in_A, cell, c)
-           for k, t in enumerate(ts)
-           for A, in_A, (rows, cols, vals, scaled, b_ub), objectives in table
-           for cell in [(rows, cols, np.where(scaled, t * vals, vals), b_ub)]
-           for c in objectives)
-    while batch := list(itertools.islice(lps, _LP_BATCH)):
-        ks, t_rows, As, masks, cells, objectives = zip(*batch)
-        in_A = np.array(masks)
-        Y = _snap_vertices(_solve_block_diagonal(cells, objectives, dim, space.alpha2),
-                           in_A, np.array(t_rows))
-        screened = _screened_ratios(Y, in_A, F, kind)
-        ks = np.array(ks)
-        for k in dict.fromkeys(ks.tolist()):
-            rows = np.flatnonzero(ks == k)
-            running = np.maximum.accumulate(np.maximum(screened[rows], best[k]))
-            for i in rows[screened[rows] >= running * (1.0 - _SCREEN_TOL)]:
-                x = CoeffVector.from_dense(Y[i])
-                nx = space.norm(x)
-                if nx <= 0.0:
-                    continue
-                ratio = _ratio(space, x, As[i], kind, nx)
-                if ratio > best[k]:
-                    best[k], best_x[k], best_A[k] = ratio, x, As[i]
+    def solved(pairs: Iterable[tuple[float, int]]) -> Iterator[tuple[np.ndarray, ...]]:
+        """(t, LP index and raw vertex) per row of each solve of the (t, LP) pairs."""
+        pairs = iter(pairs)
+        while batch := list(itertools.islice(pairs, _LP_BATCH)):
+            cells = [(rows, cols, np.where(scaled, t * vals, vals), b_ub)
+                     for t, i in batch for rows, cols, vals, scaled, b_ub in [lps[i][2]]]
+            X = _solve_block_diagonal(cells, [lps[i][3] for _, i in batch], dim, space.alpha2)
+            yield *map(np.array, zip(*batch)), X
+
+    def pick(t: float, Y: np.ndarray, idx: np.ndarray) -> None:
+        """Screen the snapped vertices Y of the LPs idx at t, in search order."""
+        screened = _screened_ratios(Y, masks[idx], F, kind)
+        running = np.maximum.accumulate(np.maximum(screened, best[t][0]))
+        for i in np.flatnonzero(screened >= running * (1.0 - _SCREEN_TOL)):
+            x = CoeffVector.from_dense(Y[i])
+            nx = space.norm(x)
+            if nx <= 0.0:
+                continue
+            A = lps[idx[i]][0]
+            ratio = _ratio(space, x, A, kind, nx)
+            if ratio > best[t][0]:
+                best[t] = (ratio, x, A)
+
+    t0, n = min(ts), len(lps)
+    X0 = [X for _, _, X in solved((t0, i) for i in range(n))]
+    Y0, lo, hi = _snap_vertices(np.concatenate(X0 or [np.empty((0, dim))]), masks, t0)
+    pick(t0, Y0, np.arange(n))
+
+    done = {t: 0 for t in best if t != t0}  # t -> its LPs picked so far
+    for t_rows, idx, X in solved((t, i) for t in done for i in np.flatnonzero(t * hi > lo)):
+        Y = _snap_vertices(X, masks[idx], t_rows)[0]
+        for t in dict.fromkeys(t_rows.tolist()):
+            # the t0 vertices up to the batch's last LP of t, with its solved ones
+            rows = np.flatnonzero(t_rows == t)
+            seg = np.arange(done[t], idx[rows[-1]] + 1)
+            Yt = Y0[seg]
+            Yt[idx[rows] - done[t]] = Y[rows]
+            pick(t, Yt, seg)
+            done[t] = seg[-1] + 1
+    for t in done:
+        pick(t, Y0[done[t]:], np.arange(done[t], n))
 
     return [ConstantEstimate(kind=kind, value=float(b), witness_x=x, witness_A=A,
                              exact=True, t=t, upper_bound=float(b),
                              note="exact polyhedral cell search", mode="lp-cell")
-            for t, b, x, A in zip(ts, best, best_x, best_A)]
+            for t in ts for b, x, A in [best[t]]]
 
 
 def exact_constant_polyhedral(space: SpaceDescriptor, gap: GapSequence, t: float,

@@ -96,11 +96,12 @@ def constants_table(space_key: str, kind: str, t: float, dims: Sequence[int],
 
 
 class _WeaknessGrid(abc.Sequence):
-    """step, 2 step, ..., 1, each rounded to 10 places and made on access, so
-    that the exact search can refuse a grid by its length before building it."""
+    """step, 2 step, ... up to 1, each rounded to 10 places and made on access,
+    so that the exact search can refuse a grid by its length before building it."""
 
     def __init__(self, step: float):
-        self._step, self._len = step, int(round(1.0 / step))
+        n = int(round(1.0 / step))
+        self._step, self._len = step, n - (round(step * n, 10) > 1.0)
 
     def __len__(self) -> int:
         return self._len

@@ -444,13 +444,23 @@ def _count_blocks(monkeypatch, dim):
     return blocks
 
 
-def _some_solve_spans_two_ts(blocks, n_ts):
-    """True when one solve holds cell LPs of two weakness parameters (every t
-    of a grid has the same number of cell LPs)."""
-    per_t = sum(blocks) // n_ts
-    ends = list(itertools.accumulate(blocks))
-    return any(start // per_t != (end - 1) // per_t
-               for start, end in zip([0] + ends, ends))
+def _record_snaps(monkeypatch):
+    """Record the weakness parameter of each vertex of every snap: the first
+    snap holds every distinct cell LP of a search at min(ts), and each later
+    one the cell LPs of one re-solve."""
+    snaps, snap = [], constants_module._snap_vertices
+
+    def recording(X, in_A, t):
+        snaps.append(np.broadcast_to(t, len(X)).tolist())
+        return snap(X, in_A, t)
+
+    monkeypatch.setattr(constants_module, "_snap_vertices", recording)
+    return snaps
+
+
+def _some_solve_spans_two_ts(resolves):
+    """True when one re-solve holds cell LPs of two weakness parameters."""
+    return any(len(set(ts)) > 1 for ts in resolves)
 
 
 def _assert_valid_witnesses(space, ts, estimates):
@@ -473,6 +483,13 @@ def _cell_lp_count(space, dim, kind="C_q_t"):
     return count
 
 
+# the cell LPs of a GRID search solved again above t = 0.05, where their
+# vertex at 0.05 is not t-greedy; none in the cases not listed
+_RESOLVED = {("summing", 2, "C_q_t"): 3, ("summing", 3, "C_q_t"): 47,
+             ("summing", 4, "C_q_t"): 406, ("lp:1", 2, "C_sq_t"): 16,
+             ("lp:1", 3, "C_sq_t"): 192}
+
+
 class TestExactGrid:
     @pytest.mark.parametrize("key,dim,kind", [
         *[("summing", dim, "C_q_t") for dim in (2, 3, 4)],
@@ -481,25 +498,34 @@ class TestExactGrid:
     def test_entries_match_single_searches_and_reference(self, key, dim, kind,
                                                          monkeypatch):
         space = gl.space_from_key(key, dim)
-        blocks = _count_blocks(monkeypatch, dim)
+        resolved = _RESOLVED.get((key, dim, kind), 0)
+        snaps = _record_snaps(monkeypatch)
         estimates = gl.exact_constant_grid(space, NAT, GRID, dim, kind)
-        assert _some_solve_spans_two_ts(blocks, len(GRID))
+        first, *resolves = snaps
+        assert set(first) == {min(GRID)} and sum(map(len, resolves)) == resolved
+        assert _some_solve_spans_two_ts(resolves) == (resolved > 0)
+        snaps.clear()
         assert _bits(e.value for e in estimates) == _bits(
             gl.exact_constant_polyhedral(space, NAT, t, dim, kind).value for t in GRID)
+        # a single search solves the same distinct cell LPs once, and no more
+        assert [len(ts) for ts in snaps] == [len(first)] * len(GRID)
         assert _bits(e.value for e in estimates) == _bits(
             reference_value(key, dim, t, kind) for t in GRID)
         _assert_valid_witnesses(space, GRID, estimates)
 
-    # 96 distinct cell LPs per t at dimension 3: a batch of 64 splits each t
-    # across two solves, and its second solve also holds the next t's first LPs
+    # 96 distinct cell LPs at dimension 3, all solved at t = 0.05 and 47 again
+    # at larger t: a batch of 64 splits the first 96 across two solves, and
+    # a batch of 7 or 64 holds the re-solves of two ts in one solve
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_batch_size_does_not_change_values(self, batch, monkeypatch):
         space = gl.summing_space(3)
         expected = _bits(reference_value("summing", 3, t) for t in GRID)
         monkeypatch.setattr(constants_module, "_LP_BATCH", batch)
         blocks = _count_blocks(monkeypatch, 3)
+        snaps = _record_snaps(monkeypatch)
         estimates = gl.exact_constant_grid(space, NAT, GRID, 3)
-        assert max(blocks) == batch and sum(blocks) == 96 * len(GRID)
+        assert max(blocks) == batch and sum(blocks) == 96 + 47
+        assert len(snaps[0]) == 96 and _some_solve_spans_two_ts(snaps[1:]) == (batch > 1)
         assert _bits(e.value for e in estimates) == expected
         _assert_valid_witnesses(space, GRID, estimates)
 
@@ -525,6 +551,41 @@ class TestExactGrid:
         with pytest.raises(ValueError, match="2003840 linear programs, over the cap"):
             gl.exact_constant_grid(gl.summing_space(5), NAT, [0.5] * 404, 5)
 
+    def test_vertex_not_t_greedy_is_resolved(self, monkeypatch):
+        # of the 96 optimal vertices at t = 0.5, those not 1-greedy for their
+        # index set are solved again at t = 1, and only those
+        snaps, snap = [], constants_module._snap_vertices
+
+        def recording(X, in_A, t):
+            snaps.append((snap(X, in_A, t)[0], in_A, t))
+            return snap(X, in_A, t)
+
+        monkeypatch.setattr(constants_module, "_snap_vertices", recording)
+        space = gl.summing_space(3)
+        estimates = gl.exact_constant_grid(space, NAT, (0.5, 1.0), 3)
+        (Y0, in_A, t0), *resolves = snaps
+        index_sets = [(np.flatnonzero(mask) + 1).tolist() for mask in in_A]
+        not_greedy = [not gl.is_t_greedy(CV.from_dense(y), A, 1.0)
+                      for y, A in zip(Y0, index_sets, strict=True)]
+        assert t0 == 0.5 and len(Y0) == 96
+        assert 0 < sum(not_greedy) == sum(len(Y) for Y, _, _ in resolves) < 96
+        assert all(set(np.atleast_1d(t)) == {1.0} for _, _, t in resolves)
+        assert _bits(e.value for e in estimates) == _bits(
+            reference_value("summing", 3, t) for t in (0.5, 1.0))
+        _assert_valid_witnesses(space, (0.5, 1.0), estimates)
+
+    def test_repeated_t_is_solved_once(self, monkeypatch):
+        blocks = _count_blocks(monkeypatch, 3)
+        estimates = gl.exact_constant_grid(gl.summing_space(3), NAT, (0.6, 0.6), 3)
+        assert sum(blocks) == 96
+        blocks.clear()
+        estimates = gl.exact_constant_grid(gl.summing_space(3), NAT, (1.0, 0.5, 1.0, 0.5), 3)
+        assert sum(blocks) == 96 + 13
+        assert [e.t for e in estimates] == [1.0, 0.5, 1.0, 0.5]
+        assert [e.to_report() for e in estimates[2:]] == [e.to_report() for e in estimates[:2]]
+        assert _bits(e.value for e in estimates[:2]) == _bits(
+            reference_value("summing", 3, t) for t in (1.0, 0.5))
+
     @pytest.mark.parametrize("key,dim,solved,total", [
         ("summing", 5, 2560, 4128), ("lp:1", 3, 104, 448), ("lp:1", 4, 640, 3840),
         ("sup", 3, 96, 96)])
@@ -535,6 +596,33 @@ class TestExactGrid:
         gl.exact_constant_polyhedral(space, NAT, 0.6, dim)
         assert sum(blocks) == solved
         assert _cell_lp_count(space, dim) == total
+
+
+# the weakness grid of step 0.05
+_UNIT_GRID = tuple(round(0.05 * k, 10) for k in range(1, 21))
+
+
+@functools.lru_cache(maxsize=None)
+def _single_search_bits(key, dim, t, kind):
+    return float(gl.exact_constant_polyhedral(gl.space_from_key(key, dim), NAT, t, dim,
+                                              kind).value).hex()
+
+
+@given(key=st.sampled_from(["summing", "lp:1", "sup"]), dim=st.integers(2, 3),
+       kind=st.sampled_from(KINDS),
+       ts=st.lists(st.sampled_from(_UNIT_GRID), min_size=1, max_size=6),
+       order=st.sampled_from([list, sorted, functools.partial(sorted, reverse=True)]))
+@settings(max_examples=120, deadline=None)
+@example(key="summing", dim=3, kind="C_q_t", ts=[0.05, 1.0, 0.05], order=list)
+def test_grid_reuse_matches_single_searches(key, dim, kind, ts, order):
+    """A grid in any order, with repeats, has the bits of one search per t:
+    reusing a t0 vertex wherever it is t-greedy changes no value."""
+    ts = order(ts)
+    space = gl.space_from_key(key, dim)
+    estimates = gl.exact_constant_grid(space, NAT, ts, dim, kind)
+    assert _bits(e.value for e in estimates) == [_single_search_bits(key, dim, t, kind)
+                                                 for t in ts]
+    _assert_valid_witnesses(space, ts, estimates)
 
 
 # entries that reach every branch of the snap: exact zeros of both signs, fuzz
@@ -567,7 +655,7 @@ def test_array_snap_equals_scalar_snap(batch):
     in_A = np.array([[i in A for i in range(1, dim + 1)] for _, A, _ in rows])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0 * inf or 0 / 0 on any row
-        Y = _snap_vertices(X, in_A, np.array([t for _, _, t in rows]))
+        Y = _snap_vertices(X, in_A, np.array([t for _, _, t in rows]))[0]
     for (vertex, A, t), y in zip(rows, Y, strict=True):
         scalar = _certified_witness(CV.from_dense(vertex), frozenset(A), t)
         snapped = CV.from_dense(y)
@@ -581,6 +669,20 @@ class TestTransferTableInput:
         with pytest.raises(ValueError, match="step"):
             transfer_table("summing", (2,), step)
 
+    @pytest.mark.parametrize("step,points", [
+        (0.6, [0.6]), (0.55, [0.55]), (0.35, [0.35, 0.7]),
+        (0.15, [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]),
+        (0.5, [0.5, 1.0]), (0.45, [0.45, 0.9]), (0.25, [0.25, 0.5, 0.75, 1.0]),
+        (0.1, [round(0.1 * k, 10) for k in range(1, 11)]), (0.05, list(_UNIT_GRID)),
+        (1 / 3, [0.3333333333, 0.6666666667, 1.0])])
+    def test_weakness_grid_ends_at_or_below_one(self, step, points):
+        assert list(experiments._WeaknessGrid(step)) == points
+
+    @pytest.mark.parametrize("step,pairs", [(0.6, []), (0.35, [[0.7, 0.35]])])
+    def test_step_not_dividing_one(self, step, pairs):
+        rep = transfer_table("summing", (2,), step)
+        assert [row[1:3] for row in rep["rows"]] == pairs and rep["violations"] == 0
+
     def test_fine_grid_refused_before_any_solve(self, monkeypatch):
         # 10^7 grid points: 24 cell LPs each at dimension 2
         monkeypatch.setattr(constants_module, "linprog", None)
@@ -590,9 +692,10 @@ class TestTransferTableInput:
     def test_one_search_per_dimension(self, monkeypatch):
         blocks = _count_blocks(monkeypatch, 3)
         rep = transfer_table("summing", (3,), 0.25)
-        # one search: its 4 * 96 cell LPs fill the fewest solves
-        assert sum(blocks) == 4 * 96
-        assert len(blocks) == math.ceil(4 * 96 / constants_module._LP_BATCH) < 4
+        # one search: its 96 cell LPs at t = 0.25, then the 34 of them whose
+        # vertex is not t-greedy at a larger t, each phase in the fewest solves
+        assert sum(blocks) == 96 + 34
+        assert len(blocks) == 1 + math.ceil(34 / constants_module._LP_BATCH) < 4
         assert rep["json"]["pairs"] == 6
 
 
