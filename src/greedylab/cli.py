@@ -62,24 +62,29 @@ def _coerce(default, raw: str):
 
 
 def load_config(path: Path) -> tuple[str, int, dict]:
-    """Read the experiment name, seed, and parameter overrides."""
+    """Read the experiment name, seed, and parameter overrides; a file that
+    configparser cannot read (no section header, a duplicate option, a key
+    with no value, a bad interpolation) is a usage error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    if not parser.has_section("experiment"):
-        raise UsageError("config needs an [experiment] section with a name")
-    name = parser.get("experiment", "name", fallback=None)
-    if name not in EXPERIMENTS:
-        raise UsageError(f"unknown experiment name: {name!r}; "
-                         f"choose one of {', '.join(EXPERIMENTS)}")
-    seed = parser.getint("experiment", "seed", fallback=0)
-    params = dict(EXPERIMENTS[name][0])
-    if parser.has_section(name):
-        for key, raw in parser.items(name):
-            if key not in params:
-                raise UsageError(f"unknown parameter {key!r} for experiment {name}")
-            params[key] = _coerce(params[key], raw)
+    try:
+        read = parser.read(path)
+        if not read:
+            raise UsageError(f"config file not found: {path}")
+        if not parser.has_section("experiment"):
+            raise UsageError("config needs an [experiment] section with a name")
+        name = parser.get("experiment", "name", fallback=None)
+        if name not in EXPERIMENTS:
+            raise UsageError(f"unknown experiment name: {name!r}; "
+                             f"choose one of {', '.join(EXPERIMENTS)}")
+        seed = parser.getint("experiment", "seed", fallback=0)
+        params = dict(EXPERIMENTS[name][0])
+        if parser.has_section(name):
+            for key, raw in parser.items(name):
+                if key not in params:
+                    raise UsageError(f"unknown parameter {key!r} for experiment {name}")
+                params[key] = _coerce(params[key], raw)
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config: {' '.join(str(exc).split())}") from None
     return name, seed, params
 
 

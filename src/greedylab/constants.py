@@ -154,22 +154,21 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
                 padded = _pad_to_cardinality(x, m, dim)
                 candidates = [padded] if padded is not None else []
             for A in candidates:
-                if m <= nnz:
-                    # A lies in x's support, so gathering keeps either part canonical
-                    if kind == "C_q_t":
-                        idx = A
-                    else:
-                        in_A = set(A)
-                        idx = tuple([i for i in supp if i not in in_A])
-                    vals = tuple([value_at[i] for i in idx])
-                    part_norm = norms.get(vals)  # never filled unless spreading
-                    if part_norm is None:
-                        part_norm = space.norm(CoeffVector._canonical(idx, vals))
-                        if spreading:
-                            norms[vals] = part_norm
-                    r = part_norm / norm_x
+                # gathering from x's support keeps either part canonical; a
+                # padded A (m > nnz) holds the whole support, so its C_q_t
+                # part is x itself
+                if kind == "C_q_t":
+                    idx = A if m <= nnz else supp
                 else:
-                    r = _ratio(space, x, A, kind, norm_x)
+                    in_A = set(A)
+                    idx = tuple([i for i in supp if i not in in_A])
+                vals = tuple([value_at[i] for i in idx])
+                part_norm = norms.get(vals)  # never filled unless spreading
+                if part_norm is None:
+                    part_norm = space.norm(CoeffVector._canonical(idx, vals))
+                    if spreading:
+                        norms[vals] = part_norm
+                r = part_norm / norm_x
                 if r > best:
                     best, best_x, best_A, best_key = r, x, A, None
                 elif r == best and best_x is not None:
@@ -202,15 +201,15 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
 
 # cell LPs per block-diagonal solve; HiGHS time and memory grow with the size
 # of the block program, so many small solves beat one large one.  A grid's LPs
-# at its smallest t fill the first solves, and its re-solves at the other ts
-# the rest, each solve across t boundaries
+# at its smallest t fill the first solves, and its one list of re-solves at
+# the other ts the rest, across t boundaries
 _LP_BATCH = 200
 # cell LPs one search may need, summed over its weakness grid; a larger search
 # is refused before any solve
 _LP_CAP = 2_000_000
-# a vertex whose screened ratio is more than this (relative) below the best so
-# far cannot beat it: max |F . y| in numpy and the space's own norm differ
-# only by rounding, a few units in the last place
+# a vertex whose screened ratio is more than this (relative) below the largest
+# screened ratio of its vertex table cannot win: max |F . y| in numpy and the
+# space's own norm differ only by rounding, a few units in the last place
 _SCREEN_TOL = 1e-9
 
 
@@ -333,12 +332,15 @@ def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[f
     is t-greedy is an optimum at t, under the same dual bound.  So every
     distinct cell LP is solved at t0, and at each other distinct t only
     where its snapped t0 vertex has t * hi > lo (``_snap_vertices``); a
-    vertex with t * hi <= lo snaps at t as at t0.  The LPs solved stream, in
-    order, into block-diagonal programs of ``_LP_BATCH`` LPs, one HiGHS
+    vertex with t * hi <= lo snaps at t as at t0.  Those re-solves of every
+    other t form one list, solved and snapped once.  The LPs solved stream,
+    in order, into block-diagonal programs of ``_LP_BATCH`` LPs, one HiGHS
     solve each; a solve that does not reach optimality raises RuntimeError.
-    The vertices are screened in numpy in search order per t; only a vertex
-    that may beat its t's best so far is built as a vector and normed by the
-    space, and the first vertex with the largest ratio wins.
+    Each distinct t takes the t0 vertex table with its re-solved rows in
+    place and screens the whole table in numpy; only a vertex within
+    ``_SCREEN_TOL`` of the table's largest screened ratio is built as a
+    vector and normed by the space, and the first vertex with the largest
+    ratio wins.
     """
     if space.dual_functionals is None:
         raise ValueError(f"space {space.name!r} has no dual-functional oracle")
@@ -359,49 +361,40 @@ def exact_constant_grid(space: SpaceDescriptor, gap: GapSequence, ts: Sequence[f
     lps = [(A, in_A, cell, c) for A, in_A, cell, objectives in _cell_lps(F, sizes, dim, kind)
            for c in objectives]
     masks = np.array([in_A for _, in_A, _, _ in lps], dtype=bool).reshape(len(lps), dim)
-    best = {t: (0.0, None, None) for t in ts}  # t -> (ratio, x, A)
 
-    def solved(pairs: Iterable[tuple[float, int]]) -> Iterator[tuple[np.ndarray, ...]]:
-        """(t, LP index and raw vertex) per row of each solve of the (t, LP) pairs."""
-        pairs = iter(pairs)
-        while batch := list(itertools.islice(pairs, _LP_BATCH)):
-            cells = [(rows, cols, np.where(scaled, t * vals, vals), b_ub)
-                     for t, i in batch for rows, cols, vals, scaled, b_ub in [lps[i][2]]]
-            X = _solve_block_diagonal(cells, [lps[i][3] for _, i in batch], dim, space.alpha2)
-            yield *map(np.array, zip(*batch)), X
+    def solve(pairs: list[tuple[float, int]]) -> np.ndarray:
+        """Raw vertices of the (t, LP index) pairs, solved in order in
+        block-diagonal programs of ``_LP_BATCH`` LPs, one HiGHS solve each."""
+        X = [_solve_block_diagonal(
+                [(rows, cols, np.where(scaled, t * vals, vals), b_ub)
+                 for t, i in batch for rows, cols, vals, scaled, b_ub in [lps[i][2]]],
+                [lps[i][3] for _, i in batch], dim, space.alpha2)
+             for batch in (pairs[k:k + _LP_BATCH] for k in range(0, len(pairs), _LP_BATCH))]
+        return np.concatenate(X or [np.empty((0, dim))])
 
-    def pick(t: float, Y: np.ndarray, idx: np.ndarray) -> None:
-        """Screen the snapped vertices Y of the LPs idx at t, in search order."""
-        screened = _screened_ratios(Y, masks[idx], F, kind)
-        running = np.maximum.accumulate(np.maximum(screened, best[t][0]))
-        for i in np.flatnonzero(screened >= running * (1.0 - _SCREEN_TOL)):
+    def pick(t: float) -> tuple:
+        """(ratio, x, A) of the first vertex with the largest ratio at t, in the
+        snapped t0 vertex table with t's re-solved rows in place."""
+        Y = Y0.copy()
+        Y[i_redo[t_redo == t]] = Y_redo[t_redo == t]
+        screened = _screened_ratios(Y, masks, F, kind)
+        best = (0.0, None, None)
+        for i in np.flatnonzero(screened >= screened.max(initial=0.0) * (1.0 - _SCREEN_TOL)):
             x = CoeffVector.from_dense(Y[i])
             nx = space.norm(x)
             if nx <= 0.0:
                 continue
-            A = lps[idx[i]][0]
-            ratio = _ratio(space, x, A, kind, nx)
-            if ratio > best[t][0]:
-                best[t] = (ratio, x, A)
+            ratio = _ratio(space, x, lps[i][0], kind, nx)
+            if ratio > best[0]:
+                best = (ratio, x, lps[i][0])
+        return best
 
     t0, n = min(ts), len(lps)
-    X0 = [X for _, _, X in solved((t0, i) for i in range(n))]
-    Y0, lo, hi = _snap_vertices(np.concatenate(X0 or [np.empty((0, dim))]), masks, t0)
-    pick(t0, Y0, np.arange(n))
-
-    done = {t: 0 for t in best if t != t0}  # t -> its LPs picked so far
-    for t_rows, idx, X in solved((t, i) for t in done for i in np.flatnonzero(t * hi > lo)):
-        Y = _snap_vertices(X, masks[idx], t_rows)[0]
-        for t in dict.fromkeys(t_rows.tolist()):
-            # the t0 vertices up to the batch's last LP of t, with its solved ones
-            rows = np.flatnonzero(t_rows == t)
-            seg = np.arange(done[t], idx[rows[-1]] + 1)
-            Yt = Y0[seg]
-            Yt[idx[rows] - done[t]] = Y[rows]
-            pick(t, Yt, seg)
-            done[t] = seg[-1] + 1
-    for t in done:
-        pick(t, Y0[done[t]:], np.arange(done[t], n))
+    Y0, lo, hi = _snap_vertices(solve([(t0, i) for i in range(n)]), masks, t0)
+    redo = [(t, i) for t in dict.fromkeys(ts) if t != t0 for i in np.flatnonzero(t * hi > lo)]
+    t_redo, i_redo = np.array([t for t, _ in redo]), np.array([i for _, i in redo], dtype=int)
+    Y_redo = _snap_vertices(solve(redo), masks[i_redo], t_redo)[0] if redo else Y0[:0]
+    best = {t: pick(t) for t in dict.fromkeys(ts)}  # t -> (ratio, x, A)
 
     return [ConstantEstimate(kind=kind, value=float(b), witness_x=x, witness_A=A,
                              exact=True, t=t, upper_bound=float(b),

@@ -110,6 +110,21 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(tmp_path / "missing.ini"),
                          "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "name = divergence\n",  # no section header
+        "[experiment]\nname = divergence\nname = divergence\n",  # duplicate option
+        "[experiment]\nname = divergence\n[divergence]\ndepth\n",  # key with no value
+        "[experiment]\nname = %(x)s\n",  # bad interpolation
+    ])
+    def test_malformed_config_is_a_usage_error(self, text, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
     def test_violations_map_to_exit_two(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.ini", "divergence", depth=2)
         monkeypatch.setattr(cli, "divergence_rows",

@@ -446,8 +446,8 @@ def _count_blocks(monkeypatch, dim):
 
 def _record_snaps(monkeypatch):
     """Record the weakness parameter of each vertex of every snap: the first
-    snap holds every distinct cell LP of a search at min(ts), and each later
-    one the cell LPs of one re-solve."""
+    snap holds every distinct cell LP of a search at min(ts), and the second,
+    if any, every cell LP solved again at the other ts."""
     snaps, snap = [], constants_module._snap_vertices
 
     def recording(X, in_A, t):
@@ -459,7 +459,7 @@ def _record_snaps(monkeypatch):
 
 
 def _some_solve_spans_two_ts(resolves):
-    """True when one re-solve holds cell LPs of two weakness parameters."""
+    """True when one snap of re-solves holds cell LPs of two weakness parameters."""
     return any(len(set(ts)) > 1 for ts in resolves)
 
 
@@ -515,7 +515,8 @@ class TestExactGrid:
 
     # 96 distinct cell LPs at dimension 3, all solved at t = 0.05 and 47 again
     # at larger t: a batch of 64 splits the first 96 across two solves, and
-    # a batch of 7 or 64 holds the re-solves of two ts in one solve
+    # the 47 re-solves stream across t boundaries, so they fill ceil(47 / batch)
+    # solves (solved per t, a batch of 7 would take more)
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_batch_size_does_not_change_values(self, batch, monkeypatch):
         space = gl.summing_space(3)
@@ -525,7 +526,8 @@ class TestExactGrid:
         snaps = _record_snaps(monkeypatch)
         estimates = gl.exact_constant_grid(space, NAT, GRID, 3)
         assert max(blocks) == batch and sum(blocks) == 96 + 47
-        assert len(snaps[0]) == 96 and _some_solve_spans_two_ts(snaps[1:]) == (batch > 1)
+        assert len(blocks) == math.ceil(96 / batch) + math.ceil(47 / batch)
+        assert len(snaps[0]) == 96
         assert _bits(e.value for e in estimates) == expected
         _assert_valid_witnesses(space, GRID, estimates)
 
@@ -585,6 +587,26 @@ class TestExactGrid:
         assert [e.to_report() for e in estimates[2:]] == [e.to_report() for e in estimates[:2]]
         assert _bits(e.value for e in estimates[:2]) == _bits(
             reference_value("summing", 3, t) for t in (1.0, 0.5))
+
+    def test_screen_builds_few_witness_vectors(self, monkeypatch):
+        # only a vertex screened within _SCREEN_TOL of its table's largest
+        # screened ratio becomes a vector: 47 over the 2 x 20 constants
+        built = []
+
+        def from_dense(values):
+            built.append(values)
+            return CV.from_dense(values)
+
+        monkeypatch.setattr(constants_module, "CoeffVector", SimpleNamespace(from_dense=from_dense))
+        transfer_table("summing", (2, 3), 0.05)
+        assert len(built) == 47
+
+    def test_grid_without_cell_lp(self, monkeypatch):
+        # in dimension 1 the only index set is {1}, so no C_sq_t objective is nonzero
+        monkeypatch.setattr(constants_module, "linprog", None)
+        estimates = gl.exact_constant_grid(gl.summing_space(1), NAT, (1.0, 0.5), 1, "C_sq_t")
+        assert [(e.t, e.value, e.witness_x, e.witness_A) for e in estimates] == [
+            (1.0, 0.0, None, None), (0.5, 0.0, None, None)]
 
     @pytest.mark.parametrize("key,dim,solved,total", [
         ("summing", 5, 2560, 4128), ("lp:1", 3, 104, 448), ("lp:1", 4, 640, 3840),
