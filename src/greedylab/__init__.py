@@ -23,9 +23,9 @@ from .estimates import BoundCheck, ConstantEstimate
 from .greedy import (EnumerationResult, GreedySelection, StaleSelectionError,
                      enumerate_t_greedy_sets, greedy_sum, is_t_greedy,
                      one_greedy_set)
-from .perturb import (PerturbationError, crude_bound_suite, equivalence_audit,
-                      lemma_perturbation_suite, padding_set_construction,
-                      padding_suite, perturb_to_finite_support,
-                      projection_crude_bound, trial_draws)
+from .perturb import (PerturbationError, audit_draws, crude_bound_suite,
+                      equivalence_audit, lemma_perturbation_suite,
+                      padding_set_construction, padding_suite,
+                      perturb_to_finite_support, projection_crude_bound, trial_draws)
 
 __version__ = "0.1.0"

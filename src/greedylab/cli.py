@@ -52,13 +52,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _coerce(default, raw: str):
-    if isinstance(default, bool):
-        try:
+def _coerce(default, raw: str, where: str):
+    """raw as the type of default; a bad value names where, "[section] key"."""
+    try:
+        if isinstance(default, bool):
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        except KeyError:
-            raise UsageError(f"expected a boolean, got {raw!r}") from None
-    return type(default)(raw)  # int, float or str
+        return type(default)(raw)
+    except (KeyError, ValueError):
+        kind = {bool: "a boolean", int: "an integer", float: "a number"}[type(default)]
+        raise UsageError(f"{where}: expected {kind}, got {raw!r}") from None
 
 
 def load_config(path: Path) -> tuple[str, int, dict]:
@@ -76,13 +78,14 @@ def load_config(path: Path) -> tuple[str, int, dict]:
         if name not in EXPERIMENTS:
             raise UsageError(f"unknown experiment name: {name!r}; "
                              f"choose one of {', '.join(EXPERIMENTS)}")
-        seed = parser.getint("experiment", "seed", fallback=0)
+        seed = _coerce(0, parser.get("experiment", "seed", fallback="0"),
+                       "[experiment] seed")
         params = dict(EXPERIMENTS[name][0])
         if parser.has_section(name):
             for key, raw in parser.items(name):
                 if key not in params:
                     raise UsageError(f"unknown parameter {key!r} for experiment {name}")
-                params[key] = _coerce(params[key], raw)
+                params[key] = _coerce(params[key], raw, f"[{name}] {key}")
     except configparser.Error as exc:
         raise UsageError(f"malformed config: {' '.join(str(exc).split())}") from None
     return name, seed, params

@@ -495,14 +495,16 @@ def weighted_lp_space(p: float, weights: Sequence[float], dim: int = 64) -> Spac
     )
 
 
-def _parse_exponent(text: str) -> float:
-    """Exponent literal, accepting fractions like "2/3"."""
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if float(den) == 0.0:
-            raise ValueError(f"exponent {text!r} divides by zero")
-        return float(num) / float(den)
-    return float(text)
+def _parse_exponent(text: str, key: str) -> float:
+    """The exponent literal of a space key, accepting fractions like "2/3"."""
+    num, slash, den = text.partition("/")
+    try:
+        p, q = float(num), float(den) if slash else 1.0
+    except ValueError:
+        raise ValueError(f"space {key!r}: exponent {text!r} is not a number") from None
+    if q == 0.0:
+        raise ValueError(f"space {key!r}: exponent {text!r} divides by zero")
+    return p / q
 
 
 def space_from_key(key: str, dim: int = 64) -> SpaceDescriptor:
@@ -512,12 +514,12 @@ def space_from_key(key: str, dim: int = 64) -> SpaceDescriptor:
     if key == "sup":
         return sup_space()
     if key.startswith("lp:"):
-        return lp_space(_parse_exponent(key.split(":", 1)[1]))
+        return lp_space(_parse_exponent(key.split(":", 1)[1], key))
     if key.startswith("weighted-lp:"):
         parts = key.split(":", 2)
         if len(parts) != 3:
             raise ValueError(f"malformed weighted-lp key: {key!r}")
-        p = _parse_exponent(parts[1])
+        p = _parse_exponent(parts[1], key)
         with open(parts[2], "r", encoding="utf-8") as fh:
             weights = json.load(fh)
         return weighted_lp_space(p, weights, dim)

@@ -22,7 +22,7 @@ from .constants import (_partition_checks, _partition_evaluation,
 # and constants.bounded_gap_projection_bound look the names up in this module
 from .constants import bounded_gap_projection_bound, exact_constant_polyhedral  # noqa: F401
 from .greedy import random_greedy_set
-from .perturb import (crude_bound_suite, equivalence_audit,
+from .perturb import (audit_draws, crude_bound_suite, equivalence_audit,
                       lemma_perturbation_suite, padding_suite, trial_draws)
 
 __all__ = [
@@ -247,11 +247,12 @@ def perturb_audit(trials: int, seed: int, dim: int = 16) -> dict:
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     spaces = {key: space_from_key(key, dim) for key in ("lp:1/2", "lp:2/3")}
-    # the audits draw their own samples; run first, their pools and the draw
+    # one pool table for both audits, run first: the pools and the trial
     # table are never held at the same time
-    audits = {key: equivalence_audit(space, GapSequence.naturals(), 1.0, dim,
-                                     max(8, trials // 8), seed=seed)
+    pools = audit_draws(dim, max(8, trials // 8), seed)
+    audits = {key: equivalence_audit(space, GapSequence.naturals(), 1.0, pools)
               for key, space in spaces.items()}
+    del pools
     draws = trial_draws(trials, seed, dim)  # both spaces, all three suites
     header = ["space", "lemma", "trials", "failures", "worst_margin"]
     rows = []

@@ -9,6 +9,7 @@ degrades to the Banach statements when alpha = 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "padding_suite",
     "crude_bound_suite",
     "trial_draws",
+    "audit_draws",
 ]
 
 
@@ -224,6 +226,9 @@ def _x_norms(space: SpaceDescriptor, draws: TrialDraws) -> list[float]:
     return norms
 
 
+_WEAKNESS = (1.0, 0.9, 0.7, 0.5, 0.3)  # a trial's t, drawn uniformly
+
+
 def trial_draws(trials: int, seed: int, dim: int) -> TrialDraws:
     """The random inputs of every suite trial, drawn once per trial.
 
@@ -239,9 +244,9 @@ def trial_draws(trials: int, seed: int, dim: int) -> TrialDraws:
         x = next(iter(random_vectors(dim, 1, rng, style_offset=idx)))
         after_x = rng.bit_generator.state
         size = int(rng.integers(1, 9))
-        crude_A = rng.choice(np.arange(1, dim + 1), size=min(size, dim), replace=False)
+        crude_A = rng.choice(dim, size=min(size, dim), replace=False) + 1
         rng.bit_generator.state = after_x
-        t = float(rng.choice((1.0, 0.9, 0.7, 0.5, 0.3)))
+        t = _WEAKNESS[int(rng.integers(5))]
         m = int(rng.integers(1, len(x) + 1))
         policy = "lowest" if rng.integers(2) == 0 else "highest"
         A = tuple(sorted(one_greedy_set(x, m, t, policy).indices))
@@ -329,18 +334,41 @@ def crude_bound_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
     return _suite_report("crude projection bound", space, outcomes, draws.seed)
 
 
+class AuditDraws(NamedTuple):
+    """The equivalence audit's samples; only their norms depend on the space."""
+    dim: int
+    seed: int
+    finite: list[CoeffVector]  # supported in [1, dim]
+    deep: list[CoeffVector]  # with geometric tails out to 4*dim
+
+
+def audit_draws(dim: int, budget: int, seed: int) -> AuditDraws:
+    """The audit's pools from one ``default_rng(seed)``: e_1, the all-ones vector and
+    budget samples, then budget samples given tails; a budget below 1 draws none."""
+    if budget <= 0:
+        return AuditDraws(dim, seed, [], [])
+    rng = np.random.default_rng(seed)
+    finite = [CoeffVector.basis_vector(1), CoeffVector.from_dense([1.0] * dim)]
+    finite += random_vectors(dim, budget, rng)
+    deep = []
+    for x in random_vectors(dim, budget, rng):
+        level = float(rng.uniform(0.1, 1.0))
+        deep.append(x + CoeffVector(range(dim + 1, 4 * dim + 1),
+                                    [0.5 ** k * level for k in range(1, 3 * dim + 1)]))
+    return AuditDraws(dim, seed, finite, deep)
+
+
 def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
-                      dim: int, budget: int, seed: int = 0) -> dict:
+                      draws: AuditDraws) -> dict:
     """Compare the best projection ratio over vectors supported in [1, dim]
     against samples with geometric tails out to 4*dim (the desk-scale stand-in
     for unrestricted support), and check the alpha^2 amplification bound.
     """
     _check_t(t)
-    if budget <= 0:
+    if not draws.deep:
         return {"lemma": "finite-support amplification", "space": space.name,
-                "trials": 0, "seed": seed}
-    rng = np.random.default_rng(seed)
-    sizes = gap.admissible_sizes(dim)
+                "trials": 0, "seed": draws.seed}
+    sizes = gap.admissible_sizes(draws.dim)
 
     def best_ratio(samples) -> float:
         best = 0.0
@@ -348,27 +376,23 @@ def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
             nx = space.norm(x)
             if nx <= 0.0:
                 continue
-            # one sort per vector: its "lowest" greedy sets, for any t, are prefixes;
-            # the whole support projects to x itself, whose norm is nx
-            order = [i for _, i in _greedy_order(x)]
-            parts = [projection(x, order[:m]) for m in sizes if m <= len(x)]
-            best = max([best] + [(nx if p is x else space.norm(p)) / nx for p in parts])
+            # one walk over the greedy order: its first m indices, kept sorted, are the
+            # "lowest" greedy set of size m for any t; the whole support gives x, ratio 1
+            at, order, kept = dict(x.pairs()), _greedy_order(x), []
+            ratios = [best, 1.0] if len(x) in sizes else [best]
+            for m in sizes[:bisect_left(sizes, len(x))]:
+                for _, i in order[len(kept):m]:
+                    insort(kept, i)
+                part = CoeffVector._canonical(tuple(kept), tuple([at[i] for i in kept]))
+                ratios.append(space.norm(part) / nx)
+            best = max(ratios)
         return best
 
-    finite_pool = [CoeffVector.basis_vector(1), CoeffVector.from_dense([1.0] * dim)]
-    finite_pool += list(random_vectors(dim, budget, rng))
-    deep_pool = []
-    for x in random_vectors(dim, budget, rng):
-        level = float(rng.uniform(0.1, 1.0))
-        tail = CoeffVector(range(dim + 1, 4 * dim + 1),
-                           [0.5 ** k * level for k in range(1, 3 * dim + 1)])
-        deep_pool.append(x + tail)
-
-    ratio_finite = best_ratio(finite_pool)
-    ratio_all = best_ratio(deep_pool)
+    ratio_finite = best_ratio(draws.finite)
+    ratio_all = best_ratio(draws.deep)
     bound = space.alpha ** 2 * ratio_finite + 1e-6
     return {"lemma": "finite-support amplification", "space": space.name,
-            "trials": 2 * budget, "ratio_finite": float(ratio_finite),
+            "trials": 2 * len(draws.deep), "ratio_finite": float(ratio_finite),
             "ratio_all": float(ratio_all), "amplification": float(space.alpha ** 2),
             "satisfied": bool(ratio_all <= bound),
-            "tail_depth": 4 * dim, "seed": seed}
+            "tail_depth": 4 * draws.dim, "seed": draws.seed}

@@ -223,6 +223,12 @@ class TestRunCommand:
         ("suppression-one", {"budget": -1}, "budget must be nonnegative, got -1"),
         ("constants", {"dims": "0..2"}, "dim = 0 is below the gap sequence's first term 1"),
         ("suppression-one", {"dim": 1}, "dim = 1 is below the gap sequence's first term 2"),
+        ("divergence", {"seed": "abc"}, "[experiment] seed: expected an integer, got 'abc'"),
+        ("perturb-audit", {"trials": "x"},
+         "[perturb-audit] trials: expected an integer, got 'x'"),
+        ("divergence", {"t": "half"}, "[divergence] t: expected a number, got 'half'"),
+        ("constants", {"space": "lp:abc", "dims": "2..3"},
+         "space 'lp:abc': exponent 'abc' is not a number"),
     ])
     def test_bad_input_exits_one(self, name, params, message, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", name, **params)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import struct
 
 import numpy as np
@@ -556,6 +557,14 @@ class TestSpaceCatalogue:
     ])
     def test_bad_exponent_key(self, key, message):
         with pytest.raises(ValueError, match=message):
+            gl.space_from_key(key)
+
+    @pytest.mark.parametrize("key,text", [("lp:abc", "abc"), ("lp:1/x", "1/x"),
+                                          ("weighted-lp:x:w.json", "x")])
+    def test_exponent_that_is_not_a_number_names_the_key(self, key, text):
+        # the exponent is read before any weight file is opened
+        with pytest.raises(ValueError, match=re.escape(
+                f"space {key!r}: exponent {text!r} is not a number")):
             gl.space_from_key(key)
 
     def test_infinite_exponent_is_the_sup_norm(self):

@@ -155,7 +155,7 @@ class TestEstimator:
     @pytest.mark.parametrize("search", [
         lambda gap: gl.estimate_quasi_greedy_constant(gl.lp_space(2.0), gap, 1.0, 4, 10),
         lambda gap: gl.check_suppression_one_implies_qg(gl.lp_space(2.0), gap, 4, 10),
-        lambda gap: gl.equivalence_audit(gl.lp_space(2.0), gap, 1.0, 4, 10),
+        lambda gap: gl.equivalence_audit(gl.lp_space(2.0), gap, 1.0, gl.audit_draws(4, 10, 0)),
         lambda gap: gl.exact_constant_grid(gl.summing_space(4), gap, [1.0], 4, "C_q_t"),
     ], ids=["estimate", "suppression", "equivalence", "exact"])
     def test_empty_gap_window_names_dim_and_first_term(self, search):

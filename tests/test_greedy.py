@@ -426,7 +426,7 @@ def _t_checked_calls():
     the checked enumerations."""
     from greedylab import counterexample as cx
     from greedylab import experiments
-    from greedylab.perturb import equivalence_audit
+    from greedylab.perturb import audit_draws, equivalence_audit
 
     x = CV.from_dense([2.0, 1.0])
     nat = gl.GapSequence.naturals()
@@ -444,7 +444,8 @@ def _t_checked_calls():
             gl.summing_space(2), nat, [1.0, t], 2),
         "bounded_gap_projection_bound": lambda t: gl.bounded_gap_projection_bound(
             gl.summing_space(2), 1.0, 1.0, x, {1}, t, nat),
-        "equivalence_audit": lambda t: equivalence_audit(gl.summing_space(2), nat, t, 2, 1),
+        "equivalence_audit": lambda t: equivalence_audit(gl.summing_space(2), nat, t,
+                                                         audit_draws(2, 1, 0)),
         "enumerate_selection_classes": lambda t: cx.enumerate_selection_classes(ex, 1, t),
         "greedy_sum_norm": lambda t: cx.greedy_sum_norm(ex, 1, t),
         "phi_lower_bound": lambda t: cx.phi_lower_bound(1, t),

@@ -1,5 +1,6 @@
 """Quasi-Banach toolkit: crude bound, perturbation, padding, amplification."""
 
+import dataclasses
 import hashlib
 import re
 import struct
@@ -280,6 +281,43 @@ def _old_crude_trial(space, seed, idx, dim):
     return lhs <= rhs * (1.0 + 1e-9), rhs - lhs
 
 
+def _bits(value):
+    """value with every float spelled by its bits and every other scalar by its
+    type, through vectors and tuples (a TrialDraw too): equal means bit for bit."""
+    if isinstance(value, CV):
+        return value.support(), tuple([v.hex() for _, v in value.pairs()])
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple([_bits(v) for v in value])
+    return type(value).__name__, value
+
+
+def _index_array_trial_draws(trials, seed, dim):
+    """A copy of trial_draws as it drew crude_A from an index array and t by
+    rng.choice over the weakness tuple: the oracle of its rows."""
+    rows = []
+    for idx in range(trials):
+        rng = np.random.default_rng([seed, idx])
+        x = next(iter(random_vectors(dim, 1, rng, style_offset=idx)))
+        after_x = rng.bit_generator.state
+        size = int(rng.integers(1, 9))
+        crude_A = rng.choice(np.arange(1, dim + 1), size=min(size, dim), replace=False)
+        rng.bit_generator.state = after_x
+        t = float(rng.choice((1.0, 0.9, 0.7, 0.5, 0.3)))
+        m = int(rng.integers(1, len(x) + 1))
+        policy = "lowest" if rng.integers(2) == 0 else "highest"
+        A = tuple(sorted(gl.one_greedy_set(x, m, t, policy).indices))
+        after_pair = rng.bit_generator.state
+        eps_scale = float(rng.uniform(0.01, 1.0))
+        tail_len = int(rng.integers(0, 5))
+        rng.bit_generator.state = after_pair
+        segment = int(rng.integers(0, dim + 1))
+        rows.append(perturb.TrialDraw(x, A, t, eps_scale, tail_len, segment,
+                                      tuple(sorted(crude_A.tolist()))))
+    return rows
+
+
 class TestTrialDraws:
     """The shared draw table against a reference copy of the per-suite
     drawing, where every suite built its own generator per trial."""
@@ -299,6 +337,13 @@ class TestTrialDraws:
                     seed)
                 assert suite(space, draws) == old, (lemma, space.name)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 12, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 42, 1234])
+    def test_rows_equal_the_index_array_drawing(self, dim, seed):
+        rows = gl.trial_draws(60, seed, dim).trials
+        assert [_bits(row) for row in rows] == [
+            _bits(row) for row in _index_array_trial_draws(60, seed, dim)]
+
     def test_index_sets_are_sorted_tuples(self):
         for draw in gl.trial_draws(50, 3, 16).trials:
             assert draw.A == tuple(sorted(set(draw.A)))
@@ -306,7 +351,7 @@ class TestTrialDraws:
             assert gl.is_t_greedy(draw.x, draw.A, draw.t)
 
     def test_one_generator_per_trial(self, monkeypatch):
-        # one per trial for the table, one per space for the equivalence audit
+        # one per trial for the table, one for the pools both spaces' audits read
         made = []
         original = np.random.default_rng
 
@@ -316,7 +361,7 @@ class TestTrialDraws:
 
         monkeypatch.setattr(np.random, "default_rng", counting)
         perturb_audit(25, 42, dim=8)
-        assert len(made) == 25 + 2
+        assert len(made) == 25 + 1
 
 
 class TestNormReuse:
@@ -386,44 +431,67 @@ class TestEquivalenceAudit:
     def test_banach_entries(self):
         for key in ("lp:1", "lp:2", "sup"):
             space = gl.space_from_key(key, 8)
-            rep = gl.equivalence_audit(space, GapSequence.naturals(), 1.0, 8, 40,
-                                       seed=41)
+            rep = gl.equivalence_audit(space, GapSequence.naturals(), 1.0,
+                                       gl.audit_draws(8, 40, 41))
             assert rep["satisfied"]
             assert rep["ratio_all"] <= rep["ratio_finite"] + 1e-6
 
     def test_quasi_norm_amplification(self):
-        rep = gl.equivalence_audit(L_TWO_THIRDS, GapSequence.naturals(), 1.0, 8,
-                                   40, seed=43)
+        rep = gl.equivalence_audit(L_TWO_THIRDS, GapSequence.naturals(), 1.0,
+                                   gl.audit_draws(8, 40, 43))
         assert rep["amplification"] == pytest.approx(2.0, rel=1e-12)
         assert rep["satisfied"]
 
     def test_zero_budget_empty_report(self):
-        rep = gl.equivalence_audit(L_HALF, GapSequence.naturals(), 1.0, 8, 0)
+        rep = gl.equivalence_audit(L_HALF, GapSequence.naturals(), 1.0,
+                                   gl.audit_draws(8, 0, 0))
         assert rep["trials"] == 0 and "ratio_all" not in rep
 
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.1])
-    def test_prefix_sets_are_the_lowest_greedy_sets(self, monkeypatch, t):
-        # every set the audit projects on is one_greedy_set's "lowest" set of
-        # that size, and every admissible size of every sample is visited
-        seen = []
-
-        def recording_projection(x, A):
-            seen.append((x, list(A)))
-            return gl.projection(x, A)
-
-        monkeypatch.setattr(perturb, "projection", recording_projection)
-        gap = GapSequence.explicit([1, 2, 3, 5, 8, 13])
-        gl.equivalence_audit(L_HALF, gap, t, 16, 30, seed=7)
-        sizes_by_sample = {}
-        for x, A in seen:
-            assert frozenset(A) == gl.one_greedy_set(x, len(A), t, "lowest").indices
-            sizes_by_sample.setdefault(x, []).append(len(A))
-        assert len(sizes_by_sample) >= 40
-        for x, sizes in sizes_by_sample.items():
-            assert sizes == [m for m in (1, 2, 3, 5, 8, 13) if m <= len(x)]
+    def test_prefix_sets_are_the_lowest_greedy_sets(self, t):
+        # every part the audit norms after a sample x is x projected on
+        # one_greedy_set's "lowest" set of that size, bit for bit, and every
+        # admissible size of every sample is visited: each size below len(x)
+        # as a normed part, len(x) itself as x, whose norm was taken first
+        normed = []
+        space = dataclasses.replace(
+            L_HALF, norm=lambda v: normed.append(v) or L_HALF.norm(v))
+        draws = gl.audit_draws(16, 30, 7)
+        samples = draws.finite + draws.deep
+        gap_terms = (1, 2, 3, 5, 8, 13)
+        gl.equivalence_audit(space, GapSequence.explicit(gap_terms), t, draws)
+        sample_ids = {id(x) for x in samples}
+        parts_by_sample = []
+        for v in normed:
+            if id(v) in sample_ids:
+                parts_by_sample.append((v, []))
+            else:
+                parts_by_sample[-1][1].append(v)
+        assert [x for x, _ in parts_by_sample] == samples
+        assert len(parts_by_sample) >= 40
+        for x, parts in parts_by_sample:
+            for part in parts:
+                lowest = gl.one_greedy_set(x, len(part), t, "lowest").indices
+                assert _bits(part) == _bits(gl.projection(x, lowest))
+            sizes = [len(part) for part in parts] + [len(x)] * (len(x) in gap_terms)
+            assert sizes == [m for m in gap_terms if m <= len(x)]
 
 
 class TestGoldenReport:
+    def test_benchmark_size_reports_are_byte_identical(self, tmp_path):
+        # the quasi-banach workload's size, recorded before the audit pools were
+        # shared by both spaces and the greedy prefixes built in one walk
+        assert run_experiment_set("perturb-audit", {"trials": 1000, "dim": 16},
+                                  tmp_path, 42) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("perturb-audit.csv", "perturb-audit.json")}
+        assert digests == {
+            "perturb-audit.csv":
+                "b30137265573fa0fa97d3f7db485db78336ae149b3ff8b48b20b8227986892e9",
+            "perturb-audit.json":
+                "4308161865125567a84349b6c8af0ae0ee39690f8fb5930d2403f3b391d1f5d5",
+        }
+
     def test_perturb_audit_reports_are_byte_identical(self, tmp_path):
         # recorded with the whole-array numpy norms and the class-loop greedy
         # selection: any bit drift in the vector, norm or greedy kernels fails here
