@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import namedtuple
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -85,15 +86,6 @@ def structured_witnesses(dim: int) -> Iterator[CoeffVector]:
         yield CoeffVector.from_dense([(dim - i) / dim for i in range(dim)])
 
 
-def _pad_to_cardinality(x: CoeffVector, m: int, dim: int) -> Optional[tuple[int, ...]]:
-    """Support plus the smallest unused indices within [1, dim], sorted, if m fits."""
-    supp = set(x.support())
-    extra = [i for i in range(1, dim + 1) if i not in supp]
-    if len(supp) + len(extra) < m:
-        return None
-    return tuple(sorted([*supp, *extra[: m - len(supp)]]))
-
-
 # ---------------------------------------------------------------------------
 # Sampling estimator
 # ---------------------------------------------------------------------------
@@ -103,6 +95,13 @@ def _pad_to_cardinality(x: CoeffVector, m: int, dim: int) -> Optional[tuple[int,
 _ENUMERATION_CAP = 128
 
 
+def _check_budget(budget: int) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: float,
                                    dim: int, budget: int, kind: str = "C_q_t",
                                    seed: int = 0) -> ConstantEstimate:
@@ -110,88 +109,120 @@ def estimate_quasi_greedy_constant(space: SpaceDescriptor, gap: GapSequence, t: 
     over search samples x and all t-greedy sets A with |A| in the gap
     sequence, capped at dim.
 
-    Search order: structured sign-cancellation witnesses, then unit-ball
-    extreme points where an oracle exists, then random samples.  The value is
-    a lower bound unless a contractivity certificate pins it.
+    Search samples: structured sign-cancellation witnesses, random samples,
+    and unit-ball extreme points where an oracle exists.  The value is a
+    lower bound unless a contractivity certificate pins it.
+    """
+    return _estimates((space,), gap, t, dim, budget, kind, seed)[0]
+
+
+class _Incumbent:
+    """One space's search state: the largest ratio so far and, among equal
+    ratios, the smallest (x JSON, A) key, which does not depend on the order
+    in which samples are visited.  A spreading norm reads only the values in
+    index order, so ``norms`` maps each distinct part's values to its norm."""
+
+    __slots__ = ("space", "norms", "best", "x", "A", "key")
+
+    def __init__(self, space: SpaceDescriptor):
+        self.space, self.norms = space, {}
+        self.best, self.x, self.A, self.key = 0.0, None, None, None  # key built on a first tie
+
+    def estimate(self, kind: str, t: float) -> ConstantEstimate:
+        upper = 1.0 if self.space.contractive_projections else None
+        exact = bool(upper is not None and abs(self.best - upper) <= 1e-12)
+        note = "LOWER_BOUND"
+        if upper is not None:
+            note = ("attains the contractive-projection bound" if exact
+                    else "upper bound 1 from contractive projections; "
+                         "finite-dimensional maximum lies strictly below")
+        return ConstantEstimate(kind=kind, value=float(self.best), witness_x=self.x,
+                                witness_A=None if self.A is None else frozenset(self.A),
+                                exact=exact, t=t, upper_bound=upper, note=note,
+                                mode="sampled")
+
+
+def _estimates(spaces: Sequence[SpaceDescriptor], gap: GapSequence, t: float, dim: int,
+               budget: int, kind: str, seed: int) -> list[ConstantEstimate]:
+    """``estimate_quasi_greedy_constant`` for each space, from one search.
+
+    The structured witnesses and the random samples are drawn once, and each
+    sample's candidate sets and parts are built once for every space whose
+    norm of the sample is not 0; a space with an extreme-point oracle
+    searches its extreme points (dim <= 8) in a pass of its own.
     """
     _check_t(t)
     sizes = gap.admissible_sizes(dim)
     if kind not in KINDS:
         raise ValueError(f"kind must be C_q_t or C_sq_t, got {kind!r}")
+    _check_budget(budget)
 
-    rng = np.random.default_rng(seed)
-    pool: list[CoeffVector] = list(structured_witnesses(dim))
-    if space.extreme_points is not None and dim <= 8:
-        pool.extend(itertools.islice(
-            space.extreme_points(tuple(range(1, dim + 1))), 512))
-    pool.extend(random_vectors(dim, budget, rng))
+    incumbents = [_Incumbent(space) for space in spaces]
+    support = tuple(range(1, dim + 1))
+    passes = [([*structured_witnesses(dim),
+                *random_vectors(dim, budget, np.random.default_rng(seed))], incumbents)]
+    passes += [(list(itertools.islice(inc.space.extreme_points(support), 512)), [inc])
+               for inc in incumbents if inc.space.extreme_points is not None and dim <= 8]
+    for pool, searching in passes:
+        for x in pool:
+            live = [(inc, norm_x) for inc in searching for norm_x in [inc.space.norm(x)]
+                    if norm_x > 0.0]
+            if live:
+                _visit(x, live, sizes, t, dim, kind)
+    return [inc.estimate(kind, t) for inc in incumbents]
 
-    best = 0.0
-    best_x: Optional[CoeffVector] = None
-    best_A: Optional[tuple[int, ...]] = None  # sorted
-    best_key: Optional[tuple] = None  # incumbent's tie-break key, built on its first tie
-    # a spreading norm reads only the values in index order, so each distinct
-    # part is normed once: value tuple -> norm
-    spreading, norms = space.spreading, {}
 
-    for x in pool:
-        norm_x = space.norm(x)
-        if norm_x <= 0.0:
-            continue
-        nnz, supp = len(x), x.support()
-        classes = _modulus_classes(x)
-        value_at = dict(x.pairs())
-        x_json: Optional[str] = None  # x's tie-break encoding, built on its first tie
-        for m in sizes:
-            if m <= nnz:
-                candidates = list(_t_greedy_index_sets(classes, m, t, _ENUMERATION_CAP))
-                if len(candidates) > _ENUMERATION_CAP:
-                    candidates[_ENUMERATION_CAP:] = [
-                        tuple(sorted(one_greedy_set(x, m, t, policy).indices))
-                        for policy in ("lowest", "highest")]
-                    candidates = list(dict.fromkeys(candidates))
+def _visit(x: CoeffVector, live: Sequence[tuple[_Incumbent, float]], sizes: Sequence[int],
+           t: float, dim: int, kind: str) -> None:
+    """Score every t-greedy candidate set of x for each (incumbent, its norm of x)."""
+    nnz, supp = len(x), x.support()
+    classes = _modulus_classes(x)
+    value_at = dict(x.pairs())
+    unused = [i for i in range(1, dim + 1) if i not in value_at]  # pads A past the support
+    parts = []  # (A, indices, values) of each candidate's part
+    for m in sizes:
+        if m <= nnz:
+            candidates = list(_t_greedy_index_sets(classes, m, t, _ENUMERATION_CAP))
+            if len(candidates) > _ENUMERATION_CAP:
+                candidates[_ENUMERATION_CAP:] = [
+                    tuple(sorted(one_greedy_set(x, m, t, policy).indices))
+                    for policy in ("lowest", "highest")]
+                candidates = list(dict.fromkeys(candidates))
+        else:
+            candidates = ([tuple(sorted([*supp, *unused[:m - nnz]]))]
+                          if m - nnz <= len(unused) else [])
+        for A in candidates:
+            # gathering from x's support keeps either part canonical; a
+            # padded A (m > nnz) holds the whole support, so its C_q_t
+            # part is x itself
+            if kind == "C_q_t":
+                idx = A if m <= nnz else supp
             else:
-                padded = _pad_to_cardinality(x, m, dim)
-                candidates = [padded] if padded is not None else []
-            for A in candidates:
-                # gathering from x's support keeps either part canonical; a
-                # padded A (m > nnz) holds the whole support, so its C_q_t
-                # part is x itself
-                if kind == "C_q_t":
-                    idx = A if m <= nnz else supp
-                else:
-                    in_A = set(A)
-                    idx = tuple([i for i in supp if i not in in_A])
-                vals = tuple([value_at[i] for i in idx])
-                part_norm = norms.get(vals)  # never filled unless spreading
-                if part_norm is None:
-                    part_norm = space.norm(CoeffVector._canonical(idx, vals))
-                    if spreading:
-                        norms[vals] = part_norm
-                r = part_norm / norm_x
-                if r > best:
-                    best, best_x, best_A, best_key = r, x, A, None
-                elif r == best and best_x is not None:
-                    # deterministic reduction: lexicographically smallest witness
-                    if x_json is None:
-                        x_json = x.to_json()
-                    if best_key is None:
-                        best_key = (x_json if best_x is x else best_x.to_json(), best_A)
-                    key = (x_json, A)
-                    if key < best_key:
-                        best_x, best_A, best_key = x, A, key
-
-    upper = 1.0 if space.contractive_projections else None
-    exact = bool(upper is not None and abs(best - upper) <= 1e-12)
-    note = "LOWER_BOUND"
-    if upper is not None:
-        note = ("attains the contractive-projection bound" if exact
-                else "upper bound 1 from contractive projections; "
-                     "finite-dimensional maximum lies strictly below")
-    return ConstantEstimate(kind=kind, value=float(best), witness_x=best_x,
-                            witness_A=None if best_A is None else frozenset(best_A),
-                            exact=exact, t=t,
-                            upper_bound=upper, note=note, mode="sampled")
+                in_A = set(A)
+                idx = tuple([i for i in supp if i not in in_A])
+            parts.append((A, idx, tuple([value_at[i] for i in idx])))
+    x_json: Optional[str] = None  # x's tie-break encoding, built on its first tie
+    for inc, norm_x in live:
+        space, spreading, norms, best = inc.space, inc.space.spreading, inc.norms, inc.best
+        for A, idx, vals in parts:
+            part_norm = norms.get(vals)  # never filled unless spreading
+            if part_norm is None:
+                part_norm = space.norm(CoeffVector._canonical(idx, vals))
+                if spreading:
+                    norms[vals] = part_norm
+            r = part_norm / norm_x
+            if r > best:
+                best, inc.x, inc.A, inc.key = r, x, A, None
+            elif r == best and inc.x is not None:
+                # deterministic reduction: lexicographically smallest witness
+                if x_json is None:
+                    x_json = x.to_json()
+                if inc.key is None:
+                    inc.key = (x_json if inc.x is x else inc.x.to_json(), inc.A)
+                key = (x_json, A)
+                if key < inc.key:
+                    inc.x, inc.A, inc.key = x, A, key
+        inc.best = best
 
 
 # ---------------------------------------------------------------------------
@@ -432,58 +463,61 @@ def transfer_bound_t_from_s(C_qs: float, s: float, t: float) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def check_suppression_one_implies_qg(space: SpaceDescriptor, gap: GapSequence,
-                                     dim: int, budget: int, seed: int = 0) -> dict:
-    """Empirical check that suppression ratios stay below M + 1 with
-    M = n1 * alpha1 * alpha2, for greedy sets of every cardinality.
+def check_suppression_one_implies_qg(spaces: Sequence[SpaceDescriptor], gap: GapSequence,
+                                     dim: int, budget: int, seed: int = 0) -> list[dict]:
+    """Empirical check, one report per space, that suppression ratios stay
+    below M + 1 with M = n1 * alpha1 * alpha2, for greedy sets of every
+    cardinality.
 
     The conclusion only holds for spaces that are suppression-quasi-greedy
     with constant one at the gap cardinalities, so that pre-condition is
-    checked first; its failure is reported, not raised.
+    checked first; its failure is reported, not raised.  The precheck's
+    samples and the trials' samples, sizes and greedy sets are drawn once for
+    all spaces; a space whose norm is 0 on a sample skips that trial.
     """
+    _check_budget(budget)
     n1 = gap.first()
-    M = n1 * space.alpha1 * space.alpha2
-    bound = M + 1.0
+    prechecks = _estimates(spaces, gap, 1.0, dim, max(8, budget // 10), "C_sq_t", seed)
+    reports = []
+    for space, pre in zip(spaces, prechecks):
+        M = n1 * space.alpha1 * space.alpha2
+        pre_ok = pre.value <= 1.0 + 1e-9
+        report = {
+            "space": space.name,
+            "n1": int(n1),
+            "M": float(M),
+            "bound": float(M + 1.0),
+            "precheck_passed": bool(pre_ok),
+            "precheck_max_suppression_ratio": float(pre.value),
+            "theorem_applicable": bool(pre_ok),
+        }
+        if not pre_ok and pre.witness_x is not None:
+            report["precheck_witness"] = {"x": pre.witness_x.to_json_pairs(),
+                                          "A": sorted(pre.witness_A)}
+        reports.append(report)
+
+    worst, violations, trials = [0.0] * len(spaces), [0] * len(spaces), [0] * len(spaces)
     rng = np.random.default_rng(seed)
-
-    pre_budget = max(8, budget // 10)
-    pre = estimate_quasi_greedy_constant(space, gap, 1.0, dim, pre_budget,
-                                         kind="C_sq_t", seed=seed)
-    pre_ok = pre.value <= 1.0 + 1e-9
-    report = {
-        "space": space.name,
-        "n1": int(n1),
-        "M": float(M),
-        "bound": float(bound),
-        "precheck_passed": bool(pre_ok),
-        "precheck_max_suppression_ratio": float(pre.value),
-        "theorem_applicable": bool(pre_ok),
-    }
-    if not pre_ok and pre.witness_x is not None:
-        report["precheck_witness"] = {"x": pre.witness_x.to_json_pairs(),
-                                      "A": sorted(pre.witness_A)}
-
-    worst = 0.0
-    violations = 0
-    trials = 0
     for x in random_vectors(dim, budget, rng):
-        nx = space.norm(x)
-        if nx <= 0.0:
-            continue
         m = int(rng.integers(1, min(dim, len(x)) + 1))
-        sel = random_greedy_set(x, m, 1.0, rng)
-        ratio = space.norm(x.drop(sel.indices)) / nx
-        worst = max(worst, ratio)
-        if ratio > bound + 1e-9:
-            violations += 1
-        trials += 1
-    report.update({
-        "trials": trials,
-        "max_ratio": float(worst),
-        "margin": float(bound - worst),
-        "violations": int(violations),
-    })
-    return report
+        rest = x.drop(random_greedy_set(x, m, 1.0, rng).indices)
+        for k, (space, report) in enumerate(zip(spaces, reports)):
+            nx = space.norm(x)
+            if nx <= 0.0:
+                continue
+            ratio = space.norm(rest) / nx
+            worst[k] = max(worst[k], ratio)
+            if ratio > report["bound"] + 1e-9:
+                violations[k] += 1
+            trials[k] += 1
+    for report, w, v, n in zip(reports, worst, violations, trials):
+        report.update({
+            "trials": n,
+            "max_ratio": float(w),
+            "margin": float(report["bound"] - w),
+            "violations": int(v),
+        })
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from . import counterexample as cx
 from .coeffspace import (GapSequence, SpaceDescriptor, random_vectors,
                          space_from_key, summing_space)
-from .constants import (_partition_checks, _partition_evaluation,
+from .constants import (_check_budget, _partition_checks, _partition_evaluation,
                         check_suppression_one_implies_qg,
                         estimate_quasi_greedy_constant, exact_constant_grid,
                         transfer_bound_t_from_s)
@@ -38,11 +38,6 @@ __all__ = [
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-
-
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +146,10 @@ def transfer_table(space_key: str = "summing", dims: Sequence[int] = (2, 3),
 # ---------------------------------------------------------------------------
 
 
+# each trial's weakness parameter and gap bound l, drawn by index
+_WEAKNESS, _GAP_BOUNDS = (1.0, 0.8, 0.5), (2, 3, 4)
+
+
 def bounded_gap_trials(trials: int, seed: int,
                        dim_range: tuple[int, int] = (8, 64)) -> dict:
     """Randomized partition-bound trials in the summing space (prefix constant 1).
@@ -168,15 +167,15 @@ def bounded_gap_trials(trials: int, seed: int,
         raise ValueError("dim_lo and dim_hi must satisfy 1 <= dim_lo <= dim_hi, "
                          f"got dim_lo = {dim_lo}, dim_hi = {dim_hi}")
     rng = np.random.default_rng(seed)
-    gaps = {l: GapSequence.powers(l) for l in (2, 3, 4)}
+    gaps = {l: GapSequence.powers(l) for l in _GAP_BOUNDS}
     spaces: dict[int, SpaceDescriptor] = {}
     measured: dict[tuple[float, int], float] = {}
     evaluated = []  # (dim, t, evaluation): neither x nor A is kept
     for _ in range(trials):
         dim = int(rng.integers(dim_lo, dim_hi + 1))
         x = next(iter(random_vectors(dim, 1, rng)))
-        t = float(rng.choice(np.asarray((1.0, 0.8, 0.5))))
-        l = int(rng.choice(np.asarray(list(gaps))))
+        t = _WEAKNESS[int(rng.integers(3))]
+        l = _GAP_BOUNDS[int(rng.integers(3))]
         m = int(rng.integers(1, min(dim, len(x)) + 1))
         sel = random_greedy_set(x, m, t, rng)
         if dim not in spaces:
@@ -218,15 +217,17 @@ def suppression_rows(dim: int = 12, budget: int = 400, seed: int = 0) -> dict:
     _check_budget(budget)
     header = ["space", "n1", "M", "bound", "precheck_passed", "max_ratio",
               "margin", "violations", "trials"]
+    keys, n1s = ("lp:1", "lp:2", "sup"), (2, 3, 5)
+    spaces = [space_from_key(key, dim) for key in keys]
+    # one draw per n1 for all three spaces; gaps n1 * 2^j, 2-bounded
+    by_n1 = [check_suppression_one_implies_qg(spaces, GapSequence.powers(2, n1), dim,
+                                              budget, seed=seed + n1) for n1 in n1s]
     rows = []
     reports = []
     violations = 0
-    for key in ("lp:1", "lp:2", "sup"):
-        for n1 in (2, 3, 5):
-            gap = GapSequence.powers(2, n1)  # n1 * 2^j, 2-bounded gaps
-            space = space_from_key(key, dim)
-            rep = check_suppression_one_implies_qg(space, gap, dim, budget,
-                                                   seed=seed + n1)
+    for k, key in enumerate(keys):
+        for n1, reps in zip(n1s, by_n1):
+            rep = reps[k]
             reports.append(rep)
             if rep["theorem_applicable"]:
                 violations += rep["violations"]

@@ -24,10 +24,10 @@ from greedylab import CoeffVector as CV
 from greedylab import GapSequence
 from greedylab.coeffspace import random_vectors
 from greedylab.cli import run_experiment_set
-from greedylab.constants import (_ENUMERATION_CAP, _pad_to_cardinality, _partition_checks,
+from greedylab.constants import (_ENUMERATION_CAP, _estimates, _partition_checks,
                                  _partition_evaluation, _snap_vertices)
 from greedylab.estimates import KINDS, ConstantEstimate, _ratio
-from greedylab.greedy import _modulus_classes, _t_greedy_index_sets
+from greedylab.greedy import _modulus_classes, _t_greedy_index_sets, random_greedy_set
 from greedylab import experiments
 from greedylab.experiments import bounded_gap_trials, transfer_table
 
@@ -154,7 +154,7 @@ class TestEstimator:
 
     @pytest.mark.parametrize("search", [
         lambda gap: gl.estimate_quasi_greedy_constant(gl.lp_space(2.0), gap, 1.0, 4, 10),
-        lambda gap: gl.check_suppression_one_implies_qg(gl.lp_space(2.0), gap, 4, 10),
+        lambda gap: gl.check_suppression_one_implies_qg([gl.lp_space(2.0)], gap, 4, 10),
         lambda gap: gl.equivalence_audit(gl.lp_space(2.0), gap, 1.0, gl.audit_draws(4, 10, 0)),
         lambda gap: gl.exact_constant_grid(gl.summing_space(4), gap, [1.0], 4, "C_q_t"),
     ], ids=["estimate", "suppression", "equivalence", "exact"])
@@ -177,6 +177,15 @@ class TestEstimator:
         values = [gl.estimate_quasi_greedy_constant(space, NAT, t, 6, 60, seed=4).value
                   for t in (0.3, 0.6, 1.0)]
         assert values[0] >= values[1] >= values[2]
+
+
+def _pad_to_cardinality(x, m, dim):
+    """Support plus the smallest unused indices within [1, dim], sorted, if m fits."""
+    supp = set(x.support())
+    extra = [i for i in range(1, dim + 1) if i not in supp]
+    if len(supp) + len(extra) < m:
+        return None
+    return tuple(sorted([*supp, *extra[: m - len(supp)]]))
 
 
 def reference_estimate(space, gap, t, dim, budget, kind, seed):
@@ -329,6 +338,28 @@ class TestEstimatorMatchesPerCandidateSearch:
         assert gl.enumerate_t_greedy_sets(CV.from_dense(np.ones(10)), 4, 1.0,
                                           cap=_ENUMERATION_CAP).overflow
         _assert_matches_per_candidate(key, "naturals", kind, 1.0, 10, 16, 5)
+
+
+    @given(st.lists(st.sampled_from(sorted(ORACLE_SPACES)), min_size=1, max_size=4),
+           st.sampled_from(sorted(ORACLE_GAPS)), st.sampled_from(KINDS),
+           st.sampled_from([1.0, 0.8, 0.5, 0.3]), st.integers(1, 10), st.integers(0, 16),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    # sup's extreme points must stay out of lp:1's search, and the summing
+    # space's tie-break key out of lp:2's
+    @example(["sup", "lp:1"], "naturals", "C_q_t", 1.0, 4, 8, 0)
+    @example(["lp:2", "summing"], "naturals", "C_q_t", 1.0, 3, 8, 0)
+    def test_one_search_for_several_spaces(self, keys, gap_name, kind, t, dim, budget, seed):
+        # dims <= 8 mix spaces with and without extreme points
+        gap = ORACLE_GAPS[gap_name]
+        assume(dim >= gap.first())
+        spaces = [ORACLE_SPACES[key](dim) for key in keys]
+        ests = _estimates(spaces, gap, t, dim, budget, kind, seed)
+        assert len(ests) == len(spaces)
+        for space, est in zip(spaces, ests):
+            ref = per_candidate_estimate(space, gap, t, dim, budget, kind, seed)
+            assert json.dumps(est.to_report()).encode() == json.dumps(ref.to_report()).encode()
+            assert (est.witness_x, est.witness_A) == (ref.witness_x, ref.witness_A)
 
 
 class TestExactCellSearch:
@@ -761,22 +792,22 @@ class TestTransferSoundness:
 class TestSuppressionOneTheorem:
     def test_l1_small_first_term(self):
         gap = GapSequence.explicit([2, 4, 8], bound_l=2)
-        rep = gl.check_suppression_one_implies_qg(gl.lp_space(1.0), gap, 12,
-                                                  300, seed=3)
+        [rep] = gl.check_suppression_one_implies_qg([gl.lp_space(1.0)], gap, 12,
+                                                    300, seed=3)
         assert rep["precheck_passed"] and rep["theorem_applicable"]
         assert rep["M"] == 2.0 and rep["bound"] == 3.0
         assert rep["max_ratio"] <= 1.0 + 1e-9 and rep["violations"] == 0
 
     def test_sup_norm(self):
         gap = GapSequence.explicit([3, 6, 12], bound_l=2)
-        rep = gl.check_suppression_one_implies_qg(gl.sup_space(), gap, 12,
-                                                  300, seed=3)
+        [rep] = gl.check_suppression_one_implies_qg([gl.sup_space()], gap, 12,
+                                                    300, seed=3)
         assert rep["bound"] == 4.0 and rep["max_ratio"] <= 1.0 + 1e-9
         assert rep["violations"] == 0
 
     def test_summing_precheck_fails_reported(self):
-        rep = gl.check_suppression_one_implies_qg(gl.summing_space(9), NAT, 9,
-                                                  150, seed=3)
+        [rep] = gl.check_suppression_one_implies_qg([gl.summing_space(9)], NAT, 9,
+                                                    150, seed=3)
         assert not rep["precheck_passed"] and not rep["theorem_applicable"]
         assert rep["precheck_max_suppression_ratio"] > 1.0
         assert "precheck_witness" in rep
@@ -785,22 +816,131 @@ class TestSuppressionOneTheorem:
         # suppression_rows once cut n1 * 2^j at j = 3, skipping 64 for n1 = 2
         seen = []
 
-        def record(space, gap, dim, budget, seed):
-            seen.append((space.name, gap.members_up_to(dim)))
-            return {"theorem_applicable": False, "M": 1.0, "bound": 1.0,
-                    "precheck_passed": True, "max_ratio": 0.0, "margin": 0.0,
-                    "violations": 0, "trials": 0}
+        def record(spaces, gap, dim, budget, seed):
+            seen.append((tuple(space.name for space in spaces), gap.members_up_to(dim)))
+            return [{"theorem_applicable": False, "M": 1.0, "bound": 1.0,
+                     "precheck_passed": True, "max_ratio": 0.0, "margin": 0.0,
+                     "violations": 0, "trials": 0} for _ in spaces]
 
         monkeypatch.setattr(experiments, "check_suppression_one_implies_qg", record)
-        experiments.suppression_rows(dim=64, budget=0, seed=0)
+        rep = experiments.suppression_rows(dim=64, budget=0, seed=0)
         members = {(2, 4, 8, 16, 32, 64), (3, 6, 12, 24, 48), (5, 10, 20, 40)}
-        assert len(seen) == 9 and {gaps for _, gaps in seen} == members
+        assert len(seen) == 3 and {gaps for _, gaps in seen} == members
+        assert all(names == ("lp:1", "lp:2", "sup") for names, _ in seen)
+        pairs = {(name, gaps) for names, gaps in seen for name in names}
+        assert len(pairs) == 9 and len(rep["rows"]) == 9
 
     def test_handwritten_suppression_violation(self):
         # (1,-1,1) with the middle coordinate removed doubles the norm
         x = CV.from_dense([1.0, -1.0, 1.0])
         assert gl.is_t_greedy(x, {2}, 1.0)
         assert gl.summing_norm(x - gl.projection(x, {2})) == 2.0
+
+
+def one_space_suppression_check(space, gap, dim, budget, seed=0):
+    """The suppression check as it was when it took one space and drew its own
+    precheck pool and trials: the precheck is ``per_candidate_estimate``, and
+    a sample of norm 0 is skipped before its size and greedy set are drawn."""
+    n1 = gap.first()
+    M = n1 * space.alpha1 * space.alpha2
+    bound = M + 1.0
+    rng = np.random.default_rng(seed)
+    pre = per_candidate_estimate(space, gap, 1.0, dim, max(8, budget // 10), "C_sq_t", seed)
+    pre_ok = pre.value <= 1.0 + 1e-9
+    report = {"space": space.name, "n1": int(n1), "M": float(M), "bound": float(bound),
+              "precheck_passed": bool(pre_ok),
+              "precheck_max_suppression_ratio": float(pre.value),
+              "theorem_applicable": bool(pre_ok)}
+    if not pre_ok and pre.witness_x is not None:
+        report["precheck_witness"] = {"x": pre.witness_x.to_json_pairs(),
+                                      "A": sorted(pre.witness_A)}
+    worst, violations, trials = 0.0, 0, 0
+    for x in random_vectors(dim, budget, rng):
+        nx = space.norm(x)
+        if nx <= 0.0:
+            continue
+        m = int(rng.integers(1, min(dim, len(x)) + 1))
+        sel = random_greedy_set(x, m, 1.0, rng)
+        ratio = space.norm(x.drop(sel.indices)) / nx
+        worst = max(worst, ratio)
+        if ratio > bound + 1e-9:
+            violations += 1
+        trials += 1
+    report.update({"trials": trials, "max_ratio": float(worst),
+                   "margin": float(bound - worst), "violations": int(violations)})
+    return report
+
+
+# |x_1|: a seminorm that is 0 on every sample without index 1
+FIRST_COORDINATE = gl.SpaceDescriptor(name="first-coordinate", norm=lambda x: abs(x[1]),
+                                      alpha=1.0, alpha1=1.0, alpha2=1.0, c_param=4.0)
+SUPPRESSION_GAPS = {"powers(2, 1)": GapSequence.powers(2, 1),
+                    "powers(2, 2)": GapSequence.powers(2, 2),
+                    "powers(2, 3)": GapSequence.powers(2, 3), "naturals": NAT}
+
+
+class TestSuppressionCheckMatchesOneSpaceRuns:
+    """One draw of precheck samples and trials for several spaces gives each
+    space the report of a run of its own."""
+
+    @given(st.lists(st.sampled_from(sorted(ORACLE_SPACES)), min_size=1, max_size=4),
+           st.sampled_from(sorted(SUPPRESSION_GAPS)), st.integers(1, 10), st.integers(0, 30),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_report_is_the_one_space_report(self, keys, gap_name, dim, budget, seed):
+        gap = SUPPRESSION_GAPS[gap_name]
+        assume(dim >= gap.first())
+        spaces = [ORACLE_SPACES[key](dim) for key in keys]
+        reports = gl.check_suppression_one_implies_qg(spaces, gap, dim, budget, seed=seed)
+        assert len(reports) == len(spaces)
+        for space, rep in zip(spaces, reports):
+            ref = one_space_suppression_check(space, gap, dim, budget, seed)
+            assert json.dumps(rep).encode() == json.dumps(ref).encode()
+
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    def test_space_with_zero_norm_samples_skips_them(self, seed):
+        dim, budget, gap = 12, 60, GapSequence.powers(2, 2)
+        spaces = [gl.lp_space(1.0), FIRST_COORDINATE, gl.sup_space()]
+        reports = gl.check_suppression_one_implies_qg(spaces, gap, dim, budget, seed=seed)
+        for k in (0, 2):
+            [alone] = gl.check_suppression_one_implies_qg([spaces[k]], gap, dim, budget, seed)
+            assert json.dumps(reports[k]).encode() == json.dumps(alone).encode()
+            assert reports[k]["trials"] == budget
+        # the trials draw every size and greedy set, whatever the norms
+        rng, ratios = np.random.default_rng(seed), []
+        for x in random_vectors(dim, budget, rng):
+            m = int(rng.integers(1, min(dim, len(x)) + 1))
+            rest = x.drop(random_greedy_set(x, m, 1.0, rng).indices)
+            if x[1] != 0.0:
+                ratios.append(abs(rest[1]) / abs(x[1]))
+        rep = reports[1]
+        assert 0 < rep["trials"] == len(ratios) < budget
+        assert rep["max_ratio"] == max(ratios)
+        pre = per_candidate_estimate(FIRST_COORDINATE, gap, 1.0, dim, max(8, budget // 10),
+                                     "C_sq_t", seed)
+        assert rep["precheck_max_suppression_ratio"] == pre.value
+
+
+@pytest.mark.parametrize("search", [
+    lambda budget: gl.estimate_quasi_greedy_constant(gl.lp_space(1.0), NAT, 1.0, 4, budget),
+    lambda budget: gl.check_suppression_one_implies_qg([gl.lp_space(1.0)],
+                                                       GapSequence.powers(2), 4, budget),
+], ids=["estimate", "suppression"])
+class TestBudgetCheck:
+    @pytest.mark.parametrize("budget,message", [
+        (-5, "budget must be nonnegative, got -5"),
+        (-1, "budget must be nonnegative, got -1"),
+        (2.5, "budget must be an integer, got 2.5"),
+        (True, "budget must be an integer, got True"),
+        ("3", "budget must be an integer, got '3'"),
+    ])
+    def test_bad_budget_is_refused(self, search, budget, message):
+        with pytest.raises(ValueError, match=message):
+            search(budget)
+
+    @pytest.mark.parametrize("budget", [0, 3, np.int64(3), np.int32(0)])
+    def test_integer_budget_runs(self, search, budget):
+        search(budget)
 
 
 class TestBoundedGapPartition:
@@ -910,6 +1050,55 @@ class TestBoundedGapPartition:
         rep = bounded_gap_trials(800, seed=21)
         assert rep["violations"] == 0
         assert rep["json"]["trials"] > 0
+
+
+def array_choice_bounded_gap_trials(trials, seed, dim_range=(8, 64)):
+    """``bounded_gap_trials`` as it was when it drew t and l with
+    ``rng.choice`` over an array."""
+    dim_lo, dim_hi = dim_range
+    rng = np.random.default_rng(seed)
+    gaps = {l: GapSequence.powers(l) for l in (2, 3, 4)}
+    spaces, measured, evaluated = {}, {}, []
+    for _ in range(trials):
+        dim = int(rng.integers(dim_lo, dim_hi + 1))
+        x = next(iter(random_vectors(dim, 1, rng)))
+        t = float(rng.choice(np.asarray((1.0, 0.8, 0.5))))
+        l = int(rng.choice(np.asarray(list(gaps))))
+        m = int(rng.integers(1, min(dim, len(x)) + 1))
+        sel = random_greedy_set(x, m, t, rng)
+        if dim not in spaces:
+            spaces[dim] = gl.summing_space(dim)
+        ev = _partition_evaluation(spaces[dim], x, sel.indices, t, gaps[l])
+        evaluated.append((dim, t, ev))
+        if ev.n_k is not None:
+            key = (t, ev.n_k)
+            measured[key] = max(measured.get(key, float(ev.n_k)), max(ev.realized, default=0.0))
+    header = ["trial", "dim", "t", "l", "n_k", "A_size", "branch", "C_measured",
+              "lhs", "rhs", "margin", "ok"]
+    rows, violations = [], 0
+    for idx, (dim, t, ev) in enumerate(evaluated):
+        C = measured.get((t, ev.n_k), 1.0) if ev.n_k is not None else 1.0
+        checks = _partition_checks(ev, C, 1.0)
+        part = next((c for c in checks if c.name == "partition_bound"), checks[-1])
+        ok = ev.in_intervals and all(c.ok for c in checks)
+        violations += not ok
+        rows.append([idx, dim, t, ev.l, ev.n_k, ev.cardinality, ev.branch, C,
+                     part.lhs, part.rhs, part.margin, ok])
+    return {"header": header, "rows": rows,
+            "json": {"trials": len(rows), "violations": violations,
+                     "measured_constants": {f"t={t}|n_k={n}": v
+                                            for (t, n), v in sorted(measured.items())},
+                     "seed": seed},
+            "violations": violations}
+
+
+class TestBoundedGapDraws:
+    @pytest.mark.parametrize("seed", [0, 42, 1234])
+    @pytest.mark.parametrize("dim_range", [(8, 64), (1, 1), (3, 9)])
+    def test_reports_equal_the_array_choice_drawing(self, seed, dim_range):
+        rep = bounded_gap_trials(150, seed, dim_range)
+        ref = array_choice_bounded_gap_trials(150, seed, dim_range)
+        assert json.dumps(rep).encode() == json.dumps(ref).encode()
 
 
 class TestGoldenReport:
