@@ -3,6 +3,9 @@ construction from lists and from arrays, projection (restrict, drop), entry
 lookup, a full pairs() walk, addition and subtraction (shared supports, and
 a tail after the support), the four norms, and the t-greedy check,
 selection and enumeration, plus the enumeration of an overflowing all-tie family.
+Beside the one vector, the ``lp:2/3`` norms of 1,000 sampled vectors of at
+most 16 entries, the perturb-audit's shape: one ``lp_norm`` call per vector,
+and one ``lp_norms`` batch.
 
     PYTHONPATH=src python -m pytest bench/test_bench_coeffspace.py
 
@@ -14,6 +17,7 @@ import pytest
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
+from greedylab.coeffspace import random_vectors
 
 DIM = 64
 # quarter-step moduli, so the vector has ties for the greedy benchmarks
@@ -22,6 +26,7 @@ VALUES[VALUES == 0.0] = 0.25
 X = CV.from_dense(VALUES)
 Y = CV.from_dense(VALUES[::-1])  # the same support, so every index is shared
 A = gl.one_greedy_set(X, DIM // 4, 1.0).indices  # a greedy set, as the searches use
+MANY = list(random_vectors(16, 1000, np.random.default_rng(2020)))
 
 
 @pytest.mark.parametrize("form", ["list", "array"])
@@ -72,6 +77,13 @@ def test_add_tail(benchmark):
 ], ids=["summing", "sup", "lp", "weighted_lp"])
 def test_norm(benchmark, norm):
     assert benchmark(norm, X) > 0.0
+
+
+@pytest.mark.parametrize("mode", ["one_by_one", "batched"])
+def test_lp_norms_of_many(benchmark, mode):
+    norm = gl.lp_space(2.0 / 3.0).norm
+    run = (lambda: [norm(x) for x in MANY]) if mode == "one_by_one" else (lambda: norm.many(MANY))
+    assert len(benchmark(run)) == len(MANY)
 
 
 def test_is_t_greedy(benchmark):

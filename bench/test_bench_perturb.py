@@ -9,8 +9,11 @@ The equivalence audit at the same size: its pools ``audit_draws(16, 125, 42)``
 (budget max(8, 1000 // 8), drawn once for both spaces), and
 ``equivalence_audit`` under ``lp:1/2`` on that prebuilt table.  The audit
 reads 252 vectors (e_1, the all-ones vector, 125 samples in [1, 16] and 125
-with tails out to 64) and makes 3,592 norm calls per space: each vector once,
-then each of its greedy prefixes below its length.
+with tails out to 64) and norms 3,592 vectors per space: each vector once,
+then each of its greedy prefixes below its length.  It norms them in 10
+batched calls (up to 30 samples with their prefixes, at most
+``perturb.NORM_CHUNK`` = 512 vectors, per call); the crude-bound suite norms
+its projections in 2 batched calls.
 
     PYTHONPATH=src python -m pytest bench/test_bench_perturb.py
 

@@ -24,6 +24,8 @@ __all__ = [
     "GapSequence",
     "summing_norm",
     "lp_norm",
+    "lp_norms",
+    "norms",
     "sup_norm",
     "weighted_lp_norm",
     "projection",
@@ -292,6 +294,45 @@ def lp_norm(x: CoeffVector, p: float) -> float:
     return _peak_factored([abs(v) for v in x._val], p)
 
 
+def lp_norms(xs: Sequence[CoeffVector], p: float) -> list[float]:
+    """``lp_norm`` of every vector, bit for bit, in one numpy pass per support
+    length: the power is elementwise, and each row's ``np.add.reduce`` is the
+    same pairwise sum over the same entries as the one-vector call."""
+    if not p > 0:
+        raise ValueError(f"lp_norms requires p > 0, got {p}")
+    out = [0.0] * len(xs)
+    by_length: dict[int, list[int]] = {}
+    for k, x in enumerate(xs):
+        if x:
+            by_length.setdefault(len(x._idx), []).append(k)
+    for ks in by_length.values():
+        a = np.abs(np.array([xs[k]._val for k in ks]))
+        peaks = a.max(axis=1)
+        sums = np.add.reduce((a / peaks[:, None]) ** p, axis=1)
+        for k, peak, s in zip(ks, peaks.tolist(), sums.tolist()):
+            out[k] = peak * s ** (1.0 / p)
+    return out
+
+
+class _LpNorm:
+    """``lp_space``'s norm: ``lp_norm`` at a fixed p, and ``many`` for a batch."""
+
+    def __init__(self, p: float):
+        self.p = p
+
+    def __call__(self, x: CoeffVector) -> float:
+        return lp_norm(x, self.p)
+
+    def many(self, xs: Sequence[CoeffVector]) -> list[float]:
+        return lp_norms(xs, self.p)
+
+
+def norms(space: "SpaceDescriptor", xs: Sequence[CoeffVector]) -> list[float]:
+    """space.norm of every vector, batched if the norm callable has a ``many``."""
+    many = getattr(space.norm, "many", None)
+    return many(xs) if many is not None else [space.norm(x) for x in xs]
+
+
 def sup_norm(x: CoeffVector) -> float:
     return _abs_max(x._val)
 
@@ -446,7 +487,7 @@ def lp_space(p: float) -> SpaceDescriptor:
     duals = _l1_dual_functionals if p == 1.0 else None
     return SpaceDescriptor(
         name=f"lp:{p:g}",
-        norm=lambda x, _p=p: lp_norm(x, _p),
+        norm=_LpNorm(p),
         alpha=alpha,
         alpha1=1.0,
         alpha2=1.0,

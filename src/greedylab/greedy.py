@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -71,19 +72,22 @@ def is_t_greedy(x: CoeffVector, A: Iterable[int], t: float) -> bool:
     """min over A of |coefficient| >= t * max over the rest of the support.
 
     The empty set is vacuously greedy (min over nothing is +inf); an index
-    set covering the whole support is greedy because the outside max is 0.
+    set covering the whole support is greedy because the outside max is 0,
+    which only an empty outside has: stored values are nonzero, never NaN.
     """
     t = _check_t(t)
     A_set = _index_set(A)
-    if not A_set:
-        return True
-    outside = [abs(v) for i, v in x.pairs() if i not in A_set]
-    if not outside:
-        return True
-    inside = [abs(v) for i, v in x.pairs() if i in A_set]
-    # a member of A off the support has coefficient 0
-    inside_min = min(inside) if len(inside) == len(A_set) else 0.0
-    return inside_min >= t * max(outside)
+    inside_min, outside_max, held = math.inf, 0.0, 0
+    for i, v in x.pairs():
+        if i in A_set:
+            held += 1
+            if abs(v) < inside_min:
+                inside_min = abs(v)
+        elif abs(v) > outside_max:
+            outside_max = abs(v)
+    if held < len(A_set):  # a member of A off the support has coefficient 0
+        inside_min = 0.0
+    return outside_max == 0.0 or inside_min >= t * outside_max
 
 
 def _greedy_order(x: CoeffVector) -> list[tuple[float, int]]:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, projection,
+from .coeffspace import (CoeffVector, GapSequence, SpaceDescriptor, norms, projection,
                          random_vectors)
 from .greedy import _check_t, _greedy_order, _index_set, is_t_greedy, one_greedy_set
 from .reporting import parallel_map
@@ -31,6 +31,8 @@ __all__ = [
     "trial_draws",
     "audit_draws",
 ]
+
+NORM_CHUNK = 512  # at most this many vectors are built and normed in one call
 
 
 def _sign(v: float) -> float:
@@ -220,10 +222,10 @@ class TrialDraws(NamedTuple):
 
 def _x_norms(space: SpaceDescriptor, draws: TrialDraws) -> list[float]:
     """Every trial's |x| under the space, computed once per draw table."""
-    norms = draws.x_norms.get(space.norm)
-    if norms is None:
-        norms = draws.x_norms[space.norm] = [space.norm(d.x) for d in draws.trials]
-    return norms
+    values = draws.x_norms.get(space.norm)
+    if values is None:
+        values = draws.x_norms[space.norm] = norms(space, [d.x for d in draws.trials])
+    return values
 
 
 _WEAKNESS = (1.0, 0.9, 0.7, 0.5, 0.3)  # a trial's t, drawn uniformly
@@ -322,15 +324,21 @@ def padding_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
 
 
 def crude_bound_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
-    def trial(item):
-        draw, norm_x = item
-        x, A = draw.x, draw.crude_A
-        part = projection(x, A)
-        lhs = norm_x if part is x else space.norm(part)
-        rhs = projection_crude_bound(space, A) * norm_x
-        return lhs <= rhs * (1.0 + 1e-9), rhs - lhs
+    norm_xs = _x_norms(space, draws)
+    lhs = []  # |P_A x|: the projections of NORM_CHUNK trials normed in one call
+    for lo in range(0, len(norm_xs), NORM_CHUNK):
+        chunk = draws.trials[lo:lo + NORM_CHUNK]
+        parts = [projection(d.x, d.crude_A) for d in chunk]
+        fresh = iter(norms(space, [part for part, d in zip(parts, chunk) if part is not d.x]))
+        lhs += [nx if part is d.x else next(fresh)
+                for part, d, nx in zip(parts, chunk, norm_xs[lo:])]
 
-    outcomes = parallel_map(trial, zip(draws.trials, _x_norms(space, draws)))
+    def trial(item):
+        draw, norm_x, norm_part = item
+        rhs = projection_crude_bound(space, draw.crude_A) * norm_x
+        return norm_part <= rhs * (1.0 + 1e-9), rhs - norm_part
+
+    outcomes = parallel_map(trial, zip(draws.trials, norm_xs, lhs))
     return _suite_report("crude projection bound", space, outcomes, draws.seed)
 
 
@@ -370,22 +378,26 @@ def equivalence_audit(space: SpaceDescriptor, gap: GapSequence, t: float,
                 "trials": 0, "seed": draws.seed}
     sizes = gap.admissible_sizes(draws.dim)
 
+    def with_prefixes(x: CoeffVector) -> list[CoeffVector]:
+        # x, then one walk over its greedy order: the first m indices, kept sorted,
+        # are the "lowest" greedy set of size m for any t; the whole support is x
+        group, at, order, kept = [x], dict(x.pairs()), _greedy_order(x), []
+        for m in sizes[:bisect_left(sizes, len(x))]:
+            for _, i in order[len(kept):m]:
+                insort(kept, i)
+            group.append(CoeffVector._canonical(tuple(kept), tuple([at[i] for i in kept])))
+        return group
+
     def best_ratio(samples) -> float:
-        best = 0.0
-        for x in samples:
-            nx = space.norm(x)
-            if nx <= 0.0:
-                continue
-            # one walk over the greedy order: its first m indices, kept sorted, are the
-            # "lowest" greedy set of size m for any t; the whole support gives x, ratio 1
-            at, order, kept = dict(x.pairs()), _greedy_order(x), []
-            ratios = [best, 1.0] if len(x) in sizes else [best]
-            for m in sizes[:bisect_left(sizes, len(x))]:
-                for _, i in order[len(kept):m]:
-                    insort(kept, i)
-                part = CoeffVector._canonical(tuple(kept), tuple([at[i] for i in kept]))
-                ratios.append(space.norm(part) / nx)
-            best = max(ratios)
+        best, step = 0.0, max(1, NORM_CHUNK // (len(sizes) + 1))  # samples per call
+        for lo in range(0, len(samples), step):
+            chunk = [with_prefixes(x) for x in samples[lo:lo + step]]
+            values = iter(norms(space, [v for group in chunk for v in group]))
+            for x, *parts in chunk:
+                nx, part_norms = next(values), [next(values) for _ in parts]
+                if nx > 0.0:  # x itself, at an admissible size, has ratio 1
+                    best = max([best, *[n / nx for n in part_norms]]
+                               + [1.0] * (len(x) in sizes))
         return best
 
     ratio_finite = best_ratio(draws.finite)

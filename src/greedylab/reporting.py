@@ -41,6 +41,6 @@ def write_json(path: Path | str, payload) -> None:
 
 
 def parallel_map(fn: Callable, items: Iterable) -> list:
-    """Order-preserving map over independent items, each carrying its own
-    derived seed."""
+    """Order-preserving map over independent items: each item is a trial's
+    row of draws, with the numbers computed for it before the map."""
     return [fn(it) for it in items]

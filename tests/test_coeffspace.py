@@ -1,5 +1,6 @@
 """Vectors, norms, projections, operator-norm estimation."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import greedylab as gl
 from greedylab import CoeffVector as CV
 from greedylab import GapSequence
-from greedylab.coeffspace import _summed
+from greedylab.coeffspace import _summed, random_vectors
 
 
 def summing_norm_quadratic_oracle(x: CV) -> float:
@@ -479,6 +480,61 @@ class TestLpNorms:
         assert gl.weighted_lp_norm(x, 2, [4.0]) == pytest.approx(math.sqrt(5.0))
         assert gl.weighted_lp_norm(x, 2, []) == pytest.approx(math.sqrt(2.0))
         assert gl.weighted_lp_space(1.0, []).norm(x) == 2.0
+
+
+def _moduli_row(length: int, seed: int, style: str) -> list[float]:
+    """length values of random sign: moduli spread over 1e-200..1e200, or a
+    few tied quarter steps."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=length)
+    if style == "ties":
+        return (signs * rng.integers(1, 5, size=length) / 4.0).tolist()
+    return (signs * rng.uniform(1.0, 10.0, size=length)
+            * 10.0 ** rng.integers(-200, 200, size=length)).tolist()
+
+
+# lengths that cross numpy's 8-wide unroll and its 128-entry pairwise block,
+# and any length up to 300; 0 is the zero vector
+batch_lengths = st.sampled_from([0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255,
+                                 256, 257, 300]) | st.integers(0, 300)
+
+
+class TestBatchedLpNorms:
+    @given(st.lists(st.tuples(batch_lengths, st.integers(0, 2 ** 32 - 1),
+                              st.sampled_from(["wide", "ties"])), min_size=1, max_size=14),
+           st.sampled_from([0.3, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_lp_norm_bit_for_bit(self, rows, p):
+        # repeated lengths make multi-row blocks; every length in one call
+        xs = [CV(range(1, n + 1), _moduli_row(n, seed, style)) for n, seed, style in rows]
+        xs += xs[::-1]
+        got = gl.coeffspace.lp_norms(xs, p)
+        assert len(got) == len(xs)
+        for x, norm in zip(xs, got):
+            assert type(norm) is float and _same_float(norm, gl.lp_norm(x, p))
+
+    def test_empty_batch_and_bad_exponent(self):
+        assert gl.coeffspace.lp_norms([], 0.5) == []
+        for p in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="requires p > 0"):
+                gl.coeffspace.lp_norms([CV.basis_vector(1)], p)
+
+    @pytest.mark.parametrize("key", ["summing", "lp:1", "lp:2", "sup", "lp:1/2", "lp:2/3"])
+    def test_norms_helper_equals_the_norm_of_each(self, key):
+        space = gl.space_from_key(key, 8)
+        xs = list(random_vectors(8, 40, np.random.default_rng(5))) + [CV.zero()]
+        got = gl.coeffspace.norms(space, xs)
+        assert [struct.pack("<d", v) for v in got] == [
+            struct.pack("<d", space.norm(x)) for x in xs]
+        # only the lp norms carry a batch kernel
+        assert hasattr(space.norm, "many") == key.startswith("lp:")
+
+    def test_norms_helper_uses_a_replaced_norm(self):
+        # a descriptor whose norm was replaced must not batch with the old one
+        calls = []
+        space = dataclasses.replace(gl.lp_space(0.5), norm=lambda x: calls.append(x) or 7.0)
+        xs = [CV.basis_vector(1), CV.from_dense([1.0, 2.0])]
+        assert gl.coeffspace.norms(space, xs) == [7.0, 7.0] and calls == xs
 
 
 CATALOGUE = [

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import greedylab as gl
 from greedylab import CoeffVector as CV
-from greedylab.greedy import (StaleSelectionError, _modulus_classes, _t_greedy_index_sets,
-                              greedy_class_counts, random_greedy_set)
+from greedylab.greedy import (StaleSelectionError, _check_t, _index_set, _modulus_classes,
+                              _t_greedy_index_sets, greedy_class_counts, random_greedy_set)
 
 
 def brute_force_greedy_sets(x: CV, m: int, t: float) -> list[tuple]:
@@ -170,6 +170,39 @@ tie_rich_entries = st.dictionaries(
     st.sampled_from([0.25, -0.25, 1.0, -1.0, 3.0, -3.0, 5e-324, math.inf]) |
     st.floats(-4, 4, allow_nan=False).filter(bool),
     max_size=20)
+
+
+def two_pass_is_t_greedy(x: CV, A, t: float) -> bool:
+    """``is_t_greedy`` as it was, with one list of moduli inside A and one
+    outside it."""
+    t = _check_t(t)
+    A_set = _index_set(A)
+    if not A_set:
+        return True
+    outside = [abs(v) for i, v in x.pairs() if i not in A_set]
+    if not outside:
+        return True
+    inside = [abs(v) for i, v in x.pairs() if i in A_set]
+    inside_min = min(inside) if len(inside) == len(A_set) else 0.0
+    return inside_min >= t * max(outside)
+
+
+class TestIsTGreedyMatchesTwoPasses:
+    @given(tie_rich_entries, st.sets(st.integers(1, 44), max_size=12),
+           st.sampled_from(["drawn", "greedy", "support", "support and more", "empty"]),
+           st.integers(0, 20), st.sampled_from([1.0, 0.9, 0.5, 0.1, 5e-324]))
+    @settings(max_examples=500, deadline=None)
+    def test_same_boolean(self, entries, drawn, kind, m, t):
+        # drawn sets mix support members with indices off it; greedy sets meet
+        # ties at their edge; the support, alone or with more, covers it
+        x = unchecked_vector(entries)
+        support = set(x.support())
+        A = {"drawn": drawn,
+             "greedy": gl.one_greedy_set(x, m, 1.0, "highest").indices,
+             "support": support,
+             "support and more": support | drawn,
+             "empty": set()}[kind]
+        assert gl.is_t_greedy(x, A, t) == two_pass_is_t_greedy(x, A, t)
 
 
 class TestOneGreedySetMatchesClassLoop:

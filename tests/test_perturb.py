@@ -369,18 +369,25 @@ class TestNormReuse:
     constructions hand back the distances they have already computed."""
 
     def test_each_x_is_normed_once_per_space(self, monkeypatch):
+        # every vector normed, one by one or in a batch, with its p
         calls, tables = [], []
-        original_norm, original_draws = coeffspace.lp_norm, experiments.trial_draws
+        original_norm, original_norms = coeffspace.lp_norm, coeffspace.lp_norms
+        original_draws = experiments.trial_draws
 
         def counting_norm(x, p):
             calls.append((x, p))
             return original_norm(x, p)
+
+        def counting_norms(xs, p):
+            calls.extend((x, p) for x in xs)
+            return original_norms(xs, p)
 
         def keeping_draws(*args):
             tables.append(original_draws(*args))
             return tables[-1]
 
         monkeypatch.setattr(coeffspace, "lp_norm", counting_norm)
+        monkeypatch.setattr(coeffspace, "lp_norms", counting_norms)
         monkeypatch.setattr(experiments, "trial_draws", keeping_draws)
         perturb_audit(25, 42, dim=8)
         # 616 before |x| was shared by the suites and each distance computed once
@@ -477,6 +484,75 @@ class TestEquivalenceAudit:
             assert sizes == [m for m in gap_terms if m <= len(x)]
 
 
+class BatchRecorder:
+    """A batching norm that records every batch it is given and refuses to
+    norm one vector at a time."""
+
+    def __init__(self, norm):
+        self.norm, self.batches = norm, []
+
+    def __call__(self, x):
+        raise AssertionError("a batching norm was called on one vector")
+
+    def many(self, xs):
+        self.batches.append(list(xs))
+        return self.norm.many(xs)
+
+
+class TestBatchedNorms:
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("chunk", [1, 16, perturb.NORM_CHUNK])
+    def test_batched_prefix_sets_are_the_lowest_greedy_sets(self, monkeypatch, t, chunk):
+        # the batch path of test_prefix_sets_are_the_lowest_greedy_sets: every
+        # batch holds whole samples, each x followed by its greedy prefixes
+        monkeypatch.setattr(perturb, "NORM_CHUNK", chunk)
+        recorder = BatchRecorder(L_HALF.norm)
+        space = dataclasses.replace(L_HALF, norm=recorder)
+        draws = gl.audit_draws(16, 30, 7)
+        samples = draws.finite + draws.deep
+        gap_terms = (1, 2, 3, 5, 8, 13)
+        rep = gl.equivalence_audit(space, GapSequence.explicit(gap_terms), t, draws)
+        assert rep == gl.equivalence_audit(L_HALF, GapSequence.explicit(gap_terms), t, draws)
+        sample_ids = {id(x) for x in samples}
+        assert len(recorder.batches) >= (2 if chunk > 16 else 10)  # one or more per pool
+        assert max(map(len, recorder.batches)) <= max(chunk, len(gap_terms) + 1)
+        parts_by_sample = []
+        for batch in recorder.batches:
+            assert id(batch[0]) in sample_ids
+            for v in batch:
+                if id(v) in sample_ids:
+                    parts_by_sample.append((v, []))
+                else:
+                    parts_by_sample[-1][1].append(v)
+        assert [x for x, _ in parts_by_sample] == samples
+        for x, parts in parts_by_sample:
+            for part in parts:
+                lowest = gl.one_greedy_set(x, len(part), t, "lowest").indices
+                assert _bits(part) == _bits(gl.projection(x, lowest))
+            sizes = [len(part) for part in parts] + [len(x)] * (len(x) in gap_terms)
+            assert sizes == [m for m in gap_terms if m <= len(x)]
+
+    def test_a_replaced_norm_is_the_only_norm_used(self, monkeypatch):
+        # dataclasses.replace keeps every other field: no suite and no audit may
+        # norm with the old lp kernels behind the new callable's back
+        draws, pools = gl.trial_draws(60, 42, 16), gl.audit_draws(16, 20, 42)
+        suites = (gl.lemma_perturbation_suite, gl.padding_suite, gl.crude_bound_suite)
+        want = [suite(L_HALF, draws) for suite in suites] + [
+            gl.equivalence_audit(L_HALF, GapSequence.naturals(), 1.0, pools)]
+        lp_norm, calls = coeffspace.lp_norm, []
+
+        def refused(*args):
+            raise AssertionError("an lp kernel was called past the replaced norm")
+
+        monkeypatch.setattr(coeffspace, "lp_norm", refused)
+        monkeypatch.setattr(coeffspace, "lp_norms", refused)
+        space = dataclasses.replace(L_HALF, norm=lambda v: calls.append(v) or lp_norm(v, 0.5))
+        draws = gl.trial_draws(60, 42, 16)
+        got = [suite(space, draws) for suite in suites] + [
+            gl.equivalence_audit(space, GapSequence.naturals(), 1.0, pools)]
+        assert got == want and calls
+
+
 class TestGoldenReport:
     def test_benchmark_size_reports_are_byte_identical(self, tmp_path):
         # the quasi-banach workload's size, recorded before the audit pools were
@@ -491,6 +567,19 @@ class TestGoldenReport:
             "perturb-audit.json":
                 "4308161865125567a84349b6c8af0ae0ee39690f8fb5930d2403f3b391d1f5d5",
         }
+
+    @pytest.mark.parametrize("seed,digests", [
+        (7, ("91ac67b55d6eed759bf079d21ab3b86df33ac76dc0981382ed12d8843ac51ec4",
+             "de1f427d21e2b897cf91c12c4ec8e8b83f287a96471bdf012e116f6496b42e59")),
+        (1234, ("2e016740433a80c3f6b664f2798a5b3df734f2e4fd6b52f497a3306c0a832d39",
+                "87790ff24ae4c9d7e11b83aa378f71d940952c4879a72d57ea0fbef3e596780e")),
+    ])
+    def test_perturb_audit_reports_at_other_seeds(self, tmp_path, seed, digests):
+        # recorded before the audit's and the crude suite's norms were batched
+        assert run_experiment_set("perturb-audit", {"trials": 80, "dim": 16},
+                                  tmp_path, seed) == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("perturb-audit.csv", "perturb-audit.json")) == digests
 
     def test_perturb_audit_reports_are_byte_identical(self, tmp_path):
         # recorded with the whole-array numpy norms and the class-loop greedy
