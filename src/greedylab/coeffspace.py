@@ -162,6 +162,10 @@ class CoeffVector:
     def support(self) -> tuple[int, ...]:
         return self._idx
 
+    def values(self) -> tuple[float, ...]:
+        """The stored coefficients, in support order."""
+        return self._val
+
     def __len__(self) -> int:
         return len(self._idx)
 
@@ -282,7 +286,14 @@ def _peak_factored(a: list[float], p: float, w=None) -> float:
     """
     peak = max(a)
     powers = np.array([v / peak for v in a]) ** p
-    return peak * float(np.add.reduce(powers if w is None else w * powers)) ** (1.0 / p)
+    try:
+        return peak * float(np.add.reduce(powers if w is None else w * powers)) ** (1.0 / p)
+    except OverflowError:  # Python's ** raises where numpy's would read inf
+        raise _beyond_floats(p) from None
+
+
+def _beyond_floats(p: float) -> ValueError:
+    return ValueError(f"the l_p norm at p = {p} exceeds the float range")
 
 
 def lp_norm(x: CoeffVector, p: float) -> float:
@@ -309,8 +320,11 @@ def lp_norms(xs: Sequence[CoeffVector], p: float) -> list[float]:
         a = np.abs(np.array([xs[k]._val for k in ks]))
         peaks = a.max(axis=1)
         sums = np.add.reduce((a / peaks[:, None]) ** p, axis=1)
-        for k, peak, s in zip(ks, peaks.tolist(), sums.tolist()):
-            out[k] = peak * s ** (1.0 / p)
+        try:
+            for k, peak, s in zip(ks, peaks.tolist(), sums.tolist()):
+                out[k] = peak * s ** (1.0 / p)
+        except OverflowError:
+            raise _beyond_floats(p) from None
     return out
 
 

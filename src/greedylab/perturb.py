@@ -9,6 +9,9 @@ degrades to the Banach statements when alpha = 1.
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 from bisect import bisect_left, insort
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -72,8 +75,8 @@ def perturb_to_finite_support(space: SpaceDescriptor, x: CoeffVector,
     raises with the violated inequality.
     """
     A_set = _index_set(A)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not is_t_greedy(x, A_set, t):
         raise ValueError("A is not a t-greedy set for x")
     picker = z_picker if z_picker is not None else (lambda vec, d: vec)
@@ -142,8 +145,11 @@ def padding_set_construction(space: SpaceDescriptor, x: CoeffVector,
     """
     if not x:
         raise ValueError("x must be nonzero")
+    # bool is an int subclass, but True is no segment length
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"segment length m must be an integer, got {m!r}")
     if m < 0:
-        raise ValueError(f"segment length must be nonnegative, got {m}")
+        raise ValueError(f"segment length m must be nonnegative, got {m}")
     return _padded(space, x, space.norm(x), _index_set(A), t, m)
 
 
@@ -212,12 +218,56 @@ class TrialDraw(NamedTuple):
     crude_A: tuple[int, ...]  # crude bound: sorted projection set
 
 
-class TrialDraws(NamedTuple):
-    seed: int
-    trials: list[TrialDraw]
-    # |x| of every trial under a space's norm, keyed by that norm callable
-    # (two lp spaces can share a name), filled by the first suite to ask
-    x_norms: dict[Callable[[CoeffVector], float], list[float]]
+class TrialTable(NamedTuple):
+    """The trials as dense rows, column k holding index k + 1: wide enough for
+    every x, its perturbation tail and its set A."""
+    x: np.ndarray  # x's coefficients
+    in_A: np.ndarray  # bool: the set A
+    size: np.ndarray  # |A|
+    top: np.ndarray  # x's largest index; a perturbation tail starts after it
+    t: np.ndarray
+    eps_scale: np.ndarray
+    tail_len: np.ndarray
+    segment: np.ndarray
+
+
+def _trial_table(trials: list[TrialDraw]) -> TrialTable:
+    """The dense table of the trials, scattered from flat lists in one call per array."""
+    n, flat = len(trials), itertools.chain.from_iterable
+    top = [d.x.max_index() for d in trials]
+    tail_len = [d.tail_len for d in trials]
+    width = max([0] + [k + max(L, 0) for k, L in zip(top, tail_len)]
+                + [max(d.A) for d in trials if d.A])
+    x, in_A = np.zeros((n, width)), np.zeros((n, width), dtype=bool)
+    rows = np.arange(n)
+    x[np.repeat(rows, [len(d.x) for d in trials]),
+      np.fromiter(flat(d.x.support() for d in trials), np.intp) - 1] = np.fromiter(
+        flat(d.x.values() for d in trials), np.float64)
+    size = np.array([len(d.A) for d in trials], dtype=np.intp)
+    in_A[np.repeat(rows, size), np.fromiter(flat(d.A for d in trials), np.intp) - 1] = True
+    return TrialTable(x, in_A, size, np.array(top, dtype=np.intp),
+                      np.array([d.t for d in trials], dtype=np.float64),
+                      np.array([d.eps_scale for d in trials], dtype=np.float64),
+                      np.array(tail_len, dtype=np.intp),
+                      np.array([d.segment for d in trials], dtype=np.intp))
+
+
+class TrialDraws:
+    """The trials of every suite, with what the suites compute from them once."""
+
+    def __init__(self, seed: int, trials: list[TrialDraw]):
+        self.seed, self.trials = seed, trials
+        # |x| of every trial under a space's norm, keyed by that norm callable
+        # (two lp spaces can share a name), filled by the first suite to ask
+        self.x_norms: dict[Callable[[CoeffVector], float], list[float]] = {}
+        self._table: Optional[TrialTable] = None
+
+    @property
+    def table(self) -> TrialTable:
+        """The trials as one dense table, built by the first suite to ask."""
+        if self._table is None:
+            self._table = _trial_table(self.trials)
+        return self._table
 
 
 def _x_norms(space: SpaceDescriptor, draws: TrialDraws) -> list[float]:
@@ -259,7 +309,7 @@ def trial_draws(trials: int, seed: int, dim: int) -> TrialDraws:
         segment = int(rng.integers(0, dim + 1))
         rows.append(TrialDraw(x, A, t, eps_scale, tail_len, segment,
                               tuple(sorted(crude_A.tolist()))))
-    return TrialDraws(seed, rows, {})
+    return TrialDraws(seed, rows)
 
 
 def _suite_report(lemma: str, space: SpaceDescriptor, outcomes, seed: int) -> dict:
@@ -271,55 +321,178 @@ def _suite_report(lemma: str, space: SpaceDescriptor, outcomes, seed: int) -> di
             "seed": seed}
 
 
+# Array passes over a chunk of table rows.  Each evaluates, row by row, the
+# inequalities that _perturbed or _padded check, with the same float
+# operations in the same order, so outcomes and margins are theirs bit for bit.
+
+
+def _row_min(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's smallest a over the mask; inf where the mask is empty."""
+    return np.min(a, axis=1, where=mask, initial=np.inf)
+
+
+def _row_max(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's largest a (a modulus) over the mask; 0.0 where the mask is empty."""
+    return np.max(a, axis=1, where=mask, initial=0.0)
+
+
+def _greedy(inside_min: np.ndarray, outside_max: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """is_t_greedy's test, given the inside minimum (0.0 for a member off the
+    support) and the outside maximum of each row."""
+    return (outside_max == 0.0) | (inside_min >= t * outside_max)
+
+
+def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
+    """base ** k for each k, taken from Python floats as the per-row code does."""
+    ks, at = np.unique(exponents, return_inverse=True)
+    return np.array([base ** k for k in ks.tolist()])[at]
+
+
+def _row_vectors(rows: np.ndarray) -> list[CoeffVector]:
+    """Each row's nonzero entries, in index order, as a canonical vector."""
+    nonzero = rows != 0.0
+    at, col = np.nonzero(nonzero)
+    idx, val = (col + 1).tolist(), rows[at, col].tolist()
+    out, lo = [], 0
+    for hi in np.cumsum(nonzero.sum(axis=1)).tolist():
+        out.append(CoeffVector._canonical(tuple(idx[lo:hi]), tuple(val[lo:hi])))
+        lo = hi
+    return out
+
+
+_NOT_GREEDY, _NOT_FINITE = "A is not a t-greedy set for x", "coefficients must be finite"
+
+
+def _t_in_range(t: np.ndarray) -> np.ndarray:
+    return (0.0 < t) & (t <= 1.0)
+
+
+def _raise_first(t: np.ndarray, errors: list[tuple[np.ndarray, str]]) -> None:
+    """Raise the ValueError of the first row that a per-row run would stop
+    at: a t outside (0, 1], or the first of the errors (mask, message) to
+    hold there."""
+    wrong = np.flatnonzero(~_t_in_range(t) | np.logical_or.reduce([m for m, _ in errors]))
+    if wrong.size:
+        k = wrong[0]
+        _check_t(float(t[k]))
+        raise ValueError(next(message for mask, message in errors if mask[k]))
+
+
+def _perturbation_rows(space: SpaceDescriptor, tab: TrialTable, rows: slice,
+                       norm_x: np.ndarray) -> list[tuple[bool, Optional[float]]]:
+    """lemma_perturbation_suite's trials over table rows: the tail truncated by
+    the picker, then _perturbed's checks, distances normed in two batches."""
+    c, alpha = space.c_param, space.alpha
+    x, in_A, size, t = tab.x[rows], tab.in_A[rows], tab.size[rows], tab.t[rows]
+    tail_len, top = tab.tail_len[rows], tab.top[rows]
+    has_A = size > 0
+    eps = tab.eps_scale[rows] * np.maximum(norm_x, 1e-6)
+    delta = eps.copy()  # _delta's budget, or eps where A is empty
+    np.divide(eps, 4.0 * c * c * _powers(alpha, size) * size, out=delta, where=has_A)
+
+    # the tail: tail_scale * 0.5^j at top + 1 + j, after x's last index
+    beta_x = np.where(has_A, _row_min(np.abs(x), in_A), 1.0)
+    tail_scale = 0.25 * np.minimum(delta / (_powers(alpha, tail_len) * tail_len + 1),
+                                   t * beta_x)
+    at, j = np.nonzero(np.arange(max(tail_len.max(initial=0), 0)) < tail_len[:, None])
+    tail = np.zeros_like(x)
+    tail[at, top[at] + j] = tail_scale[at] * 0.5 ** j
+    base = x + tail
+    a_base = np.abs(base)
+    beta = _row_min(a_base, in_A)  # the smallest |base_i| on A
+    active = _t_in_range(t) & _greedy(beta, _row_max(a_base, ~in_A), t)
+    del a_base  # temporaries are freed as soon as they are read: a chunk holds few
+
+    # |base - z|: the picker keeps base up to x's last index, so the tail is cut
+    cut = active & (tail != 0.0).any(axis=1)
+    dist_z = np.zeros(len(t))
+    dist_z[cut] = norms(space, _row_vectors(tail[cut]))
+    del tail
+    picked = ~(dist_z > np.where(has_A, delta * (1.0 + 1e-9), eps + 1e-12))
+
+    # y = z + 2 c delta sign(base_i) on A, where z is x, built in place: a
+    # product and a sum of two floats do not depend on their order
+    live = active & has_A & picked
+    y = np.where(base < 0.0, -1.0, 1.0)
+    y *= (2.0 * c * delta)[:, None]
+    y[~in_A] = 0.0
+    y += x
+    not_finite = live & ~np.isfinite(y).all(axis=1)
+    _raise_first(t, [(not_finite, _NOT_FINITE)])
+    floor = beta + c * delta
+    ceiling = (beta + c * delta) / t
+    scale = np.maximum(1.0, np.abs(floor))
+    gap = np.subtract(base, y, out=base)  # base - y; base is not read again
+    a_y = np.abs(y, out=y)
+    y_in, y_out = _row_min(a_y, in_A), _row_max(a_y, ~in_A)
+    live &= ~(y_in < floor - 1e-12 * scale)
+    live &= ~(y_out > ceiling + 1e-12 * np.maximum(1.0, ceiling))
+    dist = dist_z.copy()
+    dist[live] = norms(space, _row_vectors(gap[live]))
+    live &= ~(dist > eps * (1.0 + 1e-9)) & _greedy(y_in, y_out, t)
+
+    ok = np.where(has_A, live, active & picked)
+    return [(True, None) if not on else (True, m) if good else (False, None)
+            for on, good, m in zip(active.tolist(), ok.tolist(), (eps - dist).tolist())]
+
+
+def _padding_rows(space: SpaceDescriptor, tab: TrialTable, rows: slice,
+                  norm_x: np.ndarray) -> list[tuple[bool, Optional[float]]]:
+    """padding_suite's trials over table rows: _padded's checks, with the
+    |A n B| spikes of height 2 c |x| kept as one number per row."""
+    x, in_A, size, t, m = (tab.x[rows], tab.in_A[rows], tab.size[rows], tab.t[rows],
+                           tab.segment[rows])
+    a_x = np.abs(x)
+    greedy_x = _greedy(_row_min(a_x, in_A), _row_max(a_x, ~in_A), t)
+    del a_x
+    in_B = np.arange(x.shape[1]) < m[:, None]
+    y = x - np.where(in_B, x, 0.0)
+    cleared = ~(in_B & (y != 0.0)).any(axis=1)
+    a_y = np.abs(y, out=y)
+    spikes = (in_A & in_B).sum(axis=1)
+    height = 2.0 * space.c_param * norm_x
+    padded = greedy_x & cleared & (spikes > 0)
+    _raise_first(t, [(~greedy_x, _NOT_GREEDY), (padded & ~np.isfinite(height), _NOT_FINITE)])
+
+    moved = in_A & ~in_B  # with the spikes: (A - B) u D
+    retained_min, outside_max = _row_min(a_y, moved), _row_max(a_y, ~moved)
+    dominated = ~(a_y.max(axis=1, initial=0.0) > height + 1e-12 * height)
+    lim = retained_min / t
+    lim += 1e-12 * np.maximum(1.0, lim)
+    dominant = ~(moved.any(axis=1) & (_row_max(a_y, ~in_A & ~in_B) > lim))
+    same_size = moved.sum(axis=1) + spikes == size
+    inside_min = np.where(padded, np.minimum(retained_min, height), retained_min)
+    ok = cleared & (~padded | (dominated & dominant & same_size)) \
+        & _greedy(inside_min, outside_max, t)
+    margin = np.where(inside_min < np.inf, inside_min, 0.0) - t * outside_max
+    return [(True, v) if good else (False, None)
+            for good, v in zip(ok.tolist(), margin.tolist())]
+
+
+def _suite_rows(pass_rows, space: SpaceDescriptor, draws: TrialDraws) -> list:
+    """A row pass over the draw table in chunks of NORM_CHUNK trials."""
+    table, norm_x = draws.table, np.array(_x_norms(space, draws))
+    outcomes = []
+    with np.errstate(all="ignore"):  # rows with a non-finite entry raise or fail
+        for lo in range(0, len(norm_x), NORM_CHUNK):
+            outcomes += pass_rows(space, table, slice(lo, lo + NORM_CHUNK),
+                                  norm_x[lo:lo + NORM_CHUNK])
+    return outcomes
+
+
 def lemma_perturbation_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
-    """Randomized perturbation trials with a tail-truncating picker."""
-
-    def trial(item):
-        draw, norm_x = item
-        x, A, t, tail_len = draw.x, draw.A, draw.t, draw.tail_len
-        eps = draw.eps_scale * max(norm_x, 1e-6)
-        # stand-in for an infinite tail: x carries extra decaying mass that the
-        # picker truncates back off
-        base = x
-        picker = lambda vec, d: vec
-        if tail_len:
-            start = x.max_index() + 1
-            delta = _delta(space, eps, len(A)) if A else eps
-            beta = min((abs(x[i]) for i in A), default=1.0)
-            # keep the tail below both the picker budget and the greedy slack
-            tail_scale = 0.25 * min(delta / (space.alpha ** tail_len * tail_len + 1),
-                                    t * beta)
-            tail = CoeffVector(range(start, start + tail_len),
-                               [tail_scale * 0.5 ** j for j in range(tail_len)])
-            base = x + tail
-            picker = lambda vec, d, _cut=start: vec.restrict(range(1, _cut))
-        A_set = frozenset(A)
-        if not is_t_greedy(base, A_set, t):
-            return True, None
-        try:
-            _, dist = _perturbed(space, base, A_set, t, eps, picker)
-        except PerturbationError:
-            return False, None
-        return True, eps - dist
-
-    outcomes = parallel_map(trial, zip(draws.trials, _x_norms(space, draws)))
+    """Randomized perturbation trials with a tail-truncating picker: each
+    trial's x carries extra decaying mass, the stand-in for an infinite
+    tail, that the picker truncates back off.  An array pass over the draw
+    table; its outcomes are _perturbed's, trial by trial."""
+    outcomes = _suite_rows(_perturbation_rows, space, draws)
     return _suite_report("finite-support perturbation", space, outcomes, draws.seed)
 
 
 def padding_suite(space: SpaceDescriptor, draws: TrialDraws) -> dict:
-    def trial(item):
-        draw, norm_x = item
-        x, A, t, m = draw.x, draw.A, draw.t, draw.segment
-        try:
-            y, D = _padded(space, x, norm_x, frozenset(A), t, m)
-        except PerturbationError:
-            return False, None
-        moved = frozenset([i for i in A if i > m]) | D
-        margin = min((abs(y[i]) for i in moved), default=0.0) - \
-            t * max((abs(v) for i, v in y.pairs() if i not in moved), default=0.0)
-        return True, margin
-
-    outcomes = parallel_map(trial, zip(draws.trials, _x_norms(space, draws)))
+    """Randomized padding-set trials: an array pass over the draw table whose
+    outcomes are _padded's, trial by trial."""
+    outcomes = _suite_rows(_padding_rows, space, draws)
     return _suite_report("padding-set construction", space, outcomes, draws.seed)
 
 

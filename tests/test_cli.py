@@ -229,6 +229,8 @@ class TestRunCommand:
         ("divergence", {"t": "half"}, "[divergence] t: expected a number, got 'half'"),
         ("constants", {"space": "lp:abc", "dims": "2..3"},
          "space 'lp:abc': exponent 'abc' is not a number"),
+        ("constants", {"space": "lp:0.001", "dims": "2..3"},
+         "the l_p norm at p = 0.001 exceeds the float range"),
     ])
     def test_bad_input_exits_one(self, name, params, message, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", name, **params)

@@ -475,6 +475,17 @@ class TestLpNorms:
                 with pytest.raises(ValueError, match="requires p > 0"):
                     bad()
 
+    def test_a_power_past_the_float_range_names_p(self):
+        # (1 + 1 + 1) ** 1000 overflows Python's **, which raised OverflowError
+        ones = CV.from_dense([1.0, 1.0, 1.0])
+        for norm in (lambda: gl.lp_norm(ones, 0.001),
+                     lambda: gl.coeffspace.lp_norms([CV.basis_vector(2), ones], 0.001),
+                     lambda: gl.weighted_lp_norm(ones, 0.001, [1.0, 2.0])):
+            with pytest.raises(ValueError, match=r"p = 0\.001 exceeds the float range"):
+                norm()
+        # one entry sums to 1, whose power is 1: no overflow at any p
+        assert gl.lp_norm(CV.basis_vector(3, -2.5), 0.001) == 2.5
+
     def test_weighted_defaults_to_one(self):
         x = CV.from_pairs([(1, 1.0), (10, 1.0)])
         assert gl.weighted_lp_norm(x, 2, [4.0]) == pytest.approx(math.sqrt(5.0))

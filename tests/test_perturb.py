@@ -88,6 +88,13 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="integers"):
             gl.perturb_to_finite_support(L_HALF, x, [2.7], 1.0, 0.1)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # NaN and inf once reached the vector algebra: "coefficients must be finite"
+        x = CV.from_dense([1.0, 0.5])
+        with pytest.raises(ValueError, match=r"^eps must be positive and finite, got "):
+            gl.perturb_to_finite_support(gl.lp_space(2.0), x, {1}, 1.0, eps)
+
     def test_non_greedy_input_rejected(self):
         space = gl.lp_space(2.0)
         x = CV.from_dense([1.0, 2.0])
@@ -150,6 +157,20 @@ class TestPaddingConstruction:
         x = CV([1, 2, 3], [0.5, 3.0, 1.0])
         with pytest.raises(ValueError, match="integers"):
             gl.padding_set_construction(L_HALF, x, {2.7}, 1.0, 1)
+
+    @pytest.mark.parametrize("m", [2.5, "2", True, False, None, 2.0])
+    def test_segment_length_must_be_an_integer(self, m):
+        # 2.5 and "2" raised TypeError, and True was taken as 1
+        x = CV.from_dense([3.0, 2.0, 0.5])
+        with pytest.raises(ValueError, match=r"^segment length m must be an integer, got "):
+            gl.padding_set_construction(L_HALF, x, {1}, 1.0, m)
+
+    def test_integer_segment_lengths_are_accepted(self):
+        x = CV.from_dense([3.0, 2.0, 0.5])
+        want = gl.padding_set_construction(L_HALF, x, {1}, 1.0, 2)
+        assert gl.padding_set_construction(L_HALF, x, {1}, 1.0, np.int64(2)) == want
+        with pytest.raises(ValueError, match=r"^segment length m must be nonnegative"):
+            gl.padding_set_construction(L_HALF, x, {1}, 1.0, -1)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -330,12 +351,24 @@ class TestTrialDraws:
     @pytest.mark.parametrize("seed", [0, 42, 1234])
     def test_suites_equal_the_per_suite_drawing(self, dim, seed):
         draws = gl.trial_draws(60, seed, dim)
-        for space in (L_HALF, L_TWO_THIRDS, gl.lp_space(1.0)):
+        # summing and sup norm one vector at a time: their norms have no many
+        for space in (L_HALF, L_TWO_THIRDS, gl.lp_space(1.0), gl.summing_space(dim),
+                      gl.sup_space()):
             for lemma, (suite, old_trial) in self.OLD.items():
                 old = perturb._suite_report(
                     lemma, space, [old_trial(space, seed, idx, dim) for idx in range(60)],
                     seed)
                 assert suite(space, draws) == old, (lemma, space.name)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        spaces = (L_HALF, L_TWO_THIRDS, gl.summing_space(16))
+        suites = (gl.lemma_perturbation_suite, gl.padding_suite, gl.crude_bound_suite)
+        want = [suite(space, gl.trial_draws(60, 42, 16)) for space in spaces
+                for suite in suites]
+        monkeypatch.setattr(perturb, "NORM_CHUNK", chunk)
+        draws = gl.trial_draws(60, 42, 16)
+        assert [suite(space, draws) for space in spaces for suite in suites] == want
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 12, 16, 64])
     @pytest.mark.parametrize("seed", [0, 42, 1234])
@@ -362,6 +395,144 @@ class TestTrialDraws:
         monkeypatch.setattr(np.random, "default_rng", counting)
         perturb_audit(25, 42, dim=8)
         assert len(made) == 25 + 1
+
+
+def _row_perturbation(space, draw, norm_x):
+    """One perturbation trial as the suite ran it row by row: the reference
+    of the array pass."""
+    x, A, t, tail_len = draw.x, draw.A, draw.t, draw.tail_len
+    eps = draw.eps_scale * max(norm_x, 1e-6)
+    base, picker = x, (lambda vec, d: vec)
+    if tail_len:
+        start = x.max_index() + 1
+        delta = perturb._delta(space, eps, len(A)) if A else eps
+        beta = min((abs(x[i]) for i in A), default=1.0)
+        tail_scale = 0.25 * min(delta / (space.alpha ** tail_len * tail_len + 1), t * beta)
+        base = x + CV(range(start, start + tail_len),
+                      [tail_scale * 0.5 ** j for j in range(tail_len)])
+        picker = lambda vec, d, _cut=start: vec.restrict(range(1, _cut))
+    if not gl.is_t_greedy(base, A, t):
+        return True, None
+    try:
+        _, dist = perturb._perturbed(space, base, frozenset(A), t, eps, picker)
+    except PerturbationError:
+        return False, None
+    return True, eps - dist
+
+
+def _row_padding(space, draw, norm_x):
+    """One padding trial as the suite ran it row by row."""
+    A, t, m = draw.A, draw.t, draw.segment
+    try:
+        y, D = perturb._padded(space, draw.x, norm_x, frozenset(A), t, m)
+    except PerturbationError:
+        return False, None
+    moved = frozenset([i for i in A if i > m]) | D
+    return True, min((abs(y[i]) for i in moved), default=0.0) - \
+        t * max((abs(v) for i, v in y.pairs() if i not in moved), default=0.0)
+
+
+ROW_PASSES = [(perturb._perturbation_rows, _row_perturbation),
+              (perturb._padding_rows, _row_padding)]
+
+
+def _outcomes_or_error(run):
+    """run()'s outcomes with every margin spelled by its bits, or the
+    ValueError it raised."""
+    try:
+        return [(ok, None if m is None else m.hex()) for ok, m in run()]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _hand_built(rows):
+    """A draw table of rows (dense x, A, t, eps_scale, tail_len, segment)."""
+    return perturb.TrialDraws(0, [
+        perturb.TrialDraw(CV.from_dense(x), tuple(A), t, scale, tail, m, ())
+        for x, A, t, scale, tail, m in rows])
+
+
+# tie-rich moduli of both signs, with extremes that overflow a sum or a norm
+table_rows = st.lists(st.tuples(
+    st.lists(st.sampled_from([0.0, 0.25, -0.25, 0.5, -1.0, 1.0, 2.0, -3.5, 1e-300, -1e300,
+                              1.7e308]), min_size=1, max_size=9),
+    st.lists(st.integers(1, 12), max_size=5, unique=True).map(sorted),
+    st.sampled_from([1.0, 0.9, 0.5, 0.3]), st.sampled_from([0.01, 0.4, 1.0]),
+    st.integers(0, 4), st.integers(0, 12)), min_size=1, max_size=12)
+
+
+class TestArrayPassesMatchThePerRowConstructions:
+    """The suites' array passes against each trial run through _perturbed
+    and _padded, on hand-built rows: sets that are not t-greedy or reach off
+    the support, empty sets, zero vectors, ties and non-finite results."""
+
+    SPACES = [L_HALF, L_TWO_THIRDS, gl.lp_space(1.0), gl.summing_space(16), gl.sup_space(),
+              gl.weighted_lp_space(0.5, [1.0, 3.0, 0.5, 2.0])]  # reads indices too
+
+    @given(table_rows, st.sampled_from(SPACES), st.sampled_from([1, 2, 5, 512]))
+    @settings(max_examples=400, deadline=None)
+    def test_outcomes_and_errors_are_the_per_row_ones(self, table, space, chunk):
+        # both paths norm the same vectors, bit for bit, and no others
+        normed = []
+        space = dataclasses.replace(space, norm=lambda v, f=space.norm: normed.append(
+            _bits(v)) or f(v))
+        draws = _hand_built(table)
+        norm_xs = draws.x_norms[space.norm] = [space.norm(d.x) for d in draws.trials]
+        original = perturb.NORM_CHUNK
+        perturb.NORM_CHUNK = chunk  # hypothesis runs many examples per test call
+        try:
+            for row_pass, row_trial in ROW_PASSES:
+                del normed[:]
+                got = _outcomes_or_error(lambda: perturb._suite_rows(row_pass, space, draws))
+                got_normed = sorted(normed)
+                del normed[:]
+                want = _outcomes_or_error(lambda: [row_trial(space, d, nx) for d, nx
+                                                   in zip(draws.trials, norm_xs)])
+                assert got == want, row_pass.__name__
+                if not isinstance(want, str):  # a raising pass stops at different places
+                    assert got_normed == sorted(normed), row_pass.__name__
+        finally:
+            perturb.NORM_CHUNK = original
+
+    def test_a_set_that_is_not_t_greedy(self):
+        # |x_1| = 1 < |x_2| = 2: {1} is not 1-greedy, as trial_draws never draws
+        draws = _hand_built([([3.0, 1.0], [1], 1.0, 0.5, 2, 1),
+                             ([1.0, 2.0], [1], 1.0, 0.5, 2, 1)])
+        x, norm_x = draws.trials[1].x, L_HALF.norm(draws.trials[1].x)
+        with pytest.raises(ValueError, match="A is not a t-greedy set for x"):
+            perturb._padded(L_HALF, x, norm_x, frozenset({1}), 1.0, 1)
+        with pytest.raises(ValueError, match="A is not a t-greedy set for x"):
+            gl.padding_suite(L_HALF, draws)
+        # the perturbation suite skips a trial whose base is not t-greedy
+        rep = gl.lemma_perturbation_suite(L_HALF, draws)
+        assert rep["trials"] == 2 and rep["failures"] == 0
+
+    def test_a_non_finite_coefficient(self):
+        # y_1 = x_1 + 2 c delta passes the largest float in the perturbation,
+        # and the spike height 2 c |x| does in the padding
+        top = np.finfo(float).max
+        draws = _hand_built([([1.0, 0.5], [1], 1.0, 0.5, 0, 1),
+                             ([top, 0.5], [1], 1.0, 1.0, 0, 1)])
+        space = gl.lp_space(1.0)
+        x, norm_x = draws.trials[1].x, space.norm(draws.trials[1].x)
+        for construction in (
+                lambda: perturb._perturbed(space, x, frozenset({1}), 1.0, norm_x,
+                                           lambda vec, d: vec),
+                lambda: perturb._padded(space, x, norm_x, frozenset({1}), 1.0, 1),
+                lambda: gl.lemma_perturbation_suite(space, draws),
+                lambda: gl.padding_suite(space, draws)):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                construction()
+
+    def test_the_table_is_built_once(self):
+        draws = gl.trial_draws(30, 42, 16)
+        gl.lemma_perturbation_suite(L_HALF, draws)
+        table = draws.table
+        gl.padding_suite(L_TWO_THIRDS, draws)
+        assert draws.table is table
+        assert table.in_A.sum(axis=1).tolist() == [len(d.A) for d in draws.trials]
+        for row, d in zip(table.x, draws.trials):
+            assert CV.from_dense(row) == d.x
 
 
 class TestNormReuse:
